@@ -185,13 +185,16 @@ pub fn read_frame(r: &mut impl Read) -> Result<Value, FrameError> {
     parse(text).map_err(|e| FrameError::Malformed(format!("payload is not json: {e}")))
 }
 
-/// Writes one length-prefixed JSON frame.
+/// Writes one length-prefixed JSON frame in a single write. Sent as two
+/// writes on a TCP stream, the payload would wait behind the length
+/// prefix for the peer's delayed ACK (Nagle's algorithm), about 40 ms.
 pub fn write_frame(w: &mut impl Write, v: &Value) -> std::io::Result<()> {
     let text = v.to_json();
-    let bytes = text.as_bytes();
-    let len = bytes.len().min(u32::MAX as usize) as u32; // lint: checked-cast — min-clamped
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(bytes)?;
+    let len = text.len().min(u32::MAX as usize) as u32; // lint: checked-cast — min-clamped
+    let mut frame = Vec::with_capacity(4 + text.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(text.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -446,6 +449,38 @@ mod tests {
         write_frame(&mut buf, &v).unwrap();
         let back = read_frame(&mut Cursor::new(buf)).unwrap();
         assert_eq!(back, v);
+    }
+
+    /// A sink that counts `write` calls, each accepting the whole buffer.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frame_leaves_in_one_write() {
+        for v in [
+            obj(&[("op", Value::Str("ping".into()))]),
+            obj(&[("pad", Value::Str("x".repeat(100_000)))]),
+        ] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &v).unwrap();
+            assert_eq!(w.writes, 1, "one write per frame");
+            assert_eq!(read_frame(&mut Cursor::new(w.bytes)).unwrap(), v);
+        }
     }
 
     #[test]

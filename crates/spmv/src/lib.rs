@@ -10,15 +10,30 @@
 //! 3. **fold** (post-communication): partial `y_i` values are sent to the
 //!    owner of `y_i` and summed.
 //!
-//! Two executors share one [`plan::DistributedSpmv`] communication plan:
+//! [`plan::DistributedSpmv::build`] compiles the plan once into local
+//! index space: each processor numbers only the x entries its nonzeros
+//! touch (plus owned ones it sends) and the y entries they touch (plus
+//! owned ones it receives partials for), its nonzeros name those slots,
+//! and every communicated word is a (sender slot, receiver slot) pair.
+//! Every slot is owned (at most one per vector entry) or is the end of
+//! exactly one communicated word, so a multiply needs at most
+//! `3n + volume` words of scratch including `y`, where a full-length x
+//! and y image per processor needed `2·K·n`. Two executors run off that
+//! one layout:
 //!
 //! * [`plan::DistributedSpmv::multiply`] — deterministic single-threaded
 //!   simulator that also **counts every word and message actually
 //!   transferred** ([`plan::MeasuredComm`]), closing the loop on the
 //!   paper's claim that the fine-grain cutsize equals true communication
-//!   volume,
+//!   volume; [`plan::DistributedSpmv::multiply_transpose`] runs `Aᵀx` on
+//!   the same layout with the phases reversed,
 //! * [`parallel::parallel_spmv`] — a real multi-threaded executor (one
-//!   thread per processor, crossbeam channels as the interconnect).
+//!   thread per processor, crossbeam channels as the interconnect, each
+//!   thread allocating only its own slots).
+//!
+//! [`plan::DistributedSpmv::validate`] checks the compiled layout in
+//! release builds: slots in bounds, every received slot written by
+//! exactly one word, every partial folded exactly once.
 //!
 //! [`solver`] builds iterative methods (CG, power iteration) on top, with
 //! conformal vector ownership so vector operations need no communication —

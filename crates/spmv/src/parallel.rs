@@ -2,26 +2,145 @@
 //! crossbeam channels as the interconnect.
 //!
 //! Exercises the same [`DistributedSpmv`] plan as the simulator, but with
-//! genuinely concurrent phases — each thread sends its expand messages,
-//! receives the ones addressed to it, multiplies its local nonzeros, then
-//! exchanges fold messages. The final `y` is assembled from the owners.
+//! genuinely concurrent phases — each thread loads the x entries it owns
+//! into its local slots, sends its expand messages, receives the ones
+//! addressed to it, multiplies its local nonzeros, then exchanges fold
+//! messages. A thread allocates only its own slots; the final `y` is
+//! assembled from the owners.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use crate::plan::{DistributedSpmv, MeasuredComm};
+use crate::plan::{load, DistributedSpmv, MeasuredComm, Words};
 use crate::{Result, SpmvError};
 
-/// A message between processors: element indices with their values.
+/// A message between processors: the index of its transfer in the phase's
+/// transfer list, and one value per word of that transfer.
 enum Msg {
     /// Expand-phase x values.
-    X(Vec<(u32, f64)>),
+    X(usize, Vec<f64>),
     /// Fold-phase partial y values.
-    Y(Vec<(u32, f64)>),
+    Y(usize, Vec<f64>),
+}
+
+/// What one processor's thread hands back: the y entries it owns, and the
+/// words and messages it sent in each phase.
+struct Outcome {
+    y: Vec<(u32, f64)>,
+    sent: MeasuredComm,
+}
+
+/// A worker that loses a channel peer (because that peer died) returns an
+/// error instead of panicking; the first error wins.
+fn dead_peer() -> SpmvError {
+    SpmvError::Worker("channel peer disconnected mid-multiply".into())
+}
+
+/// Writes (expand) or adds (fold) the values of transfer `t` into the
+/// receiver's slots.
+// lint: checked-index — receiver slots are < the receiver's slot count that sizes `slots` (validate() layout check words.slots)
+fn receive(words: &Words, t: usize, vals: Vec<f64>, slots: &mut [f64], add: bool) {
+    for (&(_, d), v) in words.of(t).iter().zip(vals) {
+        if add {
+            slots[d as usize] += v;
+        } else {
+            slots[d as usize] = v;
+        }
+    }
+}
+
+/// Processor `p`'s side of one `y = Ax`, in its own local index space.
+// lint: checked-index — sender slots are < p's slot counts that size xs/ys and receivers are < k == senders.len() (validate() layout checks words.slots, transfer.endpoints)
+fn run_processor(
+    plan: &DistributedSpmv,
+    p: u32,
+    x: &[f64],
+    inbox: &Receiver<Msg>,
+    senders: &[Sender<Msg>],
+    (expect_x, expect_y): (usize, usize),
+) -> Result<Outcome> {
+    let block = plan.local(p);
+    let mut sent = MeasuredComm::default();
+
+    // Own x slots loaded; the rest poisoned until received.
+    let mut xs = vec![f64::NAN; block.x_index.len()];
+    load(&block.x_owned, &block.x_index, x, &mut xs);
+
+    // Phase 1: expand — send what we own to the needers.
+    let words = plan.expand_words();
+    for (t, (tr, w)) in words.with(plan.expand_transfers()).enumerate() {
+        if tr.from == p {
+            let payload: Vec<f64> = w.iter().map(|&(s, _)| xs[s as usize]).collect();
+            sent.expand_words += payload.len() as u64;
+            sent.expand_messages += 1;
+            senders[tr.to as usize]
+                .send(Msg::X(t, payload))
+                .map_err(|_| dead_peer())?;
+        }
+    }
+    // Receive the x values addressed to us. Fold messages from fast peers
+    // may already be interleaved; stash them.
+    let mut stashed_y: Vec<(usize, Vec<f64>)> = Vec::new();
+    let mut got_x = 0usize;
+    while got_x < expect_x {
+        match inbox.recv().map_err(|_| dead_peer())? {
+            Msg::X(t, vals) => {
+                receive(words, t, vals, &mut xs, false);
+                got_x += 1;
+            }
+            Msg::Y(t, vals) => stashed_y.push((t, vals)),
+        }
+    }
+
+    // Phase 2: local multiply.
+    let mut ys = vec![0.0; block.y_index.len()];
+    block.mult(&xs, &mut ys);
+
+    // Phase 3: fold — ship partials to the y owners.
+    let words = plan.fold_words();
+    for (t, (tr, w)) in words.with(plan.fold_transfers()).enumerate() {
+        if tr.from == p {
+            let payload: Vec<f64> = w.iter().map(|&(s, _)| ys[s as usize]).collect();
+            sent.fold_words += payload.len() as u64;
+            sent.fold_messages += 1;
+            senders[tr.to as usize]
+                .send(Msg::Y(t, payload))
+                .map_err(|_| dead_peer())?;
+        }
+    }
+    let mut got_y = stashed_y.len();
+    for (t, vals) in stashed_y {
+        receive(words, t, vals, &mut ys, true);
+    }
+    while got_y < expect_y {
+        match inbox.recv().map_err(|_| dead_peer())? {
+            Msg::Y(t, vals) => {
+                receive(words, t, vals, &mut ys, true);
+                got_y += 1;
+            }
+            Msg::X(..) => {
+                // Protocol violation: all expand messages were already
+                // received.
+                return Err(SpmvError::Worker(
+                    "unexpected expand message during fold phase".into(),
+                ));
+            }
+        }
+    }
+
+    // Emit the y entries we own.
+    let y = block
+        .y_owned
+        .iter()
+        .map(|&s| (block.y_index[s as usize], ys[s as usize]))
+        .collect();
+    Ok(Outcome { y, sent })
 }
 
 /// Executes one `y = Ax` with `plan.k()` concurrent threads. Returns the
-/// result and the measured communication (identical to the simulator's by
-/// construction — the same transfers run, just concurrently).
+/// result and the communication the threads measured as they sent
+/// (identical to the simulator's by construction — the same transfers
+/// run, just concurrently).
+// lint: checked-index — processors < k index the k-long count and sent tallies; owned indices are < n (validate() layout check slot.index)
 pub fn parallel_spmv(plan: &DistributedSpmv, x: &[f64]) -> Result<(Vec<f64>, MeasuredComm)> {
     let n = plan.n() as usize;
     if x.len() != n {
@@ -33,136 +152,27 @@ pub fn parallel_spmv(plan: &DistributedSpmv, x: &[f64]) -> Result<(Vec<f64>, Mea
     let k = plan.k() as usize;
 
     // One inbox per processor.
-    let mut senders: Vec<Sender<Msg>> = Vec::with_capacity(k);
-    let mut receivers: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(k);
-    for _ in 0..k {
-        let (s, r) = unbounded();
-        senders.push(s);
-        receivers.push(Some(r));
-    }
+    let (senders, receivers): (Vec<Sender<Msg>>, Vec<Receiver<Msg>>) =
+        (0..k).map(|_| unbounded()).unzip();
 
     // Expected message counts per processor and phase.
-    let mut expect_x = vec![0usize; k];
-    let mut expect_y = vec![0usize; k];
+    let mut expect = vec![(0usize, 0usize); k];
     for t in plan.expand_transfers() {
-        expect_x[t.to as usize] += 1;
+        expect[t.to as usize].0 += 1;
     }
     for t in plan.fold_transfers() {
-        expect_y[t.to as usize] += 1;
+        expect[t.to as usize].1 += 1;
     }
 
-    // A worker that loses a channel peer (because that peer died) returns
-    // an error instead of panicking; the first error wins below.
-    fn dead_peer() -> SpmvError {
-        SpmvError::Worker("channel peer disconnected mid-multiply".into())
-    }
-
-    let mut results: Vec<Result<Vec<(u32, f64)>>> = Vec::with_capacity(k);
+    let mut results: Vec<Result<Outcome>> = Vec::with_capacity(k);
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(k);
-        for (p, inbox_slot) in receivers.iter_mut().enumerate() {
-            let Some(inbox) = inbox_slot.take() else {
-                results.push(Err(SpmvError::Worker(
-                    "missing receiver for processor".into(),
-                )));
-                continue;
-            };
-            let senders = senders.clone();
-            let expect_x = expect_x[p];
-            let expect_y = expect_y[p];
-            handles.push(scope.spawn(move || -> Result<Vec<(u32, f64)>> {
-                let p = p as u32; // lint: checked-cast — p < k, a u32
-                                  // Private x image: own values first.
-                let mut x_local: Vec<f64> = vec![f64::NAN; n];
-                for (j, &owner) in plan.vec_owner().iter().enumerate() {
-                    if owner == p {
-                        x_local[j] = x[j];
-                    }
-                }
-
-                // Phase 1: expand — send what we own to the needers.
-                for t in plan.expand_transfers().iter().filter(|t| t.from == p) {
-                    let payload: Vec<(u32, f64)> = t
-                        .indices
-                        .iter()
-                        .map(|&j| (j, x_local[j as usize]))
-                        .collect();
-                    senders[t.to as usize]
-                        .send(Msg::X(payload))
-                        .map_err(|_| dead_peer())?;
-                }
-                // Receive the x values addressed to us. Fold messages from
-                // fast peers may already be interleaved; stash them.
-                let mut stashed_y: Vec<Vec<(u32, f64)>> = Vec::new();
-                let mut got_x = 0usize;
-                while got_x < expect_x {
-                    match inbox.recv().map_err(|_| dead_peer())? {
-                        Msg::X(items) => {
-                            for (j, v) in items {
-                                x_local[j as usize] = v;
-                            }
-                            got_x += 1;
-                        }
-                        Msg::Y(items) => stashed_y.push(items),
-                    }
-                }
-
-                // Phase 2: local multiply.
-                let block = plan.local(p);
-                let mut y_partial: Vec<f64> = vec![0.0; n];
-                for e in 0..block.nnz() {
-                    let (i, j, v) = (block.rows[e], block.cols[e], block.vals[e]);
-                    let xj = x_local[j as usize];
-                    debug_assert!(!xj.is_nan(), "processor {p} missing x_{j}");
-                    y_partial[i as usize] += v * xj;
-                }
-
-                // Phase 3: fold — ship partials to the y owners.
-                for t in plan.fold_transfers().iter().filter(|t| t.from == p) {
-                    let payload: Vec<(u32, f64)> = t
-                        .indices
-                        .iter()
-                        .map(|&i| (i, y_partial[i as usize]))
-                        .collect();
-                    senders[t.to as usize]
-                        .send(Msg::Y(payload))
-                        .map_err(|_| dead_peer())?;
-                }
-                let mut got_y = 0usize;
-                for items in stashed_y {
-                    for (i, v) in items {
-                        y_partial[i as usize] += v;
-                    }
-                    got_y += 1;
-                }
-                while got_y < expect_y {
-                    match inbox.recv().map_err(|_| dead_peer())? {
-                        Msg::Y(items) => {
-                            for (i, v) in items {
-                                y_partial[i as usize] += v;
-                            }
-                            got_y += 1;
-                        }
-                        Msg::X(_) => {
-                            // Protocol violation: all expand messages were
-                            // already received.
-                            return Err(SpmvError::Worker(
-                                "unexpected expand message during fold phase".into(),
-                            ));
-                        }
-                    }
-                }
-
-                // Emit the y entries we own.
-                Ok(plan
-                    .vec_owner()
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &owner)| owner == p)
-                    .map(|(i, _)| (i as u32, y_partial[i])) // lint: checked-cast — i < n = nrows, a u32
-                    .collect())
-            }));
-        }
+        let handles: Vec<_> = (0..plan.k())
+            .zip(receivers.iter().zip(&expect))
+            .map(|(p, (inbox, &expect))| {
+                let senders = &senders;
+                scope.spawn(move || run_processor(plan, p, x, inbox, senders, expect))
+            })
+            .collect();
         for h in handles {
             results.push(h.join().unwrap_or_else(|e| {
                 let msg = if let Some(s) = e.downcast_ref::<&str>() {
@@ -178,12 +188,22 @@ pub fn parallel_spmv(plan: &DistributedSpmv, x: &[f64]) -> Result<(Vec<f64>, Mea
     });
 
     let mut y = vec![0.0; n];
-    for owned in results {
-        for (i, v) in owned? {
+    let mut measured = MeasuredComm {
+        sent_words_per_proc: vec![0; k],
+        ..Default::default()
+    };
+    for (p, outcome) in results.into_iter().enumerate() {
+        let Outcome { y: owned, sent } = outcome?;
+        for (i, v) in owned {
             y[i as usize] = v;
         }
+        measured.expand_words += sent.expand_words;
+        measured.expand_messages += sent.expand_messages;
+        measured.fold_words += sent.fold_words;
+        measured.fold_messages += sent.fold_messages;
+        measured.sent_words_per_proc[p] = sent.total_words();
     }
-    Ok((y, plan.planned_comm()))
+    Ok((y, measured))
 }
 
 #[cfg(test)]
