@@ -5,14 +5,20 @@
 //! The real rayon keeps a lazily-started global work-stealing pool; this
 //! stand-in keeps rayon's *shape* (`ThreadPoolBuilder::new().num_threads(n)
 //! .build()?.install(|| ...)` with nested `join` calls inside) but
-//! implements it on `std::thread::scope`. A pool is a token counter: a
-//! pool of `n` threads hands out `n - 1` spare tokens, and `join(a, b)`
-//! spawns `b` onto a fresh scoped thread when a token is free, running it
-//! inline otherwise. Because every spawn is scoped inside the `join` call
-//! itself, closures may borrow from the caller's stack exactly as with
-//! real rayon, total concurrency never exceeds the pool size, and there is
-//! no blocking hand-off that could deadlock — the fallback is always to
-//! run inline on the current thread.
+//! implements it on `std::thread::scope`. A pool is a slot counter: a
+//! pool of `n` threads hands out `n - 1` spare slots, and `join(a, b)`
+//! spawns `b` onto a fresh scoped thread when a slot is free, running it
+//! inline otherwise. Once `a` returns, a joiner still waiting for `b`
+//! lends its slot to the pool and takes it back when `b` returns, so
+//! `b`'s subtree can fork onto the core the joiner leaves idle. At most
+//! `n` threads run at once, with one exception: a joiner that takes back
+//! a slot another branch borrowed runs alongside the borrower until that
+//! branch returns it. The count is then below zero, and only positive
+//! counts are handed out, so no further thread starts meanwhile. Because
+//! every spawn is scoped inside the `join` call itself, closures may
+//! borrow from the caller's stack exactly as with real rayon, and there
+//! is no blocking hand-off that could deadlock — the fallback is always
+//! to run inline on the current thread.
 //!
 //! Differences from real rayon, none observable to this workspace:
 //! * `install` runs the closure on the calling thread (real rayon migrates
@@ -28,18 +34,20 @@
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::Arc;
 
-/// Shared pool state: the configured width and the spare-thread tokens.
+/// Shared pool state: the configured width and the spare-thread slots.
 #[derive(Debug)]
 struct PoolInner {
     threads: usize,
-    spare: AtomicUsize,
+    /// Slots free for a new thread. Signed: a joiner taking back a slot it
+    /// lent may find another branch still holding it.
+    spare: AtomicIsize,
 }
 
 impl PoolInner {
-    // lint: atomic — relaxed: the token count is its own synchronization
+    // lint: atomic — relaxed: the slot count is its own synchronization
     // object; the CAS only needs atomicity, and the spawned thread is
     // synchronized by `thread::scope`'s join edge, not by this counter
     fn try_acquire(self: &Arc<Self>) -> Option<Token> {
@@ -59,13 +67,13 @@ impl PoolInner {
     }
 }
 
-/// RAII spare-thread token: released back to the pool on drop, so a
+/// RAII spare-thread slot: released back to the pool on drop, so a
 /// panicking branch cannot leak pool capacity.
 struct Token(Arc<PoolInner>);
 
 impl Drop for Token {
     fn drop(&mut self) {
-        self.0.spare.fetch_add(1, Ordering::Relaxed); // lint: atomic — relaxed: token release; scope join provides the ordering
+        self.0.spare.fetch_add(1, Ordering::Relaxed); // lint: atomic — relaxed: slot release; scope join provides the ordering
     }
 }
 
@@ -131,7 +139,9 @@ impl ThreadPoolBuilder {
         Ok(ThreadPool {
             inner: Arc::new(PoolInner {
                 threads,
-                spare: AtomicUsize::new(threads.saturating_sub(1)),
+                spare: AtomicIsize::new(
+                    isize::try_from(threads.saturating_sub(1)).unwrap_or(isize::MAX),
+                ),
             }),
         })
     }
@@ -183,9 +193,10 @@ pub fn current_thread_index() -> Option<usize> {
 /// Runs both closures, potentially in parallel, and returns both results.
 ///
 /// `a` always runs on the calling thread. `b` runs on a freshly spawned
-/// scoped thread when the current pool has a spare token, and inline (after
-/// `a`) otherwise. A panic in either closure is propagated to the caller
-/// after both branches have finished, like real rayon.
+/// scoped thread when the current pool has a spare slot, and inline (after
+/// `a`) otherwise. While the caller waits for a spawned `b`, it lends its
+/// slot to the pool. A panic in either closure is propagated to the
+/// caller after both branches have finished, like real rayon.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -197,6 +208,7 @@ where
     let Some(token) = pool.as_ref().and_then(PoolInner::try_acquire) else {
         return (a(), b());
     };
+    let lender = Arc::clone(&token.0);
     let pool_for_b = pool.clone();
     let (ra, rb) = std::thread::scope(move |scope| {
         let hb = scope.spawn(move || {
@@ -207,7 +219,12 @@ where
         // Catch a's panic so hb is still joined (scope would do so anyway,
         // but this lets us prefer a's panic payload deterministically).
         let ra = catch_unwind(AssertUnwindSafe(a));
+        // Idle until b returns: lend this thread's slot so b's subtree
+        // can fork onto it. `join` reports b's panic as an `Err`, so the
+        // slot is taken back on every path.
+        lender.spare.fetch_add(1, Ordering::Relaxed); // lint: atomic — relaxed: slot count only; scope join provides the ordering
         let rb = hb.join();
+        lender.spare.fetch_sub(1, Ordering::Relaxed); // lint: atomic — relaxed: slot count only; scope join provides the ordering
         (ra, rb)
     });
     match (ra, rb) {
@@ -220,7 +237,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, AtomicUsize};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn join_outside_pool_runs_inline_in_order() {
@@ -255,8 +273,8 @@ mod tests {
             fan(5, &live, &peak)
         });
         // The counter counts nested frames, not threads, so the bound is
-        // loose; the real invariant (≤ 4 OS threads) is enforced by the
-        // token counter this asserts on indirectly.
+        // loose; the real invariant (≤ 4 running threads) is enforced by
+        // the slot counter this asserts on indirectly.
         assert!(peak.load(Ordering::SeqCst) >= 1);
         assert_eq!(pool.inner.spare.load(Ordering::SeqCst), 3, "tokens leaked");
     }
@@ -297,6 +315,53 @@ mod tests {
         // The pool stays usable after the panic.
         let (a, b) = pool.join(|| 2, || 3);
         assert_eq!(a + b, 5);
+    }
+
+    /// Waits (bounded) until `pool` has a spare slot, so a test can start
+    /// a nested join only after a sibling's slot was lent.
+    fn await_spare(pool: &ThreadPool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while pool.inner.spare.load(Ordering::SeqCst) < 1 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn blocked_joiner_lends_its_slot() {
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let tid = || std::thread::current().id();
+        let ((), (ta, tb)) = pool.join(
+            || (),
+            || {
+                // The outer b holds the pool's only spare slot; the inner
+                // join may fork only onto the slot the idle caller lends.
+                await_spare(&pool);
+                join(tid, tid)
+            },
+        );
+        assert_ne!(ta, tb, "inner b ran inline instead of on the lent slot");
+        assert_eq!(pool.inner.spare.load(Ordering::SeqCst), 1, "slot leaked");
+    }
+
+    #[test]
+    fn lent_slot_comes_back_when_b_panics() {
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            pool.join(
+                || (),
+                || {
+                    await_spare(&pool);
+                    join(|| (), || panic!("inner b failed"))
+                },
+            )
+        }));
+        assert!(r.is_err());
+        assert_eq!(pool.inner.spare.load(Ordering::SeqCst), 1, "slot leaked");
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            pool.join(|| (), || panic!("outer b failed"))
+        }));
+        assert!(r.is_err());
+        assert_eq!(pool.inner.spare.load(Ordering::SeqCst), 1, "slot leaked");
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! Results land in `BENCH_parallel.json` at the repository root:
 //! per-thread wall times, speedups, the per-seed cutsizes proving
 //! determinism, and a per-phase wall-clock breakdown (coarsen / initial /
-//! fm-pass / …) from one traced sweep per thread count.
+//! fm-pass / …) from one traced sweep per thread count. On a 1-CPU host
+//! every row's speedup is the string `"unmeasured"`: threads there only
+//! time-slice one core, so a ratio would say nothing about scaling.
 //!
 //! Usage: `cargo bench --bench parallel_scaling [-- --quick]`
 //! (`--quick` shrinks the matrix and repetitions for CI smoke runs).
@@ -130,7 +132,9 @@ fn main() {
         p.reps
     );
     if host_cpus < 2 {
-        println!("note: single-core host; expect speedup ~1.0 (determinism still checked)");
+        println!(
+            "note: single-core host; speedups recorded as unmeasured (determinism still checked)"
+        );
     }
 
     let mut times = Vec::new();
@@ -153,8 +157,12 @@ fn main() {
     let mut rows = String::new();
     println!("threads  wall_s   speedup  per-seed cutsizes");
     for (i, (threads, secs, cuts, phases)) in times.iter().enumerate() {
-        let speedup = serial_time / secs;
-        println!("{threads:>7}  {secs:>7.3}  {speedup:>6.2}x  {cuts:?}");
+        let speedup = if host_cpus < 2 {
+            "\"unmeasured\"".to_string()
+        } else {
+            format!("{:.3}", serial_time / secs)
+        };
+        println!("{threads:>7}  {secs:>7.3}  {speedup:>7}  {cuts:?}");
         let cuts_json = cuts
             .iter()
             .map(|c| c.to_string())
@@ -169,7 +177,7 @@ fn main() {
             rows.push(',');
         }
         rows.push_str(&format!(
-            "\n    {{\"threads\": {threads}, \"wall_s\": {secs:.6}, \"speedup\": {speedup:.3}, \"cutsizes\": [{cuts_json}], \"phase_ns\": {{{phase_json}}}}}"
+            "\n    {{\"threads\": {threads}, \"wall_s\": {secs:.6}, \"speedup\": {speedup}, \"cutsizes\": [{cuts_json}], \"phase_ns\": {{{phase_json}}}}}"
         ));
     }
 

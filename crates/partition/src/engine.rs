@@ -785,8 +785,8 @@ impl MultilevelDriver {
         S::Ix::give_ids(&mut self.arena, map1);
         S::Ix::give_ids(&mut self.arena, ids);
 
-        // Fork only when both halves carry further bisection work and a
-        // pool is installed; the right branch runs on a forked worker
+        // Offer a fork only when both halves carry further bisection work
+        // and a pool is installed; the right branch runs on a worker
         // whose stats merge back at the join. A trivial (k == 1) half is
         // a leaf push — never worth a fork.
         if k0 > 1 && k1 > 1 && self.threads > 1 && rayon::current_thread_index().is_some() {
@@ -796,9 +796,13 @@ impl MultilevelDriver {
             // stitches deterministically under this driver's scope.
             let dspan = self.trace_child("domain", Some((part_lo + k0) as u64));
             worker.span = dspan.handle();
-            let ((), (mut right_leaves, right_cut, worker)) = rayon::join(
+            // The pool runs the right branch inline when no slot is free;
+            // only a branch that ran on another thread counts as a fork.
+            let caller = std::thread::current().id();
+            let ((), (mut right_leaves, right_cut, worker, forked)) = rayon::join(
                 || self.recurse(&child0, ids0, fixed, k0, part_lo, eps, leaves, cut_sum),
                 move || {
+                    let forked = std::thread::current().id() != caller;
                     let _domain = dspan;
                     let mut right_leaves = Vec::new();
                     let mut right_cut = 0u64;
@@ -812,10 +816,10 @@ impl MultilevelDriver {
                         &mut right_leaves,
                         &mut right_cut,
                     );
-                    (right_leaves, right_cut, worker)
+                    (right_leaves, right_cut, worker, forked)
                 },
             );
-            self.stats.parallel_forks += 1;
+            self.stats.parallel_forks += u64::from(forked);
             self.stats.merge(&worker.stats);
             leaves.append(&mut right_leaves);
             *cut_sum += right_cut;
@@ -826,14 +830,25 @@ impl MultilevelDriver {
     }
 }
 
-/// Per-net side pin counts: the hypergraph cut bookkeeping. Counts are
-/// stored at the substrate's index width — a count never exceeds the net's
-/// pin total, which fits `I` by construction — so the buffers recycle
-/// through the same width-matched arena pools as every other id array.
+/// Per-net side pin counts and pin XORs: the hypergraph cut bookkeeping.
+/// Counts are stored at the substrate's index width — a count never
+/// exceeds the net's pin total, which fits `I` by construction — so the
+/// buffers recycle through the same width-matched arena pools as every
+/// other id array.
 #[derive(Debug, Clone)]
 pub struct NetSideCounts<I: IndexType = u32> {
     /// `pc[s][n]` = pins of net `n` on side `s`.
     pub pc: [Vec<I>; 2],
+    /// `px[s][n]` = XOR of the ids of net `n`'s pins on side `s`. Pins are
+    /// unique within a net, so when `pc[s][n] == 1` this *is* the lone
+    /// pin's id: FM reads it in O(1) instead of scanning the net.
+    pub px: [Vec<I>; 2],
+}
+
+/// `a ^ b` at index width (the XOR of two ids fits the width).
+#[inline(always)]
+fn xor<I: IndexType>(a: I, b: I) -> I {
+    I::from_index(a.index() ^ b.index())
 }
 
 impl<I: ArenaIndex> Substrate for Hypergraph<I> {
@@ -883,11 +898,17 @@ impl<I: ArenaIndex> Substrate for Hypergraph<I> {
             I::take_ids(arena, nn, I::ZERO),
             I::take_ids(arena, nn, I::ZERO),
         ];
+        let mut px = [
+            I::take_ids(arena, nn, I::ZERO),
+            I::take_ids(arena, nn, I::ZERO),
+        ];
         for (v, &sv) in side.iter().enumerate() {
             let s = sv as usize;
-            for &n in self.nets(I::from_index(v)) {
+            let v = I::from_index(v);
+            for &n in self.nets(v) {
                 let ni = n.index();
                 pc[s][ni] = I::from_index(pc[s][ni].index() + 1);
+                px[s][ni] = xor(px[s][ni], v);
             }
         }
         let mut cut = 0u64;
@@ -896,13 +917,13 @@ impl<I: ArenaIndex> Substrate for Hypergraph<I> {
                 cut += self.net_cost(I::from_index(n)) as u64;
             }
         }
-        (NetSideCounts { pc }, cut)
+        (NetSideCounts { pc, px }, cut)
     }
 
     fn recycle_cut_state(cs: NetSideCounts<I>, arena: &mut LevelArena) {
-        let [a, b] = cs.pc;
-        I::give_ids(arena, a);
-        I::give_ids(arena, b);
+        for ids in cs.pc.into_iter().chain(cs.px) {
+            I::give_ids(arena, ids);
+        }
     }
 
     fn gain(&self, cs: &NetSideCounts<I>, side: &[u8], v: I) -> i64 {
@@ -939,6 +960,8 @@ impl<I: ArenaIndex> Substrate for Hypergraph<I> {
             }
             cs.pc[s][ni] = I::from_index(cs.pc[s][ni].index() - 1);
             cs.pc[t][ni] = I::from_index(cs.pc[t][ni].index() + 1);
+            cs.px[s][ni] = xor(cs.px[s][ni], v);
+            cs.px[t][ni] = xor(cs.px[t][ni], v);
             if cs.pc[s][ni] == I::ZERO {
                 *cut -= c;
             }
@@ -955,79 +978,77 @@ impl<I: ArenaIndex> Substrate for Hypergraph<I> {
     ) {
         let s = side[v.index()] as usize;
         let t = 1 - s;
-        {
-            for &n in self.nets(v) {
-                let ni = n.index();
-                let c = self.net_cost(n) as i64;
-                let (tc, fc) = (cs.pc[t][ni], cs.pc[s][ni]);
-                let fc_after = fc.index() - 1;
-                // The four λ transitions fold into one signed delta per
-                // side, so the pins are scanned once with a table lookup
-                // instead of once per firing branch. `tbl[x]` is the gain
-                // delta for every other pin currently on side `x`.
-                let mut tbl = [0i64; 2];
-                if tc == I::ZERO {
-                    // Net becomes cut: every other pin gains +c.
+        for &n in self.nets(v) {
+            let ni = n.index();
+            let c = self.net_cost(n) as i64;
+            let tc = cs.pc[t][ni].index();
+            let fc_after = cs.pc[s][ni].index() - 1;
+            // A side holding exactly one other pin names it in its XOR:
+            // `lone_t` (t's XOR before the move) is the t-pin when
+            // tc == 1, `lone_s` (s's XOR after it) the s-pin left behind
+            // when fc_after == 1. Only the two transitions that touch
+            // every other pin still scan the net. Each arm emits exactly
+            // the adjusts, values, and order of the historical per-branch
+            // kernel (kernel_equivalence.rs): gain ties break by bucket
+            // LIFO position (golden_cutsize.rs).
+            let lone_t = cs.px[t][ni];
+            let lone_s = xor(cs.px[s][ni], v);
+            match (tc, fc_after) {
+                // A single-pin net: never cut, no other pin.
+                (0, 0) => {}
+                // Net becomes cut, and the lone s-pin also gains the
+                // uncut bonus: one +2c adjust.
+                (0, 1) => {
                     *cut += c as u64;
-                    tbl = [c, c];
-                } else if tc == I::ONE {
-                    // The lone pin on t loses its "uncut by moving" bonus.
-                    tbl[t] -= c;
+                    adjust(lone_s, 2 * c);
                 }
-                if fc_after == 0 {
-                    // Net becomes internal to t: pins lose the cut malus.
-                    *cut -= c as u64;
-                    tbl[0] -= c;
-                    tbl[1] -= c;
-                } else if fc_after == 1 {
-                    // The lone remaining pin on s gains the uncut bonus.
-                    tbl[s] += c;
-                }
-                if tc == I::ONE && fc_after == 1 {
-                    // Exactly 3 pins, one left per side after the move.
-                    // The historical kernel adjusted the t-pin (−c) before
-                    // the s-pin (+c); preserve that order, since bucket
-                    // LIFO position breaks gain ties (golden_cutsize.rs).
+                // Net becomes cut: every other pin (all on s) gains +c.
+                (0, _) => {
+                    *cut += c as u64;
                     for &u in self.pins(n) {
-                        if u != v && side[u.index()] as usize == t {
-                            adjust(u, -c);
-                        }
-                    }
-                    for &u in self.pins(n) {
-                        if u != v && side[u.index()] as usize == s {
+                        if u != v {
                             adjust(u, c);
                         }
                     }
-                } else if tc == I::ONE && fc_after == 0 {
-                    // A cut 2-pin net becomes internal to t. The lone
-                    // t-pin historically received two −c adjusts, and the
-                    // intermediate bucket hop re-raises the gain buckets'
-                    // cached max, re-exposing higher-gain vertices that an
-                    // earlier pop skipped as inadmissible. A coalesced
-                    // −2c skips that bucket, observably changing pop
-                    // order — keep the two-step form.
+                }
+                // A cut 2-pin net becomes internal to t. The lone t-pin
+                // historically received two −c adjusts, and the
+                // intermediate bucket hop re-raises the gain buckets'
+                // cached max, re-exposing higher-gain vertices that an
+                // earlier pop skipped as inadmissible. A coalesced −2c
+                // skips that bucket, observably changing pop order — keep
+                // the two-step form.
+                (1, 0) => {
+                    *cut -= c as u64;
+                    adjust(lone_t, -c);
+                    adjust(lone_t, -c);
+                }
+                // Exactly 3 pins, one left per side after the move: the
+                // t-pin (−c) before the s-pin (+c).
+                (1, 1) => {
+                    adjust(lone_t, -c);
+                    adjust(lone_s, c);
+                }
+                // The lone pin on t loses its "uncut by moving" bonus.
+                (1, _) => adjust(lone_t, -c),
+                // Net becomes internal to t: every other pin (all on t)
+                // loses the cut malus.
+                (_, 0) => {
+                    *cut -= c as u64;
                     for &u in self.pins(n) {
                         if u != v {
                             adjust(u, -c);
-                            adjust(u, -c);
-                        }
-                    }
-                } else if tbl != [0, 0] {
-                    // Every other multi-branch combination is confined to
-                    // a 2-pin net (single adjusted pin) or applies one
-                    // uniform delta, so a single in-pin-order scan emits
-                    // the same bucket insertion sequence as the branchy
-                    // original.
-                    for &u in self.pins(n) {
-                        let d = tbl[side[u.index()] as usize];
-                        if u != v && d != 0 {
-                            adjust(u, d);
                         }
                     }
                 }
-                cs.pc[s][ni] = I::from_index(fc_after);
-                cs.pc[t][ni] = I::from_index(tc.index() + 1);
+                // The lone remaining pin on s gains the uncut bonus.
+                (_, 1) => adjust(lone_s, c),
+                _ => {}
             }
+            cs.pc[s][ni] = I::from_index(fc_after);
+            cs.pc[t][ni] = I::from_index(tc + 1);
+            cs.px[s][ni] = lone_s;
+            cs.px[t][ni] = xor(lone_t, v);
         }
     }
 
@@ -1394,6 +1415,34 @@ mod tests {
             );
         }
         assert_eq!(serial_driver.stats().parallel_forks, 0);
+    }
+
+    #[test]
+    fn parallel_forks_count_branches_run_on_another_thread() {
+        use crate::config::Parallelism;
+        let hg = random_hypergraph(500, 800, 6, 13);
+        let fixed = vec![u32::MAX; 500];
+        let forks = |parallelism| {
+            let cfg = PartitionConfig {
+                parallelism,
+                ..PartitionConfig::with_seed(7)
+            };
+            let mut d = MultilevelDriver::new(cfg);
+            d.partition_recursive(&hg, 16, &fixed);
+            d.stats().parallel_forks
+        };
+        assert_eq!(forks(Parallelism::Serial), 0);
+        // Inside a 1-thread pool every join runs its right branch inline.
+        let one = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        assert_eq!(one.install(|| forks(Parallelism::Threads(2))), 0);
+        // K = 16 offers 7 joins (the k = 16, 8, 4 nodes). Two threads
+        // always take the root fork. At most one k = 8 join can fork: the
+        // slot it needs is freed only after the other side's k = 8 join.
+        let two = forks(Parallelism::Threads(2));
+        assert!((1..7).contains(&two), "Threads(2) forks: {two}");
     }
 
     #[test]

@@ -42,61 +42,74 @@ pub fn kway_refine<I: IndexType>(
     let mut total_gain = 0u64;
     let mut order: Vec<I> = (0..hg.num_vertices().index())
         .map(I::from_index)
-        .filter(|&v| fixed[v.index()] == u32::MAX)
+        .filter(|&v| fixed[v.index()] == u32::MAX) // lint: checked-index — v < num_vertices == fixed.len() (caller contract)
         .collect();
+    // Per-vertex scratch, reused across vertices: the candidate parts in
+    // first-seen order, and `touch[q]` = summed cost of the vertex's nets
+    // that already have a pin in part `q` (UNSEEN until `q` is met).
+    // Only candidates are ever written, so resetting through the
+    // candidate list restores the whole array.
+    const UNSEEN: i64 = -1;
+    let mut candidates: Vec<u32> = Vec::new();
+    let mut touch: Vec<i64> = vec![UNSEEN; k as usize];
 
     for _ in 0..passes {
         order.shuffle(rng);
         let mut pass_gain = 0u64;
         for &v in &order {
             let from = partition.part_at(v.index());
-            // Only boundary vertices can have positive gain.
-            let mut candidate_parts: Vec<u32> = Vec::new();
-            let mut boundary = false;
+            // One pass over v's nets: `leave` sums the nets v is the last
+            // `from` pin of (moving removes `from` from Λ), `span` sums
+            // all of them. Moving to q then gains
+            // `leave − (span − touch[q])`: every net without a pin in q
+            // adds q to its Λ.
+            let mut leave = 0i64;
+            let mut span = 0i64;
             for &n in hg.nets(v) {
-                if np.lambda(n) > 1 {
-                    boundary = true;
-                }
-                np.for_each_part(n, |q, _| {
-                    if q != from && !candidate_parts.contains(&q) {
-                        candidate_parts.push(q);
+                let c = hg.net_cost(n) as i64;
+                span += c;
+                np.for_each_part(n, |q, count| {
+                    if q == from {
+                        if count == 1 {
+                            leave += c;
+                        }
+                        return;
                     }
+                    let t = &mut touch[q as usize]; // lint: checked-index — q < k is the Partition contract; touch has k entries
+                    if *t == UNSEEN {
+                        *t = 0;
+                        candidates.push(q);
+                    }
+                    *t += c;
                 });
             }
-            if !boundary || candidate_parts.is_empty() {
-                continue;
-            }
+            // No candidate means every net of v lies inside `from`: v is
+            // not on the boundary and cannot gain.
             let w = hg.vertex_weight(v) as u64;
             let mut best: Option<(i64, u32)> = None;
-            for &q in &candidate_parts {
-                if weights[q as usize] + w > cap {
+            for &q in &candidates {
+                let q_weight = weights[q as usize]; // lint: checked-index — q < k == weights.len()
+                let gain = leave - span + touch[q as usize]; // lint: checked-index — q < k == touch.len()
+                touch[q as usize] = UNSEEN; // lint: checked-index — q < k == touch.len()
+                if q_weight + w > cap {
                     continue;
-                }
-                let mut gain = 0i64;
-                for &n in hg.nets(v) {
-                    let c = hg.net_cost(n) as i64;
-                    if np.count(n, from) == 1 {
-                        gain += c; // leaving removes `from` from Λ
-                    }
-                    if np.count(n, q) == 0 {
-                        gain -= c; // arriving adds `q` to Λ
-                    }
                 }
                 match best {
                     Some((bg, _)) if bg >= gain => {}
                     _ => best = Some((gain, q)),
                 }
             }
+            candidates.clear();
             if let Some((gain, q)) = best {
                 // Accept strict improvements, or zero-gain moves that
                 // improve balance (helps escape RB artifacts).
-                let improves_balance = weights[q as usize] + w < weights[from as usize];
+                let improves_balance = weights[q as usize] + w < weights[from as usize]; // lint: checked-index — q, from < k == weights.len()
                 if gain > 0 || (gain == 0 && improves_balance) {
                     for &n in hg.nets(v) {
                         np.move_pin(n, from, q)?;
                     }
-                    weights[from as usize] -= w;
-                    weights[q as usize] += w;
+                    weights[from as usize] -= w; // lint: checked-index — from < k == weights.len()
+                    weights[q as usize] += w; // lint: checked-index — q < k == weights.len()
                     partition.assign_at(v.index(), q);
                     pass_gain += gain.max(0) as u64;
                 }

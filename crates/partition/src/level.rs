@@ -70,8 +70,9 @@ pub struct EngineStats {
     /// [`EngineStats::truncated`]: a cancelled run is reported as
     /// cancelled, not as a budget accident.
     pub cancel_truncations: u64,
-    /// Fork-join forks actually taken by the parallel driver (0 in serial
-    /// runs and whenever the recursion ran inline).
+    /// Recursion branches the parallel driver ran on a thread other than
+    /// their parent's (0 in serial runs and whenever the recursion ran
+    /// inline; a join whose branch ran inline does not count).
     pub parallel_forks: u64,
     /// Wall-clock nanoseconds in coarsening (`stats` feature only).
     pub coarsen_nanos: u64,

@@ -7,6 +7,10 @@
 //! of gain-bucket operations — including "redundant" double adjusts whose
 //! intermediate bucket hop re-raises the buckets' cached max index and
 //! re-exposes vertices an earlier pop skipped as inadmissible.
+//!
+//! The kernel finds a side's lone pin through the side's pin XOR
+//! (`NetSideCounts::px`), so every move also checks that XOR against a
+//! recount from scratch.
 
 use fgh_hypergraph::Hypergraph;
 use fgh_partition::engine::{NetSideCounts, Substrate};
@@ -65,19 +69,35 @@ fn apply_move_legacy(
     }
 }
 
-fn random_instance(seed: u64) -> (Hypergraph<u32>, Vec<u8>) {
+/// Net sizes biased toward 2 pins: their collapse transitions carry the
+/// historical double-adjust the fused kernel must reproduce.
+fn two_pin_biased(rng: &mut SmallRng) -> usize {
+    if rng.gen_bool(0.6) {
+        2
+    } else {
+        rng.gen_range(1..=8usize)
+    }
+}
+
+/// Net sizes biased toward 3 and 4 pins, so a lone pin on either side —
+/// the case the kernel reads from the side XOR — is common.
+fn lone_pin_biased(rng: &mut SmallRng) -> usize {
+    if rng.gen_bool(0.7) {
+        rng.gen_range(3..=4usize)
+    } else {
+        rng.gen_range(1..=8usize)
+    }
+}
+
+const GENERATORS: [fn(&mut SmallRng) -> usize; 2] = [two_pin_biased, lone_pin_biased];
+
+fn random_instance(seed: u64, net_size: fn(&mut SmallRng) -> usize) -> (Hypergraph<u32>, Vec<u8>) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let nv: u32 = 40;
     let nn = 80;
     let mut nets = Vec::new();
     for _ in 0..nn {
-        // Bias toward 2-pin nets: their collapse transitions carry the
-        // historical double-adjust the fused kernel must reproduce.
-        let size = if rng.gen_bool(0.6) {
-            2
-        } else {
-            rng.gen_range(1..=8usize)
-        };
+        let size = net_size(&mut rng);
         let mut pins: Vec<u32> = Vec::new();
         while pins.len() < size {
             let v = rng.gen_range(0..nv);
@@ -94,6 +114,22 @@ fn random_instance(seed: u64) -> (Hypergraph<u32>, Vec<u8>) {
     (hg, side)
 }
 
+/// Asserts that `cs.px[s][n]` is the XOR of net `n`'s pins on side `s`,
+/// recounted from scratch, for both sides and every net.
+fn assert_px_fresh(hg: &Hypergraph<u32>, cs: &NetSideCounts<u32>, side: &[u8], ctx: &str) {
+    for n in 0..hg.num_nets() {
+        let mut x = [0u32; 2];
+        for &u in hg.pins(n) {
+            x[side[u as usize] as usize] ^= u;
+        }
+        assert_eq!(
+            [cs.px[0][n as usize], cs.px[1][n as usize]],
+            x,
+            "{ctx}: px of net {n}"
+        );
+    }
+}
+
 fn drain(b: &mut GainBuckets<u32>) -> Vec<(u32, i64)> {
     let mut out = Vec::new();
     while let Some(x) = b.pop_max_where(|_| true) {
@@ -106,8 +142,8 @@ fn drain(b: &mut GainBuckets<u32>) -> Vec<(u32, i64)> {
 /// must match the legacy kernel after every move.
 #[test]
 fn fused_apply_move_matches_legacy_bucket_state() {
-    for seed in 0..200u64 {
-        let (hg, side) = random_instance(seed);
+    for (seed, gen) in (0..200u64).flat_map(|s| GENERATORS.map(|g| (s, g))) {
+        let (hg, side) = random_instance(seed, gen);
         let nv = hg.num_vertices();
         let mut rng = SmallRng::seed_from_u64(!seed);
 
@@ -140,6 +176,7 @@ fn fused_apply_move_matches_legacy_bucket_state() {
             side_old[v as usize] ^= 1;
             assert_eq!(cut_new, cut_old, "seed {seed} step {step}: cut diverged");
             assert_eq!(cs_new.pc, cs_old.pc, "seed {seed} step {step}: pc diverged");
+            assert_px_fresh(&hg, &cs_new, &side_new, &format!("seed {seed} step {step}"));
             // Compare full pop order by draining and re-inserting in
             // reverse, which reconstructs the exact list state.
             let dn = drain(&mut b_new);
@@ -159,8 +196,8 @@ fn fused_apply_move_matches_legacy_bucket_state() {
 /// double-adjusts — the channel a naive coalesced kernel gets wrong.
 #[test]
 fn fused_apply_move_matches_legacy_under_admissibility_skips() {
-    for seed in 0..200u64 {
-        let (hg, side) = random_instance(seed ^ 0x9e37);
+    for (seed, gen) in (0..200u64).flat_map(|s| GENERATORS.map(|g| (s, g))) {
+        let (hg, side) = random_instance(seed ^ 0x9e37, gen);
         let nv = hg.num_vertices();
 
         let mut arena = LevelArena::disabled();
@@ -200,7 +237,40 @@ fn fused_apply_move_matches_legacy_under_admissibility_skips() {
             side_old[v as usize] ^= 1;
             assert_eq!(cut_new, cut_old, "seed {seed} step {step}: cut diverged");
             assert_eq!(cs_new.pc, cs_old.pc, "seed {seed} step {step}: pc diverged");
+            assert_px_fresh(&hg, &cs_new, &side_new, &format!("seed {seed} step {step}"));
             step += 1;
         }
+    }
+}
+
+/// FM rollback undoes a pass with the counter-only `apply_move`: replaying
+/// the gain-kernel moves backwards must restore the side counts, the side
+/// XORs, and the cut exactly, and keep the XORs fresh at every step.
+#[test]
+fn counter_only_rollback_restores_cut_state() {
+    for (seed, gen) in (0..200u64).flat_map(|s| GENERATORS.map(|g| (s, g))) {
+        let (hg, side0) = random_instance(seed ^ 0x5eed, gen);
+        let nv = hg.num_vertices();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut arena = LevelArena::disabled();
+        let (cs0, cut0) = hg.cut_state(&side0, &mut arena);
+        assert_px_fresh(&hg, &cs0, &side0, &format!("seed {seed} start"));
+
+        let (mut cs, mut cut) = (cs0.clone(), cut0);
+        let mut side = side0.clone();
+        let moves: Vec<u32> = (0..30).map(|_| rng.gen_range(0..nv)).collect();
+        for &v in &moves {
+            Substrate::apply_move_gains(&hg, &mut cs, &side, v, &mut cut, |_, _| {});
+            side[v as usize] ^= 1;
+        }
+        for (i, &v) in moves.iter().enumerate().rev() {
+            Substrate::apply_move(&hg, &mut cs, &side, v, &mut cut);
+            side[v as usize] ^= 1;
+            assert_px_fresh(&hg, &cs, &side, &format!("seed {seed} rollback {i}"));
+        }
+        assert_eq!(side, side0);
+        assert_eq!(cs.pc, cs0.pc, "seed {seed}: pc not restored");
+        assert_eq!(cs.px, cs0.px, "seed {seed}: px not restored");
+        assert_eq!(cut, cut0, "seed {seed}: cut not restored");
     }
 }
