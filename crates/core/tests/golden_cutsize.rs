@@ -20,26 +20,52 @@ const GOLDEN: &[(&str, u32, u32, [(u64, u64); 3])] = &[
     ("ken-11", 16, 4, [(1, 619), (2, 617), (3, 624)]),
 ];
 
-fn objective(name: &str, scale: u32, k: u32, seed: u64) -> u64 {
+/// The graph baseline and the best-of-`runs` seed fan-out on the same
+/// inputs and seeds: (model, runs, objectives in `GOLDEN`'s input and
+/// seed order). These pin which run the fan-out keeps, not only what one
+/// run produces.
+const GOLDEN_FAN_OUT: &[(Model, usize, [[u64; 3]; 3])] = &[
+    (
+        Model::Graph1D,
+        1,
+        [[104, 116, 106], [466, 474, 454], [1394, 1488, 1398]],
+    ),
+    (
+        Model::Graph1D,
+        4,
+        [[102, 102, 102], [454, 454, 454], [1394, 1370, 1370]],
+    ),
+    (
+        Model::FineGrain2D,
+        4,
+        [[84, 91, 90], [338, 350, 350], [615, 615, 603]],
+    ),
+];
+
+fn objective(model: Model, runs: usize, name: &str, scale: u32, k: u32, seed: u64) -> u64 {
     let entry = by_name(name).unwrap_or_else(|| panic!("{name} not in catalog"));
     let a = entry.generate_scaled(scale, 42);
-    let cfg = DecomposeConfig::new(Model::FineGrain2D, k).with_seed(seed);
+    let cfg = DecomposeConfig::new(model, k)
+        .with_seed(seed)
+        .with_runs(runs);
     let out = decompose_workload(Workload::Spmv(&a), &cfg)
         .and_then(WorkloadOutcome::into_spmv)
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     out.objective
 }
 
-#[test]
-fn per_seed_objectives_match_pre_rewrite_engine() {
+/// Runs `model` with `runs` seeds on every `GOLDEN` input and seed and
+/// fails with the full list of drifted objectives.
+fn check(model: Model, runs: usize, want: impl Fn(usize, usize) -> u64) {
     let mut failures = Vec::new();
-    for &(name, scale, k, seeds) in GOLDEN {
-        for (seed, want) in seeds {
-            let got = objective(name, scale, k, seed);
-            println!("golden: (\"{name}\", {scale}, {k}) seed {seed} => {got}");
+    for (i, &(name, scale, k, seeds)) in GOLDEN.iter().enumerate() {
+        for (j, (seed, _)) in seeds.into_iter().enumerate() {
+            let (got, want) = (objective(model, runs, name, scale, k, seed), want(i, j));
+            println!("golden: {model} runs {runs} (\"{name}\", {scale}, {k}) seed {seed} => {got}");
             if got != want {
                 failures.push(format!(
-                    "{name} scale {scale} k {k} seed {seed}: got {got}, recorded {want}"
+                    "{model} runs {runs} {name} scale {scale} k {k} seed {seed}: \
+                     got {got}, recorded {want}"
                 ));
             }
         }
@@ -49,4 +75,16 @@ fn per_seed_objectives_match_pre_rewrite_engine() {
         "objective drift:\n{}",
         failures.join("\n")
     );
+}
+
+#[test]
+fn per_seed_objectives_match_pre_rewrite_engine() {
+    check(Model::FineGrain2D, 1, |i, j| GOLDEN[i].3[j].1);
+}
+
+#[test]
+fn graph_baseline_and_seed_fan_out_objectives_are_pinned() {
+    for &(model, runs, want) in GOLDEN_FAN_OUT {
+        check(model, runs, |i, j| want[i][j]);
+    }
 }
