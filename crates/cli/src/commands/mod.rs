@@ -27,7 +27,8 @@ pub fn load_matrix(path: &str) -> Result<CsrMatrix, String> {
 /// header demands: catalog-scale inputs stay on the `u32` fast path,
 /// inputs whose fine-grain hypergraph would overflow 32-bit ids come back
 /// `u64`. Decomposition commands route this through
-/// [`fgh_core::decompose_any`] so the CLI never names an index width.
+/// [`fgh_core::decompose_workload_any`] so the CLI never names an index
+/// width.
 pub fn load_matrix_any(path: &str) -> Result<AnyCsrMatrix, String> {
     let coo = fgh_sparse::io::read_matrix_market_any(path).map_err(|e| format!("{path}: {e}"))?;
     coo.try_into_csr().map_err(|e| format!("{path}: {e}"))

@@ -1,16 +1,19 @@
-//! One-call decomposition API: pick a model, get a decomposition plus its
-//! exact communication statistics and timing — the loop body of the
-//! paper's Table-2 experiment.
+//! The SpMV decomposition pipeline and its vocabulary: pick a [`Model`],
+//! configure it with a [`DecomposeConfig`], get a [`DecompositionOutcome`]
+//! — a decomposition plus its exact communication statistics and timing,
+//! the loop body of the paper's Table-2 experiment.
 //!
-//! The entry points come in two flavors:
+//! The entry points live in [`crate::workload`] and come in two flavors:
 //!
-//! * [`decompose`] — width-generic: callers holding a `CsrMatrix<u32>`
-//!   (the fast path, every catalog matrix) or a `CsrMatrix<u64>` (the big
-//!   path) call it directly and monomorphize to that width.
-//! * [`decompose_any`] — width-erased: consumes an [`AnyCsrMatrix`] (as
-//!   produced by streaming Matrix Market input), auto-upgrading a `u32`
-//!   carrier to `u64` when the fine-grain hypergraph would overflow
-//!   32-bit ids. The CLI uses this and never names an index width.
+//! * [`crate::decompose_workload`] with [`crate::Workload::Spmv`] —
+//!   width-generic: callers holding a `CsrMatrix<u32>` (the fast path,
+//!   every catalog matrix) or a `CsrMatrix<u64>` (the big path) call it
+//!   directly and monomorphize to that width.
+//! * [`crate::decompose_workload_any`] with [`crate::WorkloadAny::Spmv`]
+//!   — width-erased: consumes an [`AnyCsrMatrix`] (as produced by
+//!   streaming Matrix Market input), auto-upgrading a `u32` carrier to
+//!   `u64` when the fine-grain hypergraph would overflow 32-bit ids. The
+//!   CLI uses this and never names an index width.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,9 +35,9 @@ use crate::models::{
 use crate::status::{DecompositionStatus, DegradedReason};
 use crate::{FghError, ModelError};
 
-/// The index widths [`decompose`] runs at. Sealed by construction: it
-/// extends [`ArenaIndex`] (itself sealed), and only `u32` / `u64`
-/// implement it.
+/// The index widths [`crate::decompose_workload`] runs at. Sealed by
+/// construction: it extends [`ArenaIndex`] (itself sealed), and only
+/// `u32` / `u64` implement it.
 ///
 /// The one width-dependent capability lives here: the composite 2D models
 /// ([`Model::Checkerboard2D`], [`Model::Mondriaan2D`], [`Model::Jagged2D`],
@@ -154,7 +157,7 @@ impl Model {
     ];
 
     /// Short display name as used in the paper's tables. Each name parses
-    /// back via [`Model::from_str`].
+    /// back through `Model`'s [`FromStr`](std::str::FromStr) impl.
     pub fn name(&self) -> &'static str {
         match self {
             Model::Graph1D => "graph-1d",
@@ -230,7 +233,7 @@ impl std::str::FromStr for Model {
     }
 }
 
-/// Configuration for [`decompose`].
+/// Configuration for [`crate::decompose_workload`].
 #[derive(Debug, Clone)]
 pub struct DecomposeConfig {
     /// The decomposition model.
@@ -380,8 +383,8 @@ pub struct DecompositionOutcome {
     /// Full or degraded, with the reason when degraded.
     pub status: DecompositionStatus,
     /// The index width the decomposition ran at: `U32` for the fast path,
-    /// `U64` for the big path (via [`decompose_any`]'s auto-upgrade or a
-    /// caller's own wide matrix).
+    /// `U64` for the big path (via [`crate::decompose_workload_any`]'s
+    /// auto-upgrade or a caller's own wide matrix).
     pub width: IndexWidth,
     /// Multilevel engine statistics, including budget-truncation counters.
     /// For the single-partition models this is the winning run's stats;
@@ -503,57 +506,8 @@ fn require_u32<I: DecomposeIndex>(
     })
 }
 
-/// Decomposes `a` for parallel SpMV on `cfg.k` processors with the chosen
-/// model and returns the decomposition plus its statistics.
-///
-/// Generic over the index width: `CsrMatrix<u32>` (the default, every
-/// catalog matrix) monomorphizes to the fast path; `CsrMatrix<u64>` runs
-/// the same engine-backed models at 64-bit ids. Width-erased callers use
-/// [`decompose_any`].
-///
-/// # Failure semantics
-///
-/// * Malformed requests (`K = 0`, non-finite or negative ε, a
-///   non-square matrix) return a typed [`FghError`] — never a panic.
-/// * The composite 2D models on a `u64` matrix return
-///   [`FghError::UnsupportedWidth`] (see [`Model::supports_wide_indices`]).
-/// * Pathological-but-valid inputs (empty matrix, `K > nnz`) return a
-///   best-effort decomposition tagged [`DecompositionStatus::Degraded`].
-/// * When [`DecomposeConfig::budget`] trips (wall clock, level, FM-pass,
-///   or byte caps), the best partition found so far is returned, the
-///   truncation is visible in [`DecompositionOutcome::engine`], and the
-///   outcome is `Degraded` — never an OOM abort. Strict callers reject
-///   these via [`DecompositionOutcome::into_strict`].
-#[deprecated(note = "use decompose_workload with Workload::Spmv")]
-pub fn decompose<I: DecomposeIndex>(
-    a: &CsrMatrix<I>,
-    cfg: &DecomposeConfig,
-) -> std::result::Result<DecompositionOutcome, FghError> {
-    crate::workload::decompose_workload(crate::workload::Workload::Spmv(a), cfg)
-        .and_then(crate::workload::WorkloadOutcome::into_spmv)
-}
-
-/// [`decompose`] drawing all partitioner scratch arenas from a
-/// caller-supplied [`ArenaPool`] — the session-reuse entry point behind
-/// [`crate::session::EngineSession`]. A long-lived caller passes the same
-/// pool to every request so warm buffers survive across whole
-/// decompositions; the engine-backed models benefit, the composite 2D
-/// models keep run-internal pools.
-///
-/// Deprecated shim: delegates to [`crate::decompose_workload_in`] with a
-/// [`crate::Workload::Spmv`] workload (parity-tested bit-for-bit).
-#[deprecated(note = "use decompose_workload_in with Workload::Spmv")]
-pub fn decompose_in<I: DecomposeIndex>(
-    a: &CsrMatrix<I>,
-    cfg: &DecomposeConfig,
-    pool: &Arc<ArenaPool>,
-) -> std::result::Result<DecompositionOutcome, FghError> {
-    crate::workload::decompose_workload_in(crate::workload::Workload::Spmv(a), cfg, pool)
-        .and_then(crate::workload::WorkloadOutcome::into_spmv)
-}
-
-/// The SpMV pipeline — the body behind [`crate::Workload::Spmv`] (and,
-/// through it, the deprecated [`decompose`] / [`decompose_in`] shims).
+/// The SpMV pipeline — the body behind [`crate::Workload::Spmv`]; see
+/// [`crate::decompose_workload`] for its failure semantics.
 pub(crate) fn spmv_pipeline_in<I: DecomposeIndex>(
     a: &CsrMatrix<I>,
     cfg: &DecomposeConfig,
@@ -666,44 +620,9 @@ pub(crate) fn spmv_pipeline_in<I: DecomposeIndex>(
     })
 }
 
-/// [`decompose`] over a width-erased carrier, choosing the index width
-/// automatically:
-///
-/// * a `u64` carrier runs the big path directly;
-/// * a `u32` carrier normally runs the fast path, but is upgraded to
-///   `u64` first when [`IndexWidth::select`] says the fine-grain
-///   hypergraph (nnz + dummies vertices, `2M` nets) would overflow
-///   32-bit ids — the matrix itself fitting `u32` is not sufficient;
-/// * building with the `force-u64` cargo feature upgrades every carrier,
-///   which CI uses to route the whole test suite through the big path.
-///
-/// [`DecompositionOutcome::width`] records which path actually ran.
-#[deprecated(note = "use decompose_workload_any with WorkloadAny::Spmv")]
-pub fn decompose_any(
-    a: &AnyCsrMatrix,
-    cfg: &DecomposeConfig,
-) -> std::result::Result<DecompositionOutcome, FghError> {
-    crate::workload::decompose_workload_any(crate::workload::WorkloadAny::Spmv(a), cfg)
-        .and_then(crate::workload::WorkloadOutcome::into_spmv)
-}
-
-/// [`decompose_any`] drawing partitioner scratch from a caller-supplied
-/// [`ArenaPool`] — see [`decompose_in`].
-///
-/// Deprecated shim: delegates to [`crate::decompose_workload_any_in`]
-/// with a [`crate::WorkloadAny::Spmv`] workload.
-#[deprecated(note = "use decompose_workload_any_in with WorkloadAny::Spmv")]
-pub fn decompose_any_in(
-    a: &AnyCsrMatrix,
-    cfg: &DecomposeConfig,
-    pool: &Arc<ArenaPool>,
-) -> std::result::Result<DecompositionOutcome, FghError> {
-    crate::workload::decompose_workload_any_in(crate::workload::WorkloadAny::Spmv(a), cfg, pool)
-        .and_then(crate::workload::WorkloadOutcome::into_spmv)
-}
-
 /// The width-erased SpMV pipeline: [`IndexWidth::select`]-driven
-/// auto-upgrade in front of [`spmv_pipeline_in`].
+/// auto-upgrade in front of [`spmv_pipeline_in`] (the rules are on
+/// [`crate::decompose_workload_any`]).
 pub(crate) fn spmv_pipeline_any_in(
     a: &AnyCsrMatrix,
     cfg: &DecomposeConfig,
@@ -904,8 +823,7 @@ mod tests {
         )
     }
 
-    // Shadow the deprecated quartet with the workload path (shim parity
-    // itself is covered in `workload::tests`).
+    // SpMV through the workload entry points, typed and width-erased.
     fn decompose<I: DecomposeIndex>(
         a: &CsrMatrix<I>,
         cfg: &DecomposeConfig,

@@ -26,10 +26,11 @@
 //! The [`workload`] module offers one-call decomposition for any
 //! supported workload ([`workload::decompose_workload`] over
 //! [`workload::Workload::Spmv`] and [`workload::Workload::Spgemm`]);
-//! the legacy SpMV-only quartet in [`api`] remains as deprecated shims
-//! for one release. [`reduction`] generalizes the model to arbitrary
-//! input/output reduction problems with optional pre-assigned elements
-//! (the paper's §3 remark).
+//! [`api`] holds the shared vocabulary ([`Model`], [`DecomposeConfig`],
+//! [`DecompositionOutcome`]) and the SpMV pipeline behind it.
+//! [`reduction`] generalizes the model to arbitrary input/output
+//! reduction problems with optional pre-assigned elements (the paper's
+//! §3 remark).
 
 // Robustness contract: library (non-test) code must not panic; provably
 // infallible sites carry a narrowly scoped `allow` with a justification.
@@ -45,8 +46,6 @@ pub mod session;
 pub mod status;
 pub mod workload;
 
-#[allow(deprecated)] // legacy quartet re-exported through its one deprecation cycle
-pub use api::{decompose, decompose_any, decompose_any_in, decompose_in};
 pub use api::{DecomposeConfig, DecomposeIndex, DecompositionOutcome, Model, WorkloadKind};
 pub use decomp::Decomposition;
 pub use fgh_partition::{ArenaPool, Budget, CancelToken, EngineStats, InitialScheme, Parallelism};

@@ -14,9 +14,8 @@
 use std::sync::Arc;
 
 use fgh_partition::{ArenaPool, Budget, CancelToken, InitialScheme, Parallelism};
-use fgh_sparse::{AnyCsrMatrix, CsrMatrix};
 
-use crate::api::{DecomposeConfig, DecomposeIndex, DecompositionOutcome, Model};
+use crate::api::{DecomposeConfig, DecomposeIndex, Model};
 use crate::workload::{
     decompose_workload_any_in, decompose_workload_in, Workload, WorkloadAny, WorkloadOutcome,
 };
@@ -177,28 +176,6 @@ impl EngineSession {
         self.pool.idle()
     }
 
-    /// SpMV decomposition through this session: same semantics as
-    /// [`crate::decompose_workload`] with [`Workload::Spmv`], scratch
-    /// drawn from the session pool, budget clamped under the ceiling.
-    pub fn decompose<I: DecomposeIndex>(
-        &self,
-        a: &CsrMatrix<I>,
-        params: JobParams,
-    ) -> std::result::Result<DecompositionOutcome, FghError> {
-        self.decompose_workload(Workload::Spmv(a), params)?
-            .into_spmv()
-    }
-
-    /// SpMV decomposition through this session (width-erased).
-    pub fn decompose_any(
-        &self,
-        a: &AnyCsrMatrix,
-        params: JobParams,
-    ) -> std::result::Result<DecompositionOutcome, FghError> {
-        self.decompose_workload_any(WorkloadAny::Spmv(a), params)?
-            .into_spmv()
-    }
-
     /// [`crate::decompose_workload`] through this session: any workload
     /// family, scratch drawn from the session pool, budget clamped under
     /// the ceiling.
@@ -232,7 +209,9 @@ impl Default for EngineSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::DecompositionOutcome;
     use fgh_sparse::gen::{self, ValueMode};
+    use fgh_sparse::CsrMatrix;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -246,13 +225,22 @@ mod tests {
         )
     }
 
+    /// SpMV through the session.
+    fn decompose_spmv(
+        session: &EngineSession,
+        a: &CsrMatrix,
+        params: JobParams,
+    ) -> std::result::Result<DecompositionOutcome, FghError> {
+        session
+            .decompose_workload(Workload::Spmv(a), params)
+            .and_then(WorkloadOutcome::into_spmv)
+    }
+
     #[test]
     fn session_matches_one_shot_api() {
         let a = test_matrix();
         let session = EngineSession::new();
-        let s = session
-            .decompose(&a, JobParams::new(Model::FineGrain2D, 4))
-            .unwrap();
+        let s = decompose_spmv(&session, &a, JobParams::new(Model::FineGrain2D, 4)).unwrap();
         let o = crate::decompose_workload(
             Workload::Spmv(&a),
             &DecomposeConfig::new(Model::FineGrain2D, 4),
@@ -285,14 +273,10 @@ mod tests {
     fn pool_is_reused_across_requests() {
         let a = test_matrix();
         let session = EngineSession::new();
-        session
-            .decompose(&a, JobParams::new(Model::FineGrain2D, 4))
-            .unwrap();
+        decompose_spmv(&session, &a, JobParams::new(Model::FineGrain2D, 4)).unwrap();
         let warmed = session.idle_arenas();
         assert!(warmed > 0, "first request must park arenas for reuse");
-        session
-            .decompose(&a, JobParams::new(Model::FineGrain2D, 4))
-            .unwrap();
+        decompose_spmv(&session, &a, JobParams::new(Model::FineGrain2D, 4)).unwrap();
         // Reuse, not growth: the second identical request checks the same
         // arenas out and back in.
         assert_eq!(session.idle_arenas(), warmed);
@@ -319,9 +303,12 @@ mod tests {
         let session = EngineSession::new();
         let token = CancelToken::new();
         token.cancel(); // tripped before the run even starts
-        let out = session
-            .decompose(&a, JobParams::new(Model::FineGrain2D, 4).with_cancel(token))
-            .unwrap();
+        let out = decompose_spmv(
+            &session,
+            &a,
+            JobParams::new(Model::FineGrain2D, 4).with_cancel(token),
+        )
+        .unwrap();
         out.decomposition.validate(&a).unwrap();
         assert_eq!(out.status.code(), Some("cancelled"));
         assert!(out.engine.cancelled());

@@ -4,21 +4,18 @@
 //! [`Workload`] names *what* runs in parallel — an SpMV `y = Ax` over one
 //! square matrix, or an SpGEMM `C = A · B` over a conformable pair — and
 //! [`decompose_workload`] dispatches it to the matching pipeline under
-//! one [`DecomposeConfig`]. The config's [`Model`] is coupled to the
-//! workload family via [`Model::workload`]: an SpMV model on a SpGEMM
+//! one [`DecomposeConfig`]. The config's [`Model`](crate::Model) is
+//! coupled to the workload family via
+//! [`Model::workload`](crate::Model::workload): an SpMV model on a SpGEMM
 //! workload (or vice versa) is a typed [`FghError::InvalidInput`], never
 //! a silent reinterpretation.
 //!
-//! The four historical entry points (`decompose`, `decompose_in`,
-//! `decompose_any`, `decompose_any_in`) survive as thin deprecated shims
-//! over this module — same semantics, parity-tested bit-for-bit — and
-//! will be removed one release after the workload API shipped.
-//!
-//! Like the SpMV API, everything comes width-generic ([`Workload`] over
-//! `u32`/`u64` indices) and width-erased ([`WorkloadAny`], which
-//! auto-upgrades a `u32` carrier when the task hypergraph would overflow
-//! 32-bit ids — for SpGEMM that is driven by the *flop count*, which
-//! overflows long before either matrix's own indices do).
+//! Everything comes width-generic ([`Workload`] over `u32`/`u64`
+//! indices) and width-erased ([`WorkloadAny`], which auto-upgrades a
+//! `u32` carrier when the task hypergraph would overflow 32-bit ids —
+//! for SpGEMM that is driven by the *flop count*, which overflows long
+//! before either matrix's own indices do). The `_in` variants draw
+//! partitioner scratch from a caller-supplied [`ArenaPool`].
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -206,17 +203,30 @@ impl SpgemmOutcome {
 }
 
 /// Decomposes a workload for `cfg.k` processors with the configured
-/// model — **the** generic entry point the legacy `decompose*` quartet
-/// collapsed into.
+/// model — **the** generic entry point.
 ///
 /// Dispatch is total: a [`Workload::Spmv`] input runs the SpMV pipeline
-/// (identical to the deprecated [`crate::decompose`]) and returns
-/// [`WorkloadOutcome::Spmv`]; a [`Workload::Spgemm`] input builds the
-/// fine-grain SpGEMM task hypergraph, partitions it with the same
-/// multilevel engine, and returns [`WorkloadOutcome::Spgemm`]. The
-/// failure semantics of [`crate::decompose`] carry over unchanged, plus
-/// one new rule: `cfg.model.workload()` must match the workload family
-/// or the request is rejected as [`FghError::InvalidInput`].
+/// and returns [`WorkloadOutcome::Spmv`]; a [`Workload::Spgemm`] input
+/// builds the fine-grain SpGEMM task hypergraph, partitions it with the
+/// same multilevel engine, and returns [`WorkloadOutcome::Spgemm`].
+///
+/// # Failure semantics
+///
+/// * Malformed requests (`K = 0`, non-finite or negative ε, a
+///   non-square SpMV matrix) return a typed [`FghError`] — never a
+///   panic.
+/// * `cfg.model.workload()` must match the workload family, or the
+///   request is rejected as [`FghError::InvalidInput`].
+/// * The composite 2D models on a `u64` matrix return
+///   [`FghError::UnsupportedWidth`] (see
+///   [`Model::supports_wide_indices`](crate::Model::supports_wide_indices)).
+/// * Pathological-but-valid inputs (empty matrix, `K > nnz`) return a
+///   best-effort decomposition tagged [`DecompositionStatus::Degraded`].
+/// * When [`DecomposeConfig::budget`] trips (wall clock, level, FM-pass,
+///   or byte caps), the best partition found so far is returned, the
+///   truncation is visible in the outcome's engine statistics, and the
+///   outcome is `Degraded` — never an OOM abort. Strict callers reject
+///   these via [`WorkloadOutcome::into_strict`].
 pub fn decompose_workload<I: DecomposeIndex>(
     workload: Workload<'_, I>,
     cfg: &DecomposeConfig,
@@ -239,9 +249,19 @@ pub fn decompose_workload_in<I: DecomposeIndex>(
 }
 
 /// [`decompose_workload`] over width-erased carriers, choosing the index
-/// width automatically (see [`crate::decompose_any`] for the SpMV rules;
-/// a SpGEMM workload additionally upgrades when the flop count — the
-/// task-hypergraph vertex count — would overflow `u32` ids).
+/// width automatically:
+///
+/// * a `u64` carrier runs the big path directly;
+/// * a `u32` SpMV carrier normally runs the fast path, but is upgraded
+///   to `u64` first when [`IndexWidth::select`] says the fine-grain
+///   hypergraph (nnz + dummies vertices, `2M` nets) would overflow
+///   32-bit ids — the matrix itself fitting `u32` is not sufficient;
+/// * a SpGEMM pair additionally upgrades when the flop count — the
+///   task-hypergraph vertex count — would overflow `u32` ids;
+/// * building with the `force-u64` cargo feature upgrades every carrier,
+///   which CI uses to route the whole test suite through the big path.
+///
+/// The outcome's `width` field records which path actually ran.
 pub fn decompose_workload_any(
     workload: WorkloadAny<'_>,
     cfg: &DecomposeConfig,
@@ -716,22 +736,25 @@ mod tests {
     }
 
     #[test]
-    fn spmv_workload_matches_legacy_shims_bitwise() {
-        // Shim-parity: the deprecated quartet must be byte-identical to
-        // the workload path (they delegate, so this guards the contract).
+    fn spmv_entry_points_agree_bitwise() {
+        // The width-erased entry point must reproduce the typed one
+        // exactly, engine counters included.
         let a = test_matrix();
-        for model in [Model::Graph1D, Model::FineGrain2D, Model::Mondriaan2D] {
+        let any = AnyCsrMatrix::from(a.clone());
+        for model in [Model::Graph1D, Model::FineGrain2D] {
             let cfg = DecomposeConfig::new(model, 4).with_seed(7);
-            let via_workload = decompose_workload(Workload::Spmv(&a), &cfg)
+            let typed = decompose_workload(Workload::Spmv(&a), &cfg)
                 .unwrap()
                 .into_spmv()
                 .unwrap();
-            #[allow(deprecated)]
-            let via_shim = crate::api::decompose(&a, &cfg).unwrap();
-            assert_eq!(via_shim.decomposition, via_workload.decomposition);
-            assert_eq!(via_shim.objective, via_workload.objective);
-            assert_eq!(via_shim.stats, via_workload.stats);
-            assert_eq!(via_shim.status, via_workload.status);
+            let erased = decompose_workload_any(WorkloadAny::Spmv(&any), &cfg)
+                .unwrap()
+                .into_spmv()
+                .unwrap();
+            assert_eq!(erased.decomposition, typed.decomposition);
+            assert_eq!(erased.objective, typed.objective);
+            assert_eq!(erased.stats, typed.stats);
+            assert_eq!(erased.status, typed.status);
             // Engine counters are deterministic; wall-clock nanos are not.
             let detimed = |mut e: EngineStats| {
                 e.coarsen_nanos = 0;
@@ -739,31 +762,21 @@ mod tests {
                 e.refine_nanos = 0;
                 e
             };
-            assert_eq!(detimed(via_shim.engine), detimed(via_workload.engine));
+            assert_eq!(detimed(erased.engine), detimed(typed.engine));
         }
-        // And the width-erased pair.
-        let any = AnyCsrMatrix::from(a.clone());
-        let cfg = DecomposeConfig::new(Model::FineGrain2D, 4);
-        let via_workload = decompose_workload_any(WorkloadAny::Spmv(&any), &cfg)
-            .unwrap()
-            .into_spmv()
-            .unwrap();
-        #[allow(deprecated)]
-        let via_shim = crate::api::decompose_any(&any, &cfg).unwrap();
-        assert_eq!(via_shim.decomposition, via_workload.decomposition);
-        assert_eq!(via_shim.width, via_workload.width);
 
+        // And the pool-drawing pair, on one shared pool.
+        let cfg = DecomposeConfig::new(Model::FineGrain2D, 4);
         let pool = Arc::new(ArenaPool::new());
-        let via_workload_in = decompose_workload_in(Workload::Spmv(&a), &cfg, &pool)
+        let typed_in = decompose_workload_in(Workload::Spmv(&a), &cfg, &pool)
             .unwrap()
             .into_spmv()
             .unwrap();
-        #[allow(deprecated)]
-        let via_shim_in = crate::api::decompose_in(&a, &cfg, &pool).unwrap();
-        assert_eq!(via_shim_in.decomposition, via_workload_in.decomposition);
-        #[allow(deprecated)]
-        let via_shim_any_in = crate::api::decompose_any_in(&any, &cfg, &pool).unwrap();
-        assert_eq!(via_shim_any_in.decomposition, via_workload_in.decomposition);
+        let erased_in = decompose_workload_any_in(WorkloadAny::Spmv(&any), &cfg, &pool)
+            .unwrap()
+            .into_spmv()
+            .unwrap();
+        assert_eq!(erased_in.decomposition, typed_in.decomposition);
     }
 
     #[test]

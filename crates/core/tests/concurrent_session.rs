@@ -85,11 +85,26 @@ fn threads_sharing_one_session_match_serial_results() {
     }
 }
 
+/// Jobs per wave in [`pool_stabilizes_under_repeated_concurrent_waves`].
+const WAVE_JOBS: usize = 6;
+
+/// The most arenas one K = 4 job holds at once: its seed's driver plus
+/// the worker of the single fork its recursion offers (at the root; the
+/// two K = 2 halves bisect once each and never fork).
+const ARENAS_PER_K4_JOB: usize = 2;
+
 #[test]
 fn pool_stabilizes_under_repeated_concurrent_waves() {
+    // The pool creates an arena only when none is idle, so however the
+    // jobs interleave it never holds more arenas than were checked out at
+    // once — at most `WAVE_JOBS * ARENAS_PER_K4_JOB` — and every arena is
+    // back after a wave. A pool that never reused its arenas would park
+    // at least one per job per wave and pass that bound on the third.
+    let bound = WAVE_JOBS * ARENAS_PER_K4_JOB;
+    let waves = bound / WAVE_JOBS + 1;
     let session = Arc::new(EngineSession::new());
-    let run_wave = |threads: usize| {
-        let handles: Vec<_> = (0..threads)
+    let run_wave = || {
+        let handles: Vec<_> = (0..WAVE_JOBS)
             .map(|t| {
                 let session = Arc::clone(&session);
                 std::thread::spawn(move || {
@@ -109,17 +124,14 @@ fn pool_stabilizes_under_repeated_concurrent_waves() {
             out.decomposition.validate(&matrix(7)).unwrap();
         }
     };
-    run_wave(6);
-    let idle_after_first = session.idle_arenas();
-    assert!(idle_after_first > 0, "arenas must be parked for reuse");
-    // Subsequent identical waves reuse parked arenas instead of growing
-    // the pool without bound.
-    run_wave(6);
-    run_wave(6);
-    assert!(
-        session.idle_arenas() <= idle_after_first,
-        "pool grew across identical waves: {} -> {}",
-        idle_after_first,
-        session.idle_arenas()
-    );
+    for wave in 1..=waves {
+        run_wave();
+        let idle = session.idle_arenas();
+        assert!(idle > 0, "arenas must be parked for reuse");
+        assert!(
+            idle <= bound,
+            "pool holds {idle} arenas after wave {wave}; \
+             one wave can check out at most {bound}"
+        );
+    }
 }

@@ -3,8 +3,8 @@
 //! The *standard graph model* baseline the paper compares against: a
 //! weighted undirected graph is partitioned with the classic multilevel
 //! scheme (heavy-edge matching coarsening, greedy graph growing initial
-//! partitioning, Kernighan–Lin/Fiduccia–Mattheyses boundary refinement,
-//! recursive bisection), minimizing *edge cut* under a balance constraint.
+//! partitioning, Kernighan–Lin/Fiduccia–Mattheyses refinement, recursive
+//! bisection), minimizing *edge cut* under a balance constraint.
 //!
 //! The edge cut only *approximates* SpMV communication volume — that
 //! approximation error is exactly what the paper's hypergraph models fix —
@@ -28,8 +28,8 @@ pub mod partition;
 pub use fgh_partition::PartitionConfig;
 pub use graph::CsrGraph;
 pub use partition::{
-    partition_graph, partition_graph_best, partition_graph_best_traced,
-    partition_graph_best_traced_in, partition_graph_with, GraphPartitionResult,
+    partition_graph, partition_graph_best, partition_graph_best_traced_in, partition_graph_with,
+    GraphPartitionResult,
 };
 
 #[cfg(test)]

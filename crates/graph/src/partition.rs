@@ -2,7 +2,7 @@
 //!
 //! [`CsrGraph`] implements [`Substrate`], so the MeTiS-style baseline —
 //! heavy-connectivity clustering coarsening, greedy graph growing, FM
-//! boundary refinement, recursive bisection — runs on the exact same
+//! refinement, recursive bisection — runs on the exact same
 //! [`MultilevelDriver`] as the hypergraph partitioner. The substrate
 //! differences are small: the cut is the edge cut (no per-net pin counts
 //! needed — gains recompute from the adjacency), contraction merges
@@ -19,12 +19,12 @@
 
 use std::sync::Arc;
 
-use fgh_partition::error::{panic_message, HypergraphError};
+use fgh_partition::error::HypergraphError;
 use fgh_partition::{
-    record_run_counters, ArenaIndex, ArenaPool, EngineStats, LevelArena, MultilevelDriver,
+    best_of_seeds, run_seeds, ArenaIndex, ArenaPool, EngineStats, LevelArena, MultilevelDriver,
     PartitionConfig, PartitionError, Substrate,
 };
-use fgh_trace::{Span, SpanHandle};
+use fgh_trace::SpanHandle;
 
 use crate::graph::CsrGraph;
 
@@ -117,11 +117,6 @@ impl<I: ArenaIndex> Substrate for CsrGraph<I> {
             }
         }
         g
-    }
-
-    fn is_boundary(&self, _cs: &(), side: &[u8], v: I) -> bool {
-        let s = side[v.index()];
-        self.neighbors(v).iter().any(|&u| side[u.index()] != s)
     }
 
     fn apply_move(&self, _cs: &mut (), side: &[u8], v: I, cut: &mut u64) {
@@ -354,26 +349,22 @@ pub fn partition_graph_best<I: ArenaIndex>(
     cfg: &PartitionConfig,
     runs: usize,
 ) -> Result<GraphPartitionResult, PartitionError> {
-    partition_graph_best_traced(g, k, cfg, runs, &SpanHandle::noop())
+    partition_graph_best_traced_in(
+        g,
+        k,
+        cfg,
+        runs,
+        &Arc::new(ArenaPool::new()),
+        &SpanHandle::noop(),
+    )
 }
 
-/// [`partition_graph_best`] recording under a trace scope: each seed gets
-/// a `run[offset]` child span of `parent` carrying the run's engine/arena
-/// counters, with the multilevel phase spans nested inside (requires the
-/// `trace` cargo feature to record anything).
-pub fn partition_graph_best_traced<I: ArenaIndex>(
-    g: &CsrGraph<I>,
-    k: u32,
-    cfg: &PartitionConfig,
-    runs: usize,
-    parent: &SpanHandle,
-) -> Result<GraphPartitionResult, PartitionError> {
-    partition_graph_best_traced_in(g, k, cfg, runs, &Arc::new(ArenaPool::new()), parent)
-}
-
-/// [`partition_graph_best_traced`] drawing every seed's scratch arena
-/// from a caller-supplied [`ArenaPool`] — the session-reuse entry point
-/// matching `fgh_partition::partition_hypergraph_best_traced_in`.
+/// [`partition_graph_best`] drawing every seed's scratch arena from a
+/// caller-supplied [`ArenaPool`] and recording under a trace scope — the
+/// session-reuse entry point matching
+/// `fgh_partition::partition_hypergraph_best_traced_in`, on the same
+/// seed fan-out and best-of rule ([`fgh_partition::run_seeds`],
+/// [`fgh_partition::best_of_seeds`]).
 pub fn partition_graph_best_traced_in<I: ArenaIndex>(
     g: &CsrGraph<I>,
     k: u32,
@@ -382,82 +373,10 @@ pub fn partition_graph_best_traced_in<I: ArenaIndex>(
     pool: &Arc<ArenaPool>,
     parent: &SpanHandle,
 ) -> Result<GraphPartitionResult, PartitionError> {
-    let runs = runs.max(1);
-    let pool = Arc::clone(pool);
-    let threads = cfg.parallelism.resolved();
-    let results = if threads > 1 && rayon::current_thread_index().is_none() {
-        match rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
-            Ok(tp) => tp.install(|| seed_range(g, k, cfg, 0, runs, &pool, parent)),
-            Err(_) => seed_range(g, k, cfg, 0, runs, &pool, parent),
-        }
-    } else {
-        seed_range(g, k, cfg, 0, runs, &pool, parent)
-    };
-    let mut first_err: Option<PartitionError> = None;
-    let ok: Vec<GraphPartitionResult> = results
-        .into_iter()
-        .filter_map(|r| match r {
-            Ok(res) => Some(res),
-            Err(e) => {
-                first_err = first_err.take().or(Some(e));
-                None
-            }
-        })
-        .collect();
-    ok.into_iter()
-        .min_by(|a, b| {
-            let ab = a.imbalance_percent <= cfg.epsilon * 100.0 + 1e-9;
-            let bb = b.imbalance_percent <= cfg.epsilon * 100.0 + 1e-9;
-            // Balanced first, then lower cut.
-            bb.cmp(&ab).then(a.edge_cut.cmp(&b.edge_cut))
-        })
-        .ok_or_else(|| {
-            first_err.unwrap_or_else(|| PartitionError::Worker("no seed produced a result".into()))
-        })
-}
-
-/// Runs seed offsets `lo..hi`, halving the range across `rayon::join`
-/// until single seeds remain; results concatenate back in seed order.
-/// Each seed partitions on a driver drawn from the shared arena pool,
-/// with panics contained to that seed's slot.
-#[allow(clippy::too_many_arguments)]
-fn seed_range<I: ArenaIndex>(
-    g: &CsrGraph<I>,
-    k: u32,
-    cfg: &PartitionConfig,
-    lo: usize,
-    hi: usize,
-    pool: &Arc<ArenaPool>,
-    span: &SpanHandle,
-) -> Vec<Result<GraphPartitionResult, PartitionError>> {
-    if hi - lo <= 1 {
-        let mut c = cfg.clone();
-        c.seed = cfg.seed.wrapping_add(lo as u64);
-        let rspan = if cfg!(feature = "trace") {
-            span.child_indexed("run", lo as u64)
-        } else {
-            Span::noop()
-        };
-        let scope = rspan.handle();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut driver = MultilevelDriver::with_pool(c, Arc::clone(pool));
-            driver.set_trace_parent(scope.clone());
-            let r = partition_graph_with(&mut driver, g, k);
-            if let Ok(res) = &r {
-                record_run_counters(&scope, &res.stats, driver.arena_stats());
-            }
-            r
-        }))
-        .unwrap_or_else(|p| Err(PartitionError::Worker(panic_message(p))));
-        return vec![result];
-    }
-    let mid = lo + (hi - lo) / 2;
-    let (mut left, mut right) = rayon::join(
-        || seed_range(g, k, cfg, lo, mid, pool, span),
-        || seed_range(g, k, cfg, mid, hi, pool, span),
-    );
-    left.append(&mut right);
-    left
+    let results = run_seeds(cfg, runs, pool, parent, |driver| {
+        partition_graph_with(driver, g, k)
+    });
+    best_of_seeds(results, cfg.epsilon, |r| (r.imbalance_percent, r.edge_cut))
 }
 
 #[cfg(test)]

@@ -4,6 +4,15 @@ use std::time::Duration;
 
 use crate::cancel::CancelToken;
 
+/// Nets larger than this are skipped during the engine's coarsening
+/// neighbor scans (they contribute little structural signal and cost
+/// O(size²)).
+pub(crate) const MAX_NET_SIZE_FOR_MATCHING: usize = 64;
+
+/// The engine aborts an uncoarsening FM pass after this many consecutive
+/// non-improving moves; the pass still rolls back to its best prefix.
+pub(crate) const FM_EARLY_EXIT: usize = 400;
+
 /// Resource budget for a partitioning run. Each limit is optional; `None`
 /// means unbounded (the default). Budgets degrade gracefully: when a limit
 /// trips, the engine keeps the best partition found so far and records the
@@ -196,23 +205,14 @@ pub struct PartitionConfig {
     /// Stop coarsening once the working hypergraph has at most this many
     /// vertices.
     pub coarsen_to: u32,
-    /// Nets larger than this are skipped during coarsening neighbor scans
-    /// (they contribute little structural signal and cost O(size²)).
-    pub max_net_size_for_matching: usize,
     /// Number of greedy-hypergraph-growing tries at the coarsest level.
     pub initial_tries: usize,
     /// Maximum FM passes per level (a pass that improves nothing ends
     /// refinement early).
     pub fm_passes: usize,
-    /// Abort an FM pass after this many consecutive non-improving moves
-    /// (0 disables the early exit).
-    pub fm_early_exit: usize,
     /// Run a direct K-way greedy refinement pass over the assembled
     /// partition after recursive bisection (extension over the paper).
     pub kway_refine: bool,
-    /// Use boundary-only FM passes during uncoarsening (faster on large
-    /// instances; quality within a percent or two of full passes).
-    pub boundary_fm: bool,
     /// V-cycles (iterated multilevel K-way refinement) after recursive
     /// bisection: 0 disables. Each cycle re-coarsens respecting the
     /// partition and refines at every level — recovers cluster-granular
@@ -253,12 +253,9 @@ impl Default for PartitionConfig {
             initial: InitialScheme::Ghg,
             net_splitting: true,
             coarsen_to: 100,
-            max_net_size_for_matching: 64,
             initial_tries: 8,
             fm_passes: 4,
-            fm_early_exit: 400,
             kway_refine: true,
-            boundary_fm: false,
             vcycles: 0,
             budget: Budget::UNLIMITED,
             parallelism: Parallelism::Serial,
@@ -273,36 +270,6 @@ impl PartitionConfig {
     pub fn with_seed(seed: u64) -> Self {
         PartitionConfig {
             seed,
-            ..Default::default()
-        }
-    }
-
-    /// Quality preset: more initial tries and FM passes, no early exit.
-    /// Roughly 2-3x slower than the default for a few percent lower
-    /// cutsize — use when the decomposition is computed once and reused
-    /// across thousands of SpMV iterations.
-    pub fn quality(seed: u64) -> Self {
-        PartitionConfig {
-            seed,
-            initial_tries: 16,
-            fm_passes: 8,
-            fm_early_exit: 0,
-            vcycles: 3,
-            ..Default::default()
-        }
-    }
-
-    /// Speed preset: fewer tries/passes and aggressive early exit, for
-    /// interactive experimentation on large instances.
-    pub fn fast(seed: u64) -> Self {
-        PartitionConfig {
-            seed,
-            initial_tries: 3,
-            fm_passes: 2,
-            fm_early_exit: 100,
-            coarsen_to: 200,
-            vcycles: 0,
-            boundary_fm: true,
             ..Default::default()
         }
     }
@@ -374,14 +341,5 @@ mod tests {
             "0 means 1, not a hang"
         );
         assert!(Parallelism::Auto.resolved() >= 1);
-    }
-
-    #[test]
-    fn presets_differ_in_effort() {
-        let q = PartitionConfig::quality(1);
-        let f = PartitionConfig::fast(1);
-        assert!(q.initial_tries > f.initial_tries);
-        assert!(q.fm_passes > f.fm_passes);
-        assert_eq!(q.epsilon, f.epsilon);
     }
 }

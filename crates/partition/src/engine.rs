@@ -38,7 +38,7 @@ use fgh_trace::{Span, SpanHandle};
 use crate::arena::{ArenaIndex, ArenaPool, LevelArena};
 use crate::cancel::{CancelToken, SharedDeadline};
 use crate::coarsen::{coarsen_once_in, FREE};
-use crate::config::PartitionConfig;
+use crate::config::{PartitionConfig, FM_EARLY_EXIT, MAX_NET_SIZE_FOR_MATCHING};
 use crate::initial::initial_best_in;
 use crate::level::{EngineStats, Level, StageTimer};
 use crate::refine::BisectionState;
@@ -84,8 +84,6 @@ pub trait Substrate: Sized {
     fn recycle_cut_state(cs: Self::CutState, arena: &mut LevelArena);
     /// FM gain of moving `v` to the opposite side.
     fn gain(&self, cs: &Self::CutState, side: &[u8], v: Self::Ix) -> i64;
-    /// `true` if `v` touches the cut.
-    fn is_boundary(&self, cs: &Self::CutState, side: &[u8], v: Self::Ix) -> bool;
     /// Applies the cut/bookkeeping effects of moving `v` to the opposite
     /// side; the caller flips `side[v]` and the side weights afterwards.
     /// Counter-only form — rollbacks and replay paths that do not keep
@@ -492,7 +490,7 @@ impl MultilevelDriver {
                 cur,
                 cur_fixed,
                 self.cfg.coarsening,
-                self.cfg.max_net_size_for_matching,
+                MAX_NET_SIZE_FOR_MATCHING,
                 weight_cap,
                 rng,
                 &mut self.arena,
@@ -613,8 +611,7 @@ impl MultilevelDriver {
             st.refine_in(
                 rng,
                 passes,
-                self.cfg.fm_early_exit,
-                self.cfg.boundary_fm,
+                FM_EARLY_EXIT,
                 &mut self.arena,
                 &mut self.stats,
                 &rspan.handle(),
@@ -942,13 +939,6 @@ impl<I: ArenaIndex> Substrate for Hypergraph<I> {
         g
     }
 
-    fn is_boundary(&self, cs: &NetSideCounts<I>, _side: &[u8], v: I) -> bool {
-        self.nets(v).iter().any(|&n| {
-            let ni = n.index();
-            cs.pc[0][ni] > I::ZERO && cs.pc[1][ni] > I::ZERO
-        })
-    }
-
     fn apply_move(&self, cs: &mut NetSideCounts<I>, side: &[u8], v: I, cut: &mut u64) {
         let s = side[v.index()] as usize;
         let t = 1 - s;
@@ -1268,6 +1258,88 @@ mod tests {
         assert!((194..=206).contains(&w1), "balance violated: {w1}/400");
         let st = driver.stats();
         assert!(st.bisections == 1 && st.levels > 0 && st.fm_passes > 0);
+    }
+
+    /// One multilevel bisection on a fresh driver.
+    fn bisect(
+        hg: &Hypergraph,
+        fixed: &[i8],
+        targets: [f64; 2],
+        epsilon: f64,
+        cfg: PartitionConfig,
+        seed: u64,
+    ) -> (Vec<u8>, u64) {
+        MultilevelDriver::new(cfg).bisect(
+            hg,
+            fixed,
+            targets,
+            epsilon,
+            &mut SmallRng::seed_from_u64(seed),
+        )
+    }
+
+    fn free(n: u32) -> Vec<i8> {
+        vec![FREE; n as usize]
+    }
+
+    #[test]
+    fn bisect_two_clusters_optimally() {
+        let hg = two_clusters(200);
+        let cfg = PartitionConfig {
+            coarsen_to: 40,
+            ..Default::default()
+        };
+        let (sides, cut) = bisect(&hg, &free(400), [200.0, 200.0], 0.03, cfg, 5);
+        assert_eq!(cut, 1, "should discover the single-bridge cut");
+        let w1 = sides.iter().filter(|&&s| s == 1).count();
+        assert!((194..=206).contains(&w1), "balance violated: {w1}/400");
+    }
+
+    #[test]
+    fn bisect_respects_balance_on_random_hypergraphs() {
+        for seed in 0..3u64 {
+            let hg = random_hypergraph(500, 800, 6, seed);
+            let cfg = PartitionConfig::default();
+            let (sides, _) = bisect(&hg, &free(500), [250.0, 250.0], 0.05, cfg, seed);
+            let w1 = sides.iter().filter(|&&s| s == 1).count() as f64;
+            assert!(
+                w1 <= 250.0 * 1.05 + 1.0 && (500.0 - w1) <= 250.0 * 1.05 + 1.0,
+                "seed {seed}: side weights {w1}/{}",
+                500.0 - w1
+            );
+        }
+    }
+
+    #[test]
+    fn degenerate_targets() {
+        let hg = two_clusters(10);
+        let cfg = PartitionConfig::default();
+        let (sides, cut) = bisect(&hg, &free(20), [20.0, 0.0], 0.03, cfg, 1);
+        assert!(sides.iter().all(|&s| s == 0));
+        assert_eq!(cut, 0);
+    }
+
+    #[test]
+    fn unbalanced_targets_respected() {
+        // 3:1 split request.
+        let hg = two_clusters(100);
+        let cfg = PartitionConfig::default();
+        let (sides, _) = bisect(&hg, &free(200), [150.0, 50.0], 0.05, cfg, 2);
+        let w1 = sides.iter().filter(|&&s| s == 1).count() as f64;
+        assert!(w1 <= 50.0 * 1.05 + 1.0, "side 1 too heavy: {w1}");
+        assert!(w1 >= 30.0, "side 1 suspiciously light: {w1}");
+    }
+
+    #[test]
+    fn fixed_vertices_survive_multilevel() {
+        let hg = two_clusters(100);
+        let mut fx = free(200);
+        fx[0] = 1;
+        fx[150] = 0;
+        let cfg = PartitionConfig::default();
+        let (sides, _) = bisect(&hg, &fx, [100.0, 100.0], 0.05, cfg, 3);
+        assert_eq!(sides[0], 1, "fixed vertex 0 moved");
+        assert_eq!(sides[150], 0, "fixed vertex 150 moved");
     }
 
     #[test]

@@ -59,9 +59,9 @@ impl From<HypergraphError> for PartitionError {
     }
 }
 
-/// Renders the payload of a caught thread panic — shared by the
-/// multi-seed drivers here and in `fgh-graph`.
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Renders the payload of a caught thread panic for the multi-seed
+/// fan-out's per-seed error slot.
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -95,7 +95,6 @@ pub(crate) fn geometric_once<S: Substrate>(
         rng,
         fm_passes,
         0,
-        false,
         arena,
         stats,
         &fgh_trace::SpanHandle::noop(),

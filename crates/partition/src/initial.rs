@@ -2,7 +2,6 @@
 //! hypergraphs, GGP on graphs — the same max-gain frontier growth) with
 //! multiple random tries.
 
-use fgh_hypergraph::Hypergraph;
 use fgh_sparse::IndexType;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -13,61 +12,6 @@ use crate::config::{InitialScheme, PartitionConfig};
 use crate::engine::Substrate;
 use crate::level::EngineStats;
 use crate::refine::BisectionState;
-
-/// Produces an initial bisection with the chosen scheme, FM-refined, best
-/// of `tries` random streams by (balance penalty, cut).
-#[allow(clippy::too_many_arguments)]
-pub fn initial_best(
-    hg: &Hypergraph,
-    fixed: &[i8],
-    targets: [f64; 2],
-    epsilon: f64,
-    scheme: InitialScheme,
-    tries: usize,
-    fm_passes: usize,
-    rng: &mut impl Rng,
-) -> Vec<u8> {
-    let cfg = PartitionConfig {
-        initial: scheme,
-        initial_tries: tries,
-        fm_passes,
-        ..Default::default()
-    };
-    initial_best_in(
-        hg,
-        fixed,
-        targets,
-        epsilon,
-        &cfg,
-        None,
-        rng,
-        &mut LevelArena::disabled(),
-        &mut EngineStats::default(),
-    )
-}
-
-/// Greedy hypergraph growing with defaults — kept as the conventional
-/// entry point.
-pub fn ghg_best(
-    hg: &Hypergraph,
-    fixed: &[i8],
-    targets: [f64; 2],
-    epsilon: f64,
-    tries: usize,
-    fm_passes: usize,
-    rng: &mut impl Rng,
-) -> Vec<u8> {
-    initial_best(
-        hg,
-        fixed,
-        targets,
-        epsilon,
-        InitialScheme::Ghg,
-        tries,
-        fm_passes,
-        rng,
-    )
-}
 
 /// Substrate-generic, arena-backed initial partitioning (the engine's
 /// entry point): scheme, tries, and FM passes are read from `cfg`.
@@ -219,7 +163,6 @@ fn random_once<S: Substrate>(
         rng,
         fm_passes,
         0,
-        false,
         arena,
         stats,
         &fgh_trace::SpanHandle::noop(),
@@ -272,7 +215,6 @@ fn bin_packing_once<S: Substrate>(
         rng,
         fm_passes,
         0,
-        false,
         arena,
         stats,
         &fgh_trace::SpanHandle::noop(),
@@ -330,7 +272,6 @@ fn ghg_once<S: Substrate>(
         rng,
         fm_passes,
         0,
-        false,
         arena,
         stats,
         &fgh_trace::SpanHandle::noop(),
@@ -342,6 +283,7 @@ fn ghg_once<S: Substrate>(
 mod tests {
     use super::*;
     use crate::testutil::two_clusters;
+    use fgh_hypergraph::Hypergraph;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -349,19 +291,41 @@ mod tests {
         vec![FREE; n as usize]
     }
 
+    /// Greedy hypergraph growing, best of `tries`, each try refined by
+    /// up to `fm_passes` FM passes.
+    fn ghg(
+        hg: &Hypergraph,
+        fixed: &[i8],
+        targets: [f64; 2],
+        epsilon: f64,
+        tries: usize,
+        fm_passes: usize,
+        seed: u64,
+    ) -> Vec<u8> {
+        let cfg = PartitionConfig {
+            initial: InitialScheme::Ghg,
+            initial_tries: tries,
+            fm_passes,
+            ..Default::default()
+        };
+        initial_best_in(
+            hg,
+            fixed,
+            targets,
+            epsilon,
+            &cfg,
+            None,
+            &mut SmallRng::seed_from_u64(seed),
+            &mut LevelArena::disabled(),
+            &mut EngineStats::default(),
+        )
+    }
+
     #[test]
     fn ghg_produces_balanced_bisection() {
         let hg = two_clusters(20);
         let fixed = free(40);
-        let sides = ghg_best(
-            &hg,
-            &fixed,
-            [20.0, 20.0],
-            0.05,
-            4,
-            4,
-            &mut SmallRng::seed_from_u64(2),
-        );
+        let sides = ghg(&hg, &fixed, [20.0, 20.0], 0.05, 4, 4, 2);
         let w1: usize = sides.iter().filter(|&&s| s == 1).count();
         assert!((15..=25).contains(&w1), "side 1 holds {w1} of 40");
         let st = BisectionState::new(&hg, sides, &fixed, [20.0, 20.0], 0.05);
@@ -376,15 +340,7 @@ mod tests {
         let mut fixed = free(20);
         fixed[0] = 1;
         fixed[15] = 0;
-        let sides = ghg_best(
-            &hg,
-            &fixed,
-            [10.0, 10.0],
-            0.2,
-            4,
-            4,
-            &mut SmallRng::seed_from_u64(9),
-        );
+        let sides = ghg(&hg, &fixed, [10.0, 10.0], 0.2, 4, 4, 9);
         assert_eq!(sides[0], 1);
         assert_eq!(sides[15], 0);
     }
@@ -394,15 +350,7 @@ mod tests {
         // No nets: any balanced split works; GHG must still terminate.
         let hg = Hypergraph::from_nets(10, &[]).unwrap();
         let fixed = free(10);
-        let sides = ghg_best(
-            &hg,
-            &fixed,
-            [5.0, 5.0],
-            0.0,
-            2,
-            2,
-            &mut SmallRng::seed_from_u64(4),
-        );
+        let sides = ghg(&hg, &fixed, [5.0, 5.0], 0.0, 2, 2, 4);
         let c1 = sides.iter().filter(|&&s| s == 1).count();
         assert_eq!(c1, 5);
     }
@@ -411,15 +359,7 @@ mod tests {
     fn ghg_single_vertex() {
         let hg = Hypergraph::from_nets(1, &[]).unwrap();
         let fixed = free(1);
-        let sides = ghg_best(
-            &hg,
-            &fixed,
-            [1.0, 0.0],
-            0.0,
-            1,
-            1,
-            &mut SmallRng::seed_from_u64(4),
-        );
+        let sides = ghg(&hg, &fixed, [1.0, 0.0], 0.0, 1, 1, 4);
         assert_eq!(sides, vec![0]);
     }
 }

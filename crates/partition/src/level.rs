@@ -44,8 +44,7 @@ pub struct EngineStats {
     /// Incidences (pins / adjacency entries) surviving contraction, summed
     /// over all levels.
     pub contracted_incidences: u64,
-    /// FM passes run (full and boundary, including initial-partitioning
-    /// refinement).
+    /// FM passes run (including initial-partitioning refinement).
     pub fm_passes: u64,
     /// Tentative FM moves applied across all passes (before rollback).
     pub fm_moves: u64,

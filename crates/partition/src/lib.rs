@@ -41,8 +41,9 @@
 //! [`PartitionConfig::parallelism`] gates a fork-join parallel mode
 //! ([`Parallelism::Threads`] / [`Parallelism::Auto`]): independent
 //! recursive-bisection subtrees and the seeds of a multi-seed sweep
-//! ([`parallel::partition_hypergraph_seeds`]) run concurrently, each
-//! domain drawing its scratch from a shared [`arena::ArenaPool`]. Every
+//! ([`parallel::run_seeds`], shared with the graph baseline) run
+//! concurrently, each domain drawing its scratch from a shared
+//! [`arena::ArenaPool`]. Every
 //! recursion node seeds its RNG from its own identity, so parallel runs
 //! are **bit-identical** to serial ones — threads change wall-clock time
 //! only.
@@ -53,7 +54,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod arena;
-pub mod bisect;
 pub mod cancel;
 pub mod coarsen;
 pub mod config;
@@ -74,18 +74,18 @@ pub mod vcycle;
 pub use arena::{ArenaIndex, ArenaPool, ArenaStats, LevelArena};
 pub use cancel::CancelToken;
 pub use config::{Budget, CoarseningScheme, InitialScheme, Parallelism, PartitionConfig};
-pub use connectivity::{NaiveConnectivity, NetConnectivity};
+pub use connectivity::NetConnectivity;
 pub use engine::{MultilevelDriver, RecursiveOutcome, Substrate};
 pub use error::PartitionError;
 pub use level::{EngineStats, Level};
 pub use parallel::{
-    partition_hypergraph_seeds, partition_hypergraph_seeds_traced,
-    partition_hypergraph_seeds_traced_in, record_run_counters,
+    best_of_seeds, partition_hypergraph_seeds, partition_hypergraph_seeds_traced,
+    partition_hypergraph_seeds_traced_in, run_seeds,
 };
 pub use recursive::{
-    partition_hypergraph, partition_hypergraph_best, partition_hypergraph_best_traced,
-    partition_hypergraph_best_traced_in, partition_hypergraph_fixed, partition_hypergraph_traced,
-    partition_hypergraph_with, PartitionResult,
+    partition_hypergraph, partition_hypergraph_best, partition_hypergraph_best_traced_in,
+    partition_hypergraph_fixed, partition_hypergraph_traced, partition_hypergraph_with,
+    PartitionResult,
 };
 
 #[cfg(test)]

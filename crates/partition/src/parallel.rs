@@ -1,7 +1,8 @@
 //! Multi-seed fan-out: run the partitioner under several seeds, possibly
-//! concurrently, and collect every result (the paper's 50-seed protocol
-//! keeps the best of them — see
-//! [`crate::recursive::partition_hypergraph_best`]).
+//! concurrently, collect every result, and keep the best of them (the
+//! paper's 50-seed protocol). The fan-out is generic over what one seed
+//! runs, so the hypergraph partitioner and the graph baseline (`fgh-graph`)
+//! share it.
 //!
 //! Parallelism is config-gated through [`crate::Parallelism`] and changes
 //! wall-clock only: each seed derives its own RNG streams, so per-seed
@@ -25,12 +26,7 @@ use crate::recursive::{partition_hypergraph_with, PartitionResult};
 
 /// Partitions `hg` once per seed `cfg.seed + i` for `i in 0..runs` and
 /// returns the results in seed order (`runs` is clamped to at least 1).
-///
-/// Under a parallel `cfg.parallelism`, the seed range fans out over a
-/// bounded fork-join pool by binary splitting; when the caller is already
-/// inside a pool, its threads are reused instead of building a nested
-/// one. A panicking seed becomes `Err(PartitionError::Worker(..))` in its
-/// slot and leaves the other seeds unaffected.
+/// See [`run_seeds`] for threading and panic containment.
 pub fn partition_hypergraph_seeds<I: ArenaIndex>(
     hg: &Hypergraph<I>,
     k: u32,
@@ -67,45 +63,110 @@ pub fn partition_hypergraph_seeds_traced_in<I: ArenaIndex>(
     pool: &Arc<ArenaPool>,
     parent: &SpanHandle,
 ) -> Vec<Result<PartitionResult, PartitionError>> {
+    run_seeds(cfg, runs, pool, parent, |driver| {
+        partition_hypergraph_with(driver, hg, k, None)
+    })
+}
+
+/// Calls `run` once per seed `cfg.seed + i` for `i in 0..runs` and
+/// returns the results in seed order (`runs` is clamped to at least 1).
+/// Each call gets a fresh [`MultilevelDriver`] over `pool` whose config
+/// carries that seed, traced under a `run[i]` child span of `parent`
+/// that receives the run's engine/arena counters.
+///
+/// Under a parallel `cfg.parallelism`, the seed range fans out over a
+/// bounded fork-join pool by binary splitting; when the caller is already
+/// inside a pool, its threads are reused instead of building a nested
+/// one. A panicking seed becomes `Err(PartitionError::Worker(..))` in its
+/// slot and leaves the other seeds unaffected.
+pub fn run_seeds<R, F>(
+    cfg: &PartitionConfig,
+    runs: usize,
+    pool: &Arc<ArenaPool>,
+    parent: &SpanHandle,
+    run: F,
+) -> Vec<Result<R, PartitionError>>
+where
+    R: Send,
+    F: Fn(&mut MultilevelDriver) -> Result<R, PartitionError> + Sync,
+{
     let runs = runs.max(1);
     let threads = cfg.parallelism.resolved();
     if threads > 1 && rayon::current_thread_index().is_none() {
         if let Ok(tp) = rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
-            return tp.install(|| run_range(hg, k, cfg, 0, runs, pool, parent));
+            return tp.install(|| run_range(cfg, 0, runs, pool, parent, &run));
         }
     }
-    run_range(hg, k, cfg, 0, runs, pool, parent)
+    run_range(cfg, 0, runs, pool, parent, &run)
+}
+
+/// The best of a multi-seed sweep: balanced results first, then the lower
+/// objective, the earliest seed winning ties. `score` reads a result's
+/// `(imbalance percent, objective)`; a result is balanced when its
+/// imbalance is within `epsilon`. Failed seeds drop out; when every seed
+/// failed, the first seed's error is returned.
+pub fn best_of_seeds<R>(
+    results: Vec<Result<R, PartitionError>>,
+    epsilon: f64,
+    score: impl Fn(&R) -> (f64, u64),
+) -> Result<R, PartitionError> {
+    let key = |r: &R| {
+        let (imbalance_percent, objective) = score(r);
+        (
+            imbalance_percent <= epsilon * 100.0 + 1e-9,
+            std::cmp::Reverse(objective),
+        )
+    };
+    let mut best: Option<R> = None;
+    let mut first_err: Option<PartitionError> = None;
+    for r in results {
+        match r {
+            Ok(res) => {
+                let better = match &best {
+                    None => true,
+                    Some(b) => key(&res) > key(b),
+                };
+                if better {
+                    best = Some(res);
+                }
+            }
+            Err(e) => first_err = first_err.or(Some(e)),
+        }
+    }
+    best.ok_or_else(|| {
+        first_err.unwrap_or_else(|| PartitionError::Worker("no seed produced a result".into()))
+    })
 }
 
 /// Runs seed offsets `lo..hi`, halving the range across `rayon::join`
 /// until single seeds remain. Results concatenate back in seed order.
-#[allow(clippy::too_many_arguments)]
-fn run_range<I: ArenaIndex>(
-    hg: &Hypergraph<I>,
-    k: u32,
+fn run_range<R, F>(
     cfg: &PartitionConfig,
     lo: usize,
     hi: usize,
     pool: &Arc<ArenaPool>,
     span: &SpanHandle,
-) -> Vec<Result<PartitionResult, PartitionError>> {
+    run: &F,
+) -> Vec<Result<R, PartitionError>>
+where
+    R: Send,
+    F: Fn(&mut MultilevelDriver) -> Result<R, PartitionError> + Sync,
+{
     if hi - lo <= 1 {
-        return vec![run_seeded(hg, k, cfg, lo, pool, span)];
+        return vec![run_seeded(cfg, lo, pool, span, run)];
     }
     let mid = lo + (hi - lo) / 2;
     let (mut left, mut right) = rayon::join(
-        || run_range(hg, k, cfg, lo, mid, pool, span),
-        || run_range(hg, k, cfg, mid, hi, pool, span),
+        || run_range(cfg, lo, mid, pool, span, run),
+        || run_range(cfg, mid, hi, pool, span, run),
     );
     left.append(&mut right);
     left
 }
 
 /// Records a finished run's engine and arena counters onto its `run[i]`
-/// span (a no-op for noop scopes). Public so substrate crates driving
-/// their own seed fan-outs (e.g. the graph baseline) emit the same
-/// counter vocabulary.
-pub fn record_run_counters(
+/// span (a no-op for noop scopes).
+pub(crate) fn record_run_counters(
     scope: &SpanHandle,
     stats: &EngineStats,
     arena: crate::arena::ArenaStats,
@@ -135,14 +196,13 @@ pub fn record_run_counters(
 /// One seed: a fresh driver over the shared arena pool, panics contained
 /// to this seed's slot. The engine is panic-free by design; the catch is
 /// defense in depth so a defect in one seed cannot sink a 50-seed sweep.
-fn run_seeded<I: ArenaIndex>(
-    hg: &Hypergraph<I>,
-    k: u32,
+fn run_seeded<R>(
     cfg: &PartitionConfig,
     offset: usize,
     pool: &Arc<ArenaPool>,
     span: &SpanHandle,
-) -> Result<PartitionResult, PartitionError> {
+    run: impl Fn(&mut MultilevelDriver) -> Result<R, PartitionError>,
+) -> Result<R, PartitionError> {
     let mut c = cfg.clone();
     c.seed = cfg.seed.wrapping_add(offset as u64);
     let rspan = if cfg!(feature = "trace") {
@@ -154,9 +214,9 @@ fn run_seeded<I: ArenaIndex>(
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut driver = MultilevelDriver::with_pool(c, Arc::clone(pool));
         driver.set_trace_parent(scope.clone());
-        let r = partition_hypergraph_with(&mut driver, hg, k, None);
-        if let Ok(res) = &r {
-            record_run_counters(&scope, &res.stats, driver.arena_stats());
+        let r = run(&mut driver);
+        if r.is_ok() {
+            record_run_counters(&scope, &driver.stats(), driver.arena_stats());
         }
         r
     }))
@@ -217,5 +277,26 @@ mod tests {
         let out = partition_hypergraph_seeds(&hg, 2, &PartitionConfig::with_seed(1), 0);
         assert_eq!(out.len(), 1);
         assert!(out.first().is_some_and(|r| r.is_ok()));
+    }
+
+    #[test]
+    fn best_of_seeds_prefers_balanced_then_lower_objective_then_earliest() {
+        // Results are (imbalance %, objective, seed offset); ε = 3%.
+        type R = Result<(f64, u64, usize), PartitionError>;
+        let pick = |results: Vec<R>| best_of_seeds(results, 0.03, |r| (r.0, r.1));
+        let worker = |m: &str| PartitionError::Worker(m.into());
+        // A balanced result beats any unbalanced one, whatever its cut.
+        let r = pick(vec![Ok((5.0, 1, 0)), Ok((3.0, 9, 1))]).unwrap();
+        assert_eq!(r.2, 1);
+        // Among balanced results the lower objective wins, and a tie
+        // keeps the earliest seed.
+        let r = pick(vec![Ok((1.0, 7, 0)), Ok((0.0, 5, 1)), Ok((2.0, 5, 2))]).unwrap();
+        assert_eq!(r.2, 1);
+        // Failed seeds drop out; when every seed failed, the first error
+        // comes back.
+        let r = pick(vec![Err(worker("a")), Ok((9.0, 1, 1))]).unwrap();
+        assert_eq!(r.2, 1);
+        let e = pick(vec![Err(worker("a")), Err(worker("b"))]).unwrap_err();
+        assert!(matches!(e, PartitionError::Worker(m) if m == "a"));
     }
 }

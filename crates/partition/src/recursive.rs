@@ -181,34 +181,23 @@ pub fn partition_hypergraph_best<I: ArenaIndex>(
     cfg: &PartitionConfig,
     runs: usize,
 ) -> Result<PartitionResult, PartitionError> {
-    partition_hypergraph_best_traced(hg, k, cfg, runs, &SpanHandle::noop())
-}
-
-/// [`partition_hypergraph_best`] recording under a trace scope: each seed
-/// gets a `run[offset]` child span of `parent` carrying the run's
-/// engine/arena counters, with the multilevel phase spans nested inside
-/// (requires the `trace` cargo feature to record anything).
-pub fn partition_hypergraph_best_traced<I: ArenaIndex>(
-    hg: &Hypergraph<I>,
-    k: u32,
-    cfg: &PartitionConfig,
-    runs: usize,
-    parent: &SpanHandle,
-) -> Result<PartitionResult, PartitionError> {
     partition_hypergraph_best_traced_in(
         hg,
         k,
         cfg,
         runs,
         &std::sync::Arc::new(crate::arena::ArenaPool::new()),
-        parent,
+        &SpanHandle::noop(),
     )
 }
 
-/// [`partition_hypergraph_best_traced`] drawing every seed's scratch
-/// arena from a caller-supplied [`crate::ArenaPool`] — the session-reuse
-/// entry point: a server passes one pool for its whole lifetime so warm
-/// buffers survive across requests.
+/// [`partition_hypergraph_best`] drawing every seed's scratch arena from
+/// a caller-supplied [`crate::ArenaPool`] and recording under a trace
+/// scope — the session-reuse entry point: a server passes one pool for
+/// its whole lifetime so warm buffers survive across requests. Each seed
+/// gets a `run[offset]` child span of `parent` carrying the run's
+/// engine/arena counters, with the multilevel phase spans nested inside
+/// (requires the `trace` cargo feature to record anything).
 pub fn partition_hypergraph_best_traced_in<I: ArenaIndex>(
     hg: &Hypergraph<I>,
     k: u32,
@@ -219,34 +208,7 @@ pub fn partition_hypergraph_best_traced_in<I: ArenaIndex>(
 ) -> Result<PartitionResult, PartitionError> {
     let results =
         crate::parallel::partition_hypergraph_seeds_traced_in(hg, k, cfg, runs, pool, parent);
-    let mut best: Option<PartitionResult> = None;
-    let mut first_err: Option<PartitionError> = None;
-    for r in results {
-        match r {
-            Ok(res) => {
-                let better = match &best {
-                    None => true,
-                    Some(b) => {
-                        // Prefer balanced results, then lower cutsize.
-                        let rb = res.imbalance_percent <= cfg.epsilon * 100.0 + 1e-9;
-                        let bb = b.imbalance_percent <= cfg.epsilon * 100.0 + 1e-9;
-                        (rb, std::cmp::Reverse(res.cutsize)) > (bb, std::cmp::Reverse(b.cutsize))
-                    }
-                };
-                if better {
-                    best = Some(res);
-                }
-            }
-            Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
-    match best {
-        Some(b) => Ok(b),
-        None => {
-            Err(first_err
-                .unwrap_or_else(|| PartitionError::Worker("no seed produced a result".into())))
-        }
-    }
+    crate::parallel::best_of_seeds(results, cfg.epsilon, |r| (r.imbalance_percent, r.cutsize))
 }
 
 #[cfg(test)]

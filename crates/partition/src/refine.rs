@@ -219,11 +219,6 @@ impl<'a, S: Substrate> BisectionState<'a, S> {
         false
     }
 
-    /// `true` if `v` touches the cut.
-    pub fn is_boundary(&self, v: S::Ix) -> bool {
-        self.sub.is_boundary(&self.cs, &self.side, v)
-    }
-
     /// One FM pass: tentative max-gain moves with lock-on-move, then
     /// rollback to the best prefix (lexicographic on (balance penalty,
     /// cut)). Returns `true` if the pass strictly improved that pair.
@@ -234,24 +229,6 @@ impl<'a, S: Substrate> BisectionState<'a, S> {
         self.fm_pass_in(
             rng,
             early_exit,
-            false,
-            &mut LevelArena::disabled(),
-            &mut EngineStats::default(),
-        )
-    }
-
-    /// Boundary variant of [`BisectionState::fm_pass`]: only boundary
-    /// vertices are queued initially, which is substantially faster on
-    /// large well-separated instances. Interior vertices are not
-    /// reachable as move candidates (their gains are always negative at
-    /// queue time), so quality loss is small; balance-repair moves may be
-    /// missed when the boundary is tiny — use full passes when the start
-    /// state is badly imbalanced.
-    pub fn fm_pass_boundary(&mut self, rng: &mut impl Rng, early_exit: usize) -> bool {
-        self.fm_pass_in(
-            rng,
-            early_exit,
-            true,
             &mut LevelArena::disabled(),
             &mut EngineStats::default(),
         )
@@ -265,7 +242,6 @@ impl<'a, S: Substrate> BisectionState<'a, S> {
         &mut self,
         rng: &mut impl Rng,
         early_exit: usize,
-        boundary: bool,
         arena: &mut LevelArena,
         stats: &mut EngineStats,
     ) -> bool {
@@ -278,7 +254,7 @@ impl<'a, S: Substrate> BisectionState<'a, S> {
         order.extend(
             (0..n)
                 .map(S::Ix::from_index)
-                .filter(|&v| self.fixed[v.index()] == FREE && (!boundary || self.is_boundary(v))),
+                .filter(|&v| self.fixed[v.index()] == FREE),
         );
         order.shuffle(rng);
         for &v in order.iter() {
@@ -332,62 +308,28 @@ impl<'a, S: Substrate> BisectionState<'a, S> {
             rng,
             max_passes,
             early_exit,
-            false,
             &mut LevelArena::disabled(),
             &mut EngineStats::default(),
             &SpanHandle::noop(),
         )
     }
 
-    /// Like [`BisectionState::refine`] with boundary-only passes; one full
-    /// pass is run first whenever the state starts imbalanced (boundary
-    /// passes cannot always reach the vertices needed for balance repair).
-    pub fn refine_boundary(
-        &mut self,
-        rng: &mut impl Rng,
-        max_passes: usize,
-        early_exit: usize,
-    ) -> usize {
-        self.refine_in(
-            rng,
-            max_passes,
-            early_exit,
-            true,
-            &mut LevelArena::disabled(),
-            &mut EngineStats::default(),
-            &SpanHandle::noop(),
-        )
-    }
-
-    /// Arena-backed refinement loop used by the engine (`boundary` selects
-    /// boundary-only passes after an optional balance-repair full pass).
-    /// Each FM pass opens an `fm-pass[i]` child span under `span` (free
-    /// when the handle is a noop) carrying per-pass `moves`/`rollbacks`
-    /// counters.
-    #[allow(clippy::too_many_arguments)]
+    /// Arena-backed refinement loop used by the engine. Each FM pass
+    /// opens an `fm-pass[i]` child span under `span` (free when the
+    /// handle is a noop) carrying per-pass `moves`/`rollbacks` counters.
     pub(crate) fn refine_in(
         &mut self,
         rng: &mut impl Rng,
         max_passes: usize,
         early_exit: usize,
-        boundary: bool,
         arena: &mut LevelArena,
         stats: &mut EngineStats,
         span: &SpanHandle,
     ) -> usize {
         let mut improved = 0;
         let mut pass_idx = 0u64;
-        if boundary && self.balance_penalty() > 0 {
-            // Balance repair: boundary passes cannot always reach the
-            // vertices a rebalance needs, so run one full pass first.
-            if self.traced_pass(rng, early_exit, false, arena, stats, span, pass_idx) {
-                improved += 1;
-            }
-            pass_idx += 1;
-        }
-        let remaining = max_passes.saturating_sub(improved);
-        for _ in 0..remaining {
-            if self.traced_pass(rng, early_exit, boundary, arena, stats, span, pass_idx) {
+        for _ in 0..max_passes {
+            if self.traced_pass(rng, early_exit, arena, stats, span, pass_idx) {
                 pass_idx += 1;
                 improved += 1;
             } else {
@@ -400,12 +342,10 @@ impl<'a, S: Substrate> BisectionState<'a, S> {
     /// One [`BisectionState::fm_pass_in`] wrapped in an `fm-pass[idx]`
     /// span with per-pass counters. With the `trace` feature off, or a
     /// noop handle, this is exactly an `fm_pass_in` call.
-    #[allow(clippy::too_many_arguments)]
     fn traced_pass(
         &mut self,
         rng: &mut impl Rng,
         early_exit: usize,
-        boundary: bool,
         arena: &mut LevelArena,
         stats: &mut EngineStats,
         span: &SpanHandle,
@@ -417,7 +357,7 @@ impl<'a, S: Substrate> BisectionState<'a, S> {
             Span::noop()
         };
         let (moves0, rollbacks0) = (stats.fm_moves, stats.fm_rollbacks);
-        let improved = self.fm_pass_in(rng, early_exit, boundary, arena, stats);
+        let improved = self.fm_pass_in(rng, early_exit, arena, stats);
         if sp.is_enabled() {
             sp.counter("moves", stats.fm_moves - moves0);
             sp.counter("rollbacks", stats.fm_rollbacks - rollbacks0);
@@ -536,34 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn boundary_fm_matches_full_fm_on_separable_instance() {
-        let hg = two_clusters(50);
-        let fixed = free(100);
-        let side: Vec<u8> = (0..100).map(|v| (v % 2) as u8).collect();
-        let mut full = BisectionState::new(&hg, side.clone(), &fixed, [50.0, 50.0], 0.05);
-        full.refine(&mut rng(), 8, 0);
-        let mut bnd = BisectionState::new(&hg, side, &fixed, [50.0, 50.0], 0.05);
-        bnd.refine_boundary(&mut rng(), 8, 0);
-        assert_eq!(full.cut(), 1);
-        assert_eq!(bnd.cut(), 1, "boundary FM should also find the bridge");
-        assert_eq!(bnd.balance_penalty(), 0);
-    }
-
-    #[test]
-    fn is_boundary_classification() {
-        let hg = two_clusters(4);
-        let fixed = free(8);
-        // Sides match the cluster structure: only the bridge endpoints
-        // (vertices 3 and 4) touch the single cut net.
-        let side: Vec<u8> = (0..8).map(|v| u8::from(v >= 4)).collect();
-        let st = BisectionState::new(&hg, side, &fixed, [4.0, 4.0], 0.1);
-        assert!(st.is_boundary(3));
-        assert!(st.is_boundary(4));
-        assert!(!st.is_boundary(0));
-        assert!(!st.is_boundary(7));
-    }
-
-    #[test]
     fn zero_weight_vertices_move_freely() {
         let hg = fgh_hypergraph::Hypergraph::from_nets_weighted(
             4u32,
@@ -612,7 +524,6 @@ mod tests {
             &mut rng(),
             8,
             0,
-            false,
             &mut arena,
             &mut stats,
             &SpanHandle::noop(),

@@ -21,7 +21,7 @@ use rand::SeedableRng;
 
 use crate::arena::{ArenaIndex, LevelArena};
 use crate::coarsen::{coarsen_once_in, FREE};
-use crate::config::{CoarseningScheme, PartitionConfig};
+use crate::config::{CoarseningScheme, PartitionConfig, MAX_NET_SIZE_FOR_MATCHING};
 use crate::error::PartitionError;
 use crate::kway::kway_refine;
 use crate::level::Level;
@@ -83,7 +83,7 @@ fn one_cycle<I: ArenaIndex>(
             cur_hg,
             cur_parts,
             cfg.coarsening,
-            cfg.max_net_size_for_matching,
+            MAX_NET_SIZE_FOR_MATCHING,
             weight_cap,
             rng,
         );

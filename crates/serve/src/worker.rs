@@ -290,7 +290,10 @@ pub fn execute_job(
         .with_budget(budget)
         .with_cancel(cancel.clone());
 
-    match session.decompose_any(&a, params) {
+    match session
+        .decompose_workload_any(WorkloadAny::Spmv(&a), params)
+        .and_then(fgh_core::WorkloadOutcome::into_spmv)
+    {
         Ok(out) => {
             if out.engine.cancelled() {
                 ServeCounters::bump(&counters.cancelled_jobs);

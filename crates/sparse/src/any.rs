@@ -5,8 +5,8 @@
 //! width-*generic* types. These enums bridge the two worlds: an
 //! `AnyCooMatrix` is "a COO matrix at whichever width the input needed",
 //! and callers either dispatch on the variant or use the width-agnostic
-//! accessors below. `fgh-core`'s `decompose_any` consumes these so the CLI
-//! never names an index width.
+//! accessors below. `fgh-core`'s `decompose_workload_any` consumes these
+//! so the CLI never names an index width.
 
 use crate::index::{IndexType, IndexWidth};
 use crate::{CooMatrix, CsrMatrix, Result};

@@ -46,8 +46,6 @@ pub use fgh_spmv as spmv;
 
 /// Commonly used items, re-exported for one-line imports.
 pub mod prelude {
-    #[allow(deprecated)] // re-exported through its one deprecation cycle
-    pub use fgh_core::decompose;
     pub use fgh_core::{
         decompose_workload, decompose_workload_any, Budget, CommStats, DecomposeConfig,
         Decomposition, DecompositionOutcome, DecompositionStatus, EngineStats, ErrorCategory,
