@@ -10,7 +10,7 @@ pub mod spmv;
 pub mod spy;
 pub mod stats;
 
-use fgh_core::{DecompositionOutcome, FghError, SpgemmOutcome};
+use fgh_core::{FghError, Outcome};
 use fgh_sparse::{AnyCsrMatrix, CsrMatrix};
 
 use crate::error::CmdError;
@@ -34,32 +34,15 @@ pub fn load_matrix_any(path: &str) -> Result<AnyCsrMatrix, String> {
     coo.try_into_csr().map_err(|e| format!("{path}: {e}"))
 }
 
-/// Applies the degraded-outcome policy shared by the subcommands: errors
-/// propagate with their exit code, `--strict` converts a degraded outcome
-/// into an error (exit 3, or 4 when a budget tripped), and otherwise the
-/// degradation reason is reported on stderr while the run continues.
-pub fn finish_outcome(
-    r: Result<DecompositionOutcome, FghError>,
+/// Applies the degraded-outcome policy shared by the subcommands, for
+/// either workload: errors propagate with their exit code, `--strict`
+/// converts a degraded outcome into an error (exit 3, or 4 when a budget
+/// tripped), and otherwise the degradation reason is reported on stderr
+/// while the run continues.
+pub fn finish_outcome<D, S>(
+    r: Result<Outcome<D, S>, FghError>,
     strict: bool,
-) -> Result<DecompositionOutcome, CmdError> {
-    let out = r.map_err(CmdError::from)?;
-    let out = if strict {
-        out.into_strict().map_err(CmdError::from)?
-    } else {
-        out
-    };
-    if let Some(reason) = out.status.reason() {
-        eprintln!("warning: degraded decomposition: {reason}");
-    }
-    Ok(out)
-}
-
-/// [`finish_outcome`] for the SpGEMM face of the workload API — same
-/// strict/degraded policy, applied to a task-hypergraph outcome.
-pub fn finish_spgemm(
-    r: Result<SpgemmOutcome, FghError>,
-    strict: bool,
-) -> Result<SpgemmOutcome, CmdError> {
+) -> Result<Outcome<D, S>, CmdError> {
     let out = r.map_err(CmdError::from)?;
     let out = if strict {
         out.into_strict().map_err(CmdError::from)?

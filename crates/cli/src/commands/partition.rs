@@ -3,7 +3,6 @@
 use std::io::Write;
 
 use fgh_core::{decompose_workload_any, Decomposition, WorkloadAny, WorkloadOutcome};
-use fgh_sparse::AnyCsrMatrix;
 
 use crate::commands::{finish_outcome, load_matrix_any};
 use crate::error::CmdResult;
@@ -66,12 +65,7 @@ pub fn run(args: &[String]) -> CmdResult {
         println!("mapping written:   {out_path}");
     }
     if let Some(json_path) = o.get("metrics-json") {
-        // Dispatch on the carrier width; the document itself only reads
-        // width-independent dimensions from the matrix.
-        let doc = match &a {
-            AnyCsrMatrix::U32(m) => fgh_core::metrics_json(m, &cfg, &out),
-            AnyCsrMatrix::U64(m) => fgh_core::metrics_json(m, &cfg, &out),
-        } + "\n";
+        let doc = fgh_core::metrics_json(&cfg, &out) + "\n";
         std::fs::write(json_path, doc).map_err(|e| format!("{json_path}: {e}"))?;
         println!("metrics written:   {json_path}");
     }

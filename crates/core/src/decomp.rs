@@ -170,14 +170,7 @@ impl Decomposition {
 
     /// Percent computational imbalance `100 (L_max − L_avg) / L_avg`.
     pub fn load_imbalance_percent(&self) -> f64 {
-        let l = self.loads();
-        let total: u64 = l.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let avg = total as f64 / self.k as f64;
-        let max = l.iter().copied().max().unwrap_or(0) as f64;
-        100.0 * (max - avg) / avg
+        crate::metrics::imbalance_percent(self.loads().into_iter(), self.k as usize)
     }
 }
 

@@ -46,11 +46,13 @@ pub mod session;
 pub mod status;
 pub mod workload;
 
-pub use api::{DecomposeConfig, DecomposeIndex, DecompositionOutcome, Model, WorkloadKind};
+pub use api::{
+    DecomposeConfig, DecomposeIndex, DecompositionOutcome, Model, Outcome, WorkloadKind,
+};
 pub use decomp::Decomposition;
 pub use fgh_partition::{ArenaPool, Budget, CancelToken, EngineStats, InitialScheme, Parallelism};
 pub use fgh_trace::{Trace, Tracer};
-pub use metrics::CommStats;
+pub use metrics::{CommStats, CommSummary};
 pub use report::{
     metrics_document, metrics_json, spgemm_metrics_document, spgemm_metrics_json,
     validate_metrics_value, METRICS_SCHEMA,

@@ -161,7 +161,7 @@ impl CommStats {
     /// Total communication volume in words (expand + fold) — the paper's
     /// primary metric ("tot", scaled by the matrix order when printed).
     pub fn total_volume(&self) -> u64 {
-        self.expand_volume + self.fold_volume
+        CommSummary::total_volume(self)
     }
 
     /// Maximum words *sent* by a single processor — the paper's "max"
@@ -177,16 +177,12 @@ impl CommStats {
     /// Maximum words sent + received by a single processor (extended
     /// metric, not in the paper's table).
     pub fn max_sent_recv_words(&self) -> u64 {
-        self.per_proc
-            .iter()
-            .map(|p| p.sent_words + p.recv_words)
-            .max()
-            .unwrap_or(0)
+        CommSummary::max_sent_recv_words(self)
     }
 
     /// Total messages across both phases.
     pub fn total_messages(&self) -> u64 {
-        self.expand_messages + self.fold_messages
+        CommSummary::total_messages(self)
     }
 
     /// Average number of messages *sent* per processor — the paper's
@@ -198,11 +194,7 @@ impl CommStats {
 
     /// Maximum messages sent by a single processor.
     pub fn max_messages_per_proc(&self) -> u64 {
-        self.per_proc
-            .iter()
-            .map(|p| p.sent_messages)
-            .max()
-            .unwrap_or(0)
+        CommSummary::max_messages_per_proc(self)
     }
 
     /// Total volume scaled by the matrix order, as printed in Table 2.
@@ -217,14 +209,87 @@ impl CommStats {
 
     /// Percent computational imbalance (same formula as the paper).
     pub fn load_imbalance_percent(&self) -> f64 {
-        let total: u64 = self.per_proc.iter().map(|p| p.load).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let avg = total as f64 / self.k as f64;
-        let max = self.per_proc.iter().map(|p| p.load).max().unwrap_or(0) as f64;
-        100.0 * (max - avg) / avg
+        CommSummary::load_imbalance_percent(self)
     }
+}
+
+impl CommSummary for CommStats {
+    fn per_proc(&self) -> &[ProcStats] {
+        &self.per_proc
+    }
+
+    fn volumes(&self) -> [u64; 2] {
+        [self.expand_volume, self.fold_volume]
+    }
+
+    fn messages(&self) -> [u64; 2] {
+        [self.expand_messages, self.fold_messages]
+    }
+}
+
+/// The shape both workloads' statistics share: expand and fold totals
+/// over a per-processor breakdown. The decompose skeleton, the metrics
+/// document, and the serve responses read either workload through it,
+/// and it holds the one implementation of the totals, the maxima, and the
+/// imbalance. [`CommStats`] and [`SpgemmCommStats`] also expose those as
+/// inherent methods of the same names, so callers need not import this
+/// trait.
+///
+/// [`SpgemmCommStats`]: crate::models::SpgemmCommStats
+pub trait CommSummary {
+    /// Per-processor breakdown, one entry per part.
+    fn per_proc(&self) -> &[ProcStats];
+
+    /// `[expand, fold]` words.
+    fn volumes(&self) -> [u64; 2];
+
+    /// `[expand, fold]` messages.
+    fn messages(&self) -> [u64; 2];
+
+    /// Total words moved.
+    fn total_volume(&self) -> u64 {
+        self.volumes().iter().sum()
+    }
+
+    /// Total messages.
+    fn total_messages(&self) -> u64 {
+        self.messages().iter().sum()
+    }
+
+    /// Maximum messages sent by one part.
+    fn max_messages_per_proc(&self) -> u64 {
+        self.per_proc()
+            .iter()
+            .map(|p| p.sent_messages)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Maximum words sent + received by one part.
+    fn max_sent_recv_words(&self) -> u64 {
+        self.per_proc()
+            .iter()
+            .map(|p| p.sent_words + p.recv_words)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Percent load imbalance of the parts.
+    fn load_imbalance_percent(&self) -> f64 {
+        let per_proc = self.per_proc();
+        imbalance_percent(per_proc.iter().map(|p| p.load), per_proc.len())
+    }
+}
+
+/// Percent imbalance `100 (L_max − L_avg) / L_avg` of `k` per-part loads
+/// — the paper's formula, and the crate's one copy of it.
+pub(crate) fn imbalance_percent(loads: impl Iterator<Item = u64>, k: usize) -> f64 {
+    let (total, max) = loads.fold((0u64, 0u64), |(t, m), l| (t + l, m.max(l)));
+    if total == 0 {
+        return 0.0;
+    }
+    let avg = total as f64 / k as f64;
+    100.0 * (max as f64 - avg) / avg
 }
 
 #[cfg(test)]

@@ -32,6 +32,7 @@
 use fgh_hypergraph::{Hypergraph, HypergraphBuilder, Partition};
 use fgh_sparse::{CsrMatrix, IndexType};
 
+use crate::metrics::{CommSummary, ProcStats};
 use crate::{ModelError, Result};
 
 /// The canonical task enumeration of `C = A · B`: every multiply task
@@ -396,7 +397,7 @@ pub struct SpgemmCommStats {
     /// Messages in the fold phase.
     pub fold_messages: u64,
     /// Per-part breakdown (words, messages, flop load).
-    pub per_proc: Vec<crate::metrics::ProcStats>,
+    pub per_proc: Vec<ProcStats>,
 }
 
 impl SpgemmCommStats {
@@ -418,7 +419,7 @@ impl SpgemmCommStats {
     ) -> Result<Self> {
         d.validate_against(s)?;
         let k = d.k as usize;
-        let mut per_proc = vec![crate::metrics::ProcStats::default(); k];
+        let mut per_proc = vec![ProcStats::default(); k];
         for &p in &d.task_owner {
             per_proc[p as usize].load += 1;
         }
@@ -532,41 +533,41 @@ impl SpgemmCommStats {
     /// Total communication volume in words (expand + fold) — the
     /// quantity the model's cutsize predicts exactly.
     pub fn total_volume(&self) -> u64 {
-        self.expand_volume() + self.fold_volume
+        CommSummary::total_volume(self)
     }
 
     /// Total messages across all three phases.
     pub fn total_messages(&self) -> u64 {
-        self.expand_messages() + self.fold_messages
+        CommSummary::total_messages(self)
     }
 
     /// Maximum messages sent by a single part.
     pub fn max_messages_per_proc(&self) -> u64 {
-        self.per_proc
-            .iter()
-            .map(|p| p.sent_messages)
-            .max()
-            .unwrap_or(0)
+        CommSummary::max_messages_per_proc(self)
     }
 
     /// Maximum words sent + received by a single part.
     pub fn max_sent_recv_words(&self) -> u64 {
-        self.per_proc
-            .iter()
-            .map(|p| p.sent_words + p.recv_words)
-            .max()
-            .unwrap_or(0)
+        CommSummary::max_sent_recv_words(self)
     }
 
     /// Percent flop imbalance (same formula as the SpMV statistics).
     pub fn load_imbalance_percent(&self) -> f64 {
-        let total: u64 = self.per_proc.iter().map(|p| p.load).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let avg = total as f64 / self.k as f64;
-        let max = self.per_proc.iter().map(|p| p.load).max().unwrap_or(0) as f64;
-        100.0 * (max - avg) / avg
+        CommSummary::load_imbalance_percent(self)
+    }
+}
+
+impl CommSummary for SpgemmCommStats {
+    fn per_proc(&self) -> &[ProcStats] {
+        &self.per_proc
+    }
+
+    fn volumes(&self) -> [u64; 2] {
+        [self.expand_volume(), self.fold_volume]
+    }
+
+    fn messages(&self) -> [u64; 2] {
+        [self.expand_messages(), self.fold_messages]
     }
 }
 

@@ -75,8 +75,8 @@ use fgh_sparse::{CsrMatrix, IndexType, IndexWidth};
 use fgh_trace::json::{parse, Value};
 use fgh_trace::validate_trace_value;
 
-use crate::api::{DecomposeConfig, DecompositionOutcome};
-use crate::status::DecompositionStatus;
+use crate::api::{DecomposeConfig, DecompositionOutcome, Outcome, WorkloadKind};
+use crate::metrics::CommSummary;
 use crate::workload::SpgemmOutcome;
 
 /// The schema identifier stamped into every document.
@@ -128,32 +128,43 @@ fn trace_obj(trace: Option<&fgh_trace::Trace>) -> Value {
     }
 }
 
-#[allow(clippy::too_many_arguments)] // one assembly point for both workloads
-fn assemble_document(
+/// The members both workloads' documents share, read from the request
+/// and the outcome — the nine `comm` members included. The caller adds
+/// `matrix`, `matrix_b`, `flops`, and `traffic`.
+fn document<D, S: CommSummary>(
     cfg: &DecomposeConfig,
-    workload: &str,
-    matrix: Value,
-    matrix_b: Value,
-    flops: Value,
-    traffic: Value,
-    status: &DecompositionStatus,
-    objective: u64,
-    elapsed: std::time::Duration,
-    comm: Value,
-    engine: Value,
-    trace: Value,
-) -> Value {
+    workload: WorkloadKind,
+    out: &Outcome<D, S>,
+) -> BTreeMap<String, Value> {
+    let s = &out.stats;
+    let [expand_volume, fold_volume] = s.volumes();
+    let [expand_messages, fold_messages] = s.messages();
+    let mut comm = BTreeMap::new();
+    comm.insert("total_volume".into(), num(s.total_volume()));
+    comm.insert("expand_volume".into(), num(expand_volume));
+    comm.insert("fold_volume".into(), num(fold_volume));
+    comm.insert("expand_messages".into(), num(expand_messages));
+    comm.insert("fold_messages".into(), num(fold_messages));
+    comm.insert("total_messages".into(), num(s.total_messages()));
+    comm.insert(
+        "max_messages_per_proc".into(),
+        num(s.max_messages_per_proc()),
+    );
+    comm.insert("max_sent_recv_words".into(), num(s.max_sent_recv_words()));
+    comm.insert(
+        "load_imbalance_percent".into(),
+        Value::Num(s.load_imbalance_percent()),
+    );
+
+    let status = &out.status;
     let mut doc = BTreeMap::new();
     doc.insert("schema".into(), Value::Str(METRICS_SCHEMA.into()));
     doc.insert("model".into(), Value::Str(cfg.model.name().into()));
-    doc.insert("workload".into(), Value::Str(workload.into()));
+    doc.insert("workload".into(), Value::Str(workload.name().into()));
     doc.insert("k".into(), num(cfg.k as u64));
     doc.insert("epsilon".into(), Value::Num(cfg.epsilon));
     doc.insert("seed".into(), num(cfg.seed));
     doc.insert("runs".into(), num(cfg.runs as u64));
-    doc.insert("matrix".into(), matrix);
-    doc.insert("matrix_b".into(), matrix_b);
-    doc.insert("flops".into(), flops);
     doc.insert(
         "status".into(),
         Value::Str(
@@ -179,70 +190,33 @@ fn assemble_document(
             None => Value::Null,
         },
     );
-    doc.insert("objective".into(), num(objective));
-    let elapsed_ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
+    doc.insert("objective".into(), num(out.objective));
+    let elapsed_ns = out.elapsed.as_nanos().min(u64::MAX as u128) as u64;
     doc.insert("elapsed_ns".into(), num(elapsed_ns));
-    doc.insert("comm".into(), comm);
-    doc.insert("traffic".into(), traffic);
-    doc.insert("engine".into(), engine);
-    doc.insert("trace".into(), trace);
-    Value::Obj(doc)
+    doc.insert("comm".into(), Value::Obj(comm));
+    doc.insert("engine".into(), engine_obj(&out.engine));
+    doc.insert("trace".into(), trace_obj(out.trace.as_ref()));
+    doc
 }
 
 /// Assembles the `fgh-metrics/1` document for one SpMV decomposition
-/// run. `a` must be the matrix the outcome was computed from.
-pub fn metrics_document<I: IndexType>(
-    a: &CsrMatrix<I>,
-    cfg: &DecomposeConfig,
-    out: &DecompositionOutcome,
-) -> Value {
-    let s = &out.stats;
-    let mut comm = BTreeMap::new();
-    comm.insert("total_volume".into(), num(s.total_volume()));
-    comm.insert("expand_volume".into(), num(s.expand_volume));
-    comm.insert("fold_volume".into(), num(s.fold_volume));
-    comm.insert("expand_messages".into(), num(s.expand_messages));
-    comm.insert("fold_messages".into(), num(s.fold_messages));
-    comm.insert("total_messages".into(), num(s.total_messages()));
-    comm.insert(
-        "max_messages_per_proc".into(),
-        num(s.max_messages_per_proc()),
-    );
-    comm.insert("max_sent_recv_words".into(), num(s.max_sent_recv_words()));
-    comm.insert(
-        "load_imbalance_percent".into(),
-        Value::Num(s.load_imbalance_percent()),
-    );
-
-    assemble_document(
-        cfg,
-        "spmv",
-        matrix_obj(
-            a.nrows().as_u64(),
-            a.ncols().as_u64(),
-            out.decomposition.nonzero_owner.len() as u64,
-            out.width,
-        ),
-        Value::Null,
-        Value::Null,
-        Value::Null,
-        &out.status,
-        out.objective,
-        out.elapsed,
-        Value::Obj(comm),
-        engine_obj(&out.engine),
-        trace_obj(out.trace.as_ref()),
-    )
+/// run. The square matrix's order and nonzero count come from the
+/// outcome's decomposition.
+pub fn metrics_document(cfg: &DecomposeConfig, out: &DecompositionOutcome) -> Value {
+    let mut doc = document(cfg, WorkloadKind::Spmv, out);
+    let d = &out.decomposition;
+    let nnz = d.nonzero_owner.len() as u64;
+    doc.insert("matrix".into(), matrix_obj(d.n, d.n, nnz, out.width));
+    for member in ["matrix_b", "flops", "traffic"] {
+        doc.insert(member.into(), Value::Null);
+    }
+    Value::Obj(doc)
 }
 
 /// [`metrics_document`] serialized to a compact JSON string (what the
 /// CLI writes for `--metrics-json`).
-pub fn metrics_json<I: IndexType>(
-    a: &CsrMatrix<I>,
-    cfg: &DecomposeConfig,
-    out: &DecompositionOutcome,
-) -> String {
-    metrics_document(a, cfg, out).to_json()
+pub fn metrics_json(cfg: &DecomposeConfig, out: &DecompositionOutcome) -> String {
+    metrics_document(cfg, out).to_json()
 }
 
 /// Assembles the `fgh-metrics/1` document for one SpGEMM decomposition
@@ -256,48 +230,20 @@ pub fn spgemm_metrics_document<I: IndexType>(
     out: &SpgemmOutcome,
     traffic: Option<&Value>,
 ) -> Value {
-    let s = &out.stats;
-    let mut comm = BTreeMap::new();
-    comm.insert("total_volume".into(), num(s.total_volume()));
-    comm.insert("expand_volume".into(), num(s.expand_volume()));
-    comm.insert("fold_volume".into(), num(s.fold_volume));
-    comm.insert("expand_messages".into(), num(s.expand_messages()));
-    comm.insert("fold_messages".into(), num(s.fold_messages));
-    comm.insert("total_messages".into(), num(s.total_messages()));
-    comm.insert(
-        "max_messages_per_proc".into(),
-        num(s.max_messages_per_proc()),
-    );
-    comm.insert("max_sent_recv_words".into(), num(s.max_sent_recv_words()));
-    comm.insert(
-        "load_imbalance_percent".into(),
-        Value::Num(s.load_imbalance_percent()),
-    );
-
-    assemble_document(
-        cfg,
-        "spgemm",
+    let mut doc = document(cfg, WorkloadKind::Spgemm, out);
+    let operand = |m: &CsrMatrix<I>| {
         matrix_obj(
-            a.nrows().as_u64(),
-            a.ncols().as_u64(),
-            a.nnz() as u64,
+            m.nrows().as_u64(),
+            m.ncols().as_u64(),
+            m.nnz() as u64,
             out.width,
-        ),
-        matrix_obj(
-            b.nrows().as_u64(),
-            b.ncols().as_u64(),
-            b.nnz() as u64,
-            out.width,
-        ),
-        num(out.flops),
-        traffic.cloned().unwrap_or(Value::Null),
-        &out.status,
-        out.objective,
-        out.elapsed,
-        Value::Obj(comm),
-        engine_obj(&out.engine),
-        trace_obj(out.trace.as_ref()),
-    )
+        )
+    };
+    doc.insert("matrix".into(), operand(a));
+    doc.insert("matrix_b".into(), operand(b));
+    doc.insert("flops".into(), num(out.flops()));
+    doc.insert("traffic".into(), traffic.cloned().unwrap_or(Value::Null));
+    Value::Obj(doc)
 }
 
 /// [`spgemm_metrics_document`] serialized to a compact JSON string.
@@ -559,7 +505,7 @@ mod tests {
         let a = matrix();
         let cfg = DecomposeConfig::new(Model::FineGrain2D, 4).with_trace(true);
         let out = decompose(&a, &cfg).unwrap();
-        let text = metrics_json(&a, &cfg, &out);
+        let text = metrics_json(&cfg, &out);
         let v = parse(&text).unwrap();
         validate_metrics_value(&v).unwrap();
         assert_eq!(v.get("model").unwrap().as_str(), Some("fine-grain-2d"));
@@ -584,7 +530,7 @@ mod tests {
         let a = matrix();
         let cfg = DecomposeConfig::new(Model::Graph1D, 2);
         let out = decompose(&a, &cfg).unwrap();
-        let v = parse(&metrics_json(&a, &cfg, &out)).unwrap();
+        let v = parse(&metrics_json(&cfg, &out)).unwrap();
         validate_metrics_value(&v).unwrap();
         assert!(v.get("trace").unwrap().is_null());
     }
@@ -594,7 +540,7 @@ mod tests {
         let a = matrix();
         let cfg = DecomposeConfig::new(Model::FineGrain2D, 2).with_trace(true);
         let out = decompose(&a, &cfg).unwrap();
-        let good = metrics_json(&a, &cfg, &out);
+        let good = metrics_json(&cfg, &out);
         for (needle, replacement, why) in [
             (
                 r#""schema":"fgh-metrics/1""#,
@@ -660,7 +606,7 @@ mod tests {
         validate_metrics_value(&v).unwrap();
         assert_eq!(v.get("workload").unwrap().as_str(), Some("spgemm"));
         assert_eq!(v.get("model").unwrap().as_str(), Some("spgemm-fine-grain"));
-        assert_eq!(v.get("flops").unwrap().as_u64(), Some(out.flops));
+        assert_eq!(v.get("flops").unwrap().as_u64(), Some(out.flops()));
         assert_eq!(
             v.get("matrix_b").unwrap().get("nnz").unwrap().as_u64(),
             Some(a.nnz() as u64)

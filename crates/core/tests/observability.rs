@@ -36,7 +36,7 @@ fn metrics_json_validates_for_all_models() {
                 let out = decompose_workload(Workload::Spmv(&a), &cfg)
                     .and_then(WorkloadOutcome::into_spmv)
                     .unwrap_or_else(|e| panic!("{model}: {e}"));
-                metrics_json(&a, &cfg, &out)
+                metrics_json(&cfg, &out)
             }
             WorkloadKind::Spgemm => {
                 let out = decompose_workload(Workload::Spgemm(&a, &a), &cfg)
@@ -70,7 +70,7 @@ fn metrics_phase_ns_mirrors_engine_stats() {
     let out = decompose_workload(Workload::Spmv(&a), &cfg)
         .and_then(WorkloadOutcome::into_spmv)
         .unwrap();
-    let v = parse(&metrics_json(&a, &cfg, &out)).unwrap();
+    let v = parse(&metrics_json(&cfg, &out)).unwrap();
     validate_metrics_value(&v).unwrap();
     let phase = v.get("engine").unwrap().get("phase_ns").unwrap();
     for (name, ns) in [
