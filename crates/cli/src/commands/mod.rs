@@ -30,8 +30,7 @@ pub fn load_matrix(path: &str) -> Result<CsrMatrix, String> {
 /// [`fgh_core::decompose_workload_any`] so the CLI never names an index
 /// width.
 pub fn load_matrix_any(path: &str) -> Result<AnyCsrMatrix, String> {
-    let coo = fgh_sparse::io::read_matrix_market_any(path).map_err(|e| format!("{path}: {e}"))?;
-    coo.try_into_csr().map_err(|e| format!("{path}: {e}"))
+    fgh_sparse::io::read_matrix_market_any(path).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Applies the degraded-outcome policy shared by the subcommands, for

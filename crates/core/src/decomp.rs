@@ -170,7 +170,7 @@ impl Decomposition {
 
     /// Percent computational imbalance `100 (L_max − L_avg) / L_avg`.
     pub fn load_imbalance_percent(&self) -> f64 {
-        crate::metrics::imbalance_percent(self.loads().into_iter(), self.k as usize)
+        fgh_hypergraph::partition::imbalance_percent(self.loads(), self.k as usize)
     }
 }
 

@@ -17,6 +17,7 @@
 //! one message. The paper's per-processor message bound is `K − 1` for 1D
 //! models (single phase) and `2(K − 1)` for the fine-grain model.
 
+use fgh_hypergraph::partition::imbalance_percent;
 use fgh_sparse::{CsrMatrix, IndexType};
 
 use crate::decomp::Decomposition;
@@ -279,17 +280,6 @@ pub trait CommSummary {
         let per_proc = self.per_proc();
         imbalance_percent(per_proc.iter().map(|p| p.load), per_proc.len())
     }
-}
-
-/// Percent imbalance `100 (L_max − L_avg) / L_avg` of `k` per-part loads
-/// — the paper's formula, and the crate's one copy of it.
-pub(crate) fn imbalance_percent(loads: impl Iterator<Item = u64>, k: usize) -> f64 {
-    let (total, max) = loads.fold((0u64, 0u64), |(t, m), l| (t + l, m.max(l)));
-    if total == 0 {
-        return 0.0;
-    }
-    let avg = total as f64 / k as f64;
-    100.0 * (max as f64 - avg) / avg
 }
 
 #[cfg(test)]

@@ -74,7 +74,11 @@ impl MondriaanModel {
         let mut stats = EngineStats::default();
         if self.k > 1 && !coords.is_empty() {
             let mut rng = SmallRng::seed_from_u64(cfg.seed);
-            let eps = per_level_epsilon(self.epsilon, self.k);
+            let eps = PartitionConfig {
+                epsilon: self.epsilon,
+                ..PartitionConfig::default()
+            }
+            .per_level_epsilon(self.k);
             let ids: Vec<u32> = (0..coords.len() as u32).collect(); // lint: checked-cast — coords.len() <= nnz, u32-bounded
             let mut driver = MultilevelDriver::new(cfg.clone());
             recurse(
@@ -115,14 +119,6 @@ impl MondriaanModel {
 
         Ok((Decomposition::general(a, self.k, owner, vec_owner)?, stats))
     }
-}
-
-fn per_level_epsilon(epsilon: f64, k: u32) -> f64 {
-    if k <= 2 {
-        return epsilon;
-    }
-    let d = (k as f64).log2().ceil();
-    (1.0 + epsilon).powf(1.0 / d) - 1.0
 }
 
 /// Builds the 1D hypergraph of a nonzero subset in one direction:

@@ -46,9 +46,8 @@
 //! ([`fgh_trace::Trace::to_json`], validated by
 //! [`fgh_trace::validate_trace_value`]). All integer members are
 //! non-negative and f64-exact. `engine.phase_ns` breaks the partitioner
-//! wall time down by multilevel phase; fgh-core builds fgh-partition
-//! with its `stats` feature so the three counters are populated (they
-//! are `0` only when a phase genuinely did not run).
+//! wall time down by multilevel phase; the three counters are `0` only
+//! when a phase genuinely did not run.
 //!
 //! # Workload members
 //!
@@ -515,14 +514,14 @@ mod tests {
             Some(out.stats.total_volume())
         );
         assert!(!v.get("trace").unwrap().is_null(), "trace was requested");
-        // fgh-core compiles the partitioner with `stats`, so the phase
-        // breakdown must be populated, not all-zero.
+        // The engine always times its phases, so the phase breakdown
+        // must be populated, not all-zero.
         let phase = v.get("engine").unwrap().get("phase_ns").unwrap();
         let total: u64 = ["coarsen", "initial", "refine"]
             .iter()
             .map(|p| phase.get(p).unwrap().as_u64().unwrap())
             .sum();
-        assert!(total > 0, "phase_ns all zero despite stats feature");
+        assert!(total > 0, "phase_ns all zero");
     }
 
     #[test]

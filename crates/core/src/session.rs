@@ -165,6 +165,13 @@ impl EngineSession {
         self
     }
 
+    /// The same thread policy and budget ceiling over a fresh, empty
+    /// arena pool.
+    pub fn with_fresh_pool(mut self) -> Self {
+        self.pool = Arc::new(ArenaPool::new());
+        self
+    }
+
     /// The shared scratch-arena pool.
     pub fn pool(&self) -> &Arc<ArenaPool> {
         &self.pool

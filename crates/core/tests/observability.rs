@@ -60,9 +60,8 @@ fn metrics_json_validates_for_all_models() {
 }
 
 /// `engine.phase_ns` in the metrics document mirrors the partitioner's
-/// per-phase stage timers (fgh-core builds fgh-partition with `stats`,
-/// so the counters are live), and in a serial run the three phases fit
-/// inside the measured elapsed window.
+/// per-phase stage timers (always live), and in a serial run the three
+/// phases fit inside the measured elapsed window.
 #[test]
 fn metrics_phase_ns_mirrors_engine_stats() {
     let a = matrix();
@@ -83,7 +82,7 @@ fn metrics_phase_ns_mirrors_engine_stats() {
             Some(ns),
             "phase_ns.{name} diverges from EngineStats"
         );
-        assert!(ns > 0, "{name} nanos not populated despite stats feature");
+        assert!(ns > 0, "{name} nanos not populated");
     }
     let total = out.engine.coarsen_nanos + out.engine.initial_nanos + out.engine.refine_nanos;
     assert!(

@@ -19,6 +19,7 @@
 
 use std::sync::Arc;
 
+use fgh_hypergraph::partition::imbalance_percent;
 use fgh_partition::error::HypergraphError;
 use fgh_partition::{
     best_of_seeds, run_seeds, ArenaIndex, ArenaPool, EngineStats, LevelArena, MultilevelDriver,
@@ -322,19 +323,11 @@ fn finish<I: ArenaIndex>(
     for v in 0..Substrate::num_vertices(g) {
         w[parts[v] as usize] += g.vertex_weight(I::from_index(v)) as u64;
     }
-    let total: u64 = w.iter().sum();
-    let imbalance_percent = if total == 0 {
-        0.0
-    } else {
-        let avg = total as f64 / k as f64;
-        let max = w.iter().copied().max().unwrap_or(0) as f64;
-        100.0 * (max - avg) / avg
-    };
     GraphPartitionResult {
         parts,
         k,
         edge_cut,
-        imbalance_percent,
+        imbalance_percent: imbalance_percent(w, k as usize),
         stats,
     }
 }

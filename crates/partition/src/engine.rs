@@ -270,23 +270,17 @@ impl MultilevelDriver {
     /// (`bisect[part] → coarsen[level] / initial / refine[level] →
     /// fm-pass[i]`) are recorded as children of `span`. Forked workers
     /// inherit the scope through per-domain child spans, so parallel
-    /// traces stitch under the same parent. Requires the `trace` cargo
-    /// feature; without it the span sites compile to no-ops and this
-    /// setter has no observable effect.
+    /// traces stitch under the same parent.
     pub fn set_trace_parent(&mut self, span: SpanHandle) {
         self.span = span;
     }
 
     /// Opens a child span under this driver's trace scope — a noop span
-    /// unless the `trace` feature is on *and* a real scope was attached.
+    /// unless a real scope was attached.
     fn trace_child(&self, name: &'static str, index: Option<u64>) -> Span {
-        if cfg!(feature = "trace") {
-            match index {
-                Some(i) => self.span.child_indexed(name, i),
-                None => self.span.child(name),
-            }
-        } else {
-            Span::noop()
+        match index {
+            Some(i) => self.span.child_indexed(name, i),
+            None => self.span.child(name),
         }
     }
 

@@ -32,9 +32,8 @@ impl<S: Substrate> Level<S> {
 
 /// Instrumentation counters threaded through
 /// [`crate::engine::MultilevelDriver`]. Counters are always collected
-/// (they are a handful of integer adds per level/pass); the per-stage
-/// wall-clock fields are only filled in when the `stats` cargo feature is
-/// enabled and read as zero otherwise.
+/// (they are a handful of integer adds per level/pass), and so are the
+/// per-stage wall-clock fields.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Bisections driven (nodes of the recursive-bisection tree).
@@ -73,11 +72,11 @@ pub struct EngineStats {
     /// their parent's (0 in serial runs and whenever the recursion ran
     /// inline; a join whose branch ran inline does not count).
     pub parallel_forks: u64,
-    /// Wall-clock nanoseconds in coarsening (`stats` feature only).
+    /// Wall-clock nanoseconds in coarsening.
     pub coarsen_nanos: u64,
-    /// Wall-clock nanoseconds in initial partitioning (`stats` feature only).
+    /// Wall-clock nanoseconds in initial partitioning.
     pub initial_nanos: u64,
-    /// Wall-clock nanoseconds in refinement (`stats` feature only).
+    /// Wall-clock nanoseconds in refinement.
     pub refine_nanos: u64,
 }
 
@@ -120,12 +119,10 @@ impl EngineStats {
     }
 }
 
-/// Zero-cost stage timer: measures wall-clock only under the `stats`
-/// feature, otherwise compiles to nothing.
-#[cfg(feature = "stats")]
+/// Stage timer: adds the wall-clock time between `start` and `stop` to
+/// one of the `*_nanos` fields.
 pub(crate) struct StageTimer(std::time::Instant);
 
-#[cfg(feature = "stats")]
 impl StageTimer {
     pub(crate) fn start() -> Self {
         StageTimer(std::time::Instant::now())
@@ -134,18 +131,6 @@ impl StageTimer {
     pub(crate) fn stop(self, into: &mut u64) {
         *into += self.0.elapsed().as_nanos() as u64;
     }
-}
-
-#[cfg(not(feature = "stats"))]
-pub(crate) struct StageTimer;
-
-#[cfg(not(feature = "stats"))]
-impl StageTimer {
-    pub(crate) fn start() -> Self {
-        StageTimer
-    }
-
-    pub(crate) fn stop(self, _into: &mut u64) {}
 }
 
 #[cfg(test)]

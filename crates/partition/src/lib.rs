@@ -32,9 +32,8 @@
 //! for both hypergraphs and graphs (`fgh-graph` implements the trait for
 //! its CSR graph). The driver draws all per-level scratch from an
 //! [`arena::LevelArena`], so a K-way run performs O(levels) allocations
-//! instead of O(levels × vertices). Enable the `stats` cargo feature for
-//! per-stage wall-clock timing in [`level::EngineStats`] (counters are
-//! always collected).
+//! instead of O(levels × vertices). [`level::EngineStats`] collects
+//! counters and per-stage wall-clock timing on every run.
 //!
 //! ## Parallelism
 //!

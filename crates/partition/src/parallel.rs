@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use fgh_hypergraph::Hypergraph;
-use fgh_trace::{Span, SpanHandle};
+use fgh_trace::SpanHandle;
 
 use crate::arena::{ArenaIndex, ArenaPool};
 use crate::config::PartitionConfig;
@@ -38,8 +38,7 @@ pub fn partition_hypergraph_seeds<I: ArenaIndex>(
 
 /// [`partition_hypergraph_seeds`] recording under a trace scope: each
 /// seed gets a `run[offset]` child span of `parent` carrying the run's
-/// engine/arena counters, with the multilevel phase spans nested inside
-/// (requires the `trace` cargo feature to record anything).
+/// engine/arena counters, with the multilevel phase spans nested inside.
 pub fn partition_hypergraph_seeds_traced<I: ArenaIndex>(
     hg: &Hypergraph<I>,
     k: u32,
@@ -205,11 +204,7 @@ fn run_seeded<R>(
 ) -> Result<R, PartitionError> {
     let mut c = cfg.clone();
     c.seed = cfg.seed.wrapping_add(offset as u64);
-    let rspan = if cfg!(feature = "trace") {
-        span.child_indexed("run", offset as u64)
-    } else {
-        Span::noop()
-    };
+    let rspan = span.child_indexed("run", offset as u64);
     let scope = rspan.handle();
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut driver = MultilevelDriver::with_pool(c, Arc::clone(pool));

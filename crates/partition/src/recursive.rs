@@ -70,8 +70,7 @@ pub fn partition_hypergraph<I: ArenaIndex>(
 /// [`partition_hypergraph`] recording under a trace scope: the multilevel
 /// phase spans (`bisect` → `coarsen`/`initial`/`refine`) nest directly
 /// under `parent`, and the run's engine/arena counters are recorded onto
-/// `parent` itself (requires the `trace` cargo feature to record
-/// anything). Meant for composite models that stitch several single runs
+/// `parent` itself. Meant for composite models that stitch several single runs
 /// into one decomposition.
 pub fn partition_hypergraph_traced<I: ArenaIndex>(
     hg: &Hypergraph<I>,
@@ -196,8 +195,7 @@ pub fn partition_hypergraph_best<I: ArenaIndex>(
 /// scope — the session-reuse entry point: a server passes one pool for
 /// its whole lifetime so warm buffers survive across requests. Each seed
 /// gets a `run[offset]` child span of `parent` carrying the run's
-/// engine/arena counters, with the multilevel phase spans nested inside
-/// (requires the `trace` cargo feature to record anything).
+/// engine/arena counters, with the multilevel phase spans nested inside.
 pub fn partition_hypergraph_best_traced_in<I: ArenaIndex>(
     hg: &Hypergraph<I>,
     k: u32,

@@ -16,7 +16,7 @@
 
 use fgh_hypergraph::Hypergraph;
 use fgh_sparse::IndexType;
-use fgh_trace::{Span, SpanHandle};
+use fgh_trace::SpanHandle;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -340,8 +340,8 @@ impl<'a, S: Substrate> BisectionState<'a, S> {
     }
 
     /// One [`BisectionState::fm_pass_in`] wrapped in an `fm-pass[idx]`
-    /// span with per-pass counters. With the `trace` feature off, or a
-    /// noop handle, this is exactly an `fm_pass_in` call.
+    /// span with per-pass counters. Under a noop handle this is exactly an
+    /// `fm_pass_in` call.
     fn traced_pass(
         &mut self,
         rng: &mut impl Rng,
@@ -351,11 +351,7 @@ impl<'a, S: Substrate> BisectionState<'a, S> {
         span: &SpanHandle,
         idx: u64,
     ) -> bool {
-        let sp = if cfg!(feature = "trace") {
-            span.child_indexed("fm-pass", idx)
-        } else {
-            Span::noop()
-        };
+        let sp = span.child_indexed("fm-pass", idx);
         let (moves0, rollbacks0) = (stats.fm_moves, stats.fm_rollbacks);
         let improved = self.fm_pass_in(rng, early_exit, arena, stats);
         if sp.is_enabled() {

@@ -7,8 +7,9 @@
 //! the worker keeps serving. Because a mid-partition panic can strand
 //! arenas or leave shared warm state suspect, the panic also
 //! *quarantines* the shared [`EngineSession`] — the supervisor swaps in
-//! a fresh session (fresh [`fgh_core::ArenaPool`]), so no later job ever
-//! draws scratch that a dying job touched.
+//! a fresh [`fgh_core::ArenaPool`] under the same thread policy and
+//! budget ceiling, so no later job ever draws scratch that a dying job
+//! touched.
 //!
 //! [`BoundedQueue`]: crate::queue::BoundedQueue
 
@@ -54,7 +55,7 @@ pub struct Job {
 }
 
 /// The shared engine handle with quarantine: workers take a cheap clone
-/// per job; a panic swaps the stored session for a fresh one.
+/// per job; a panic swaps the stored session's pool for a fresh one.
 pub struct SharedSession {
     inner: OrderedMutex<EngineSession>,
 }
@@ -79,10 +80,12 @@ impl SharedSession {
         self.lock().clone()
     }
 
-    /// Discards the current session for a fresh one — nothing a
-    /// panicking job may have poisoned survives into later jobs.
+    /// Swaps the current session's arena pool for a fresh one — nothing a
+    /// panicking job may have poisoned survives into later jobs — while
+    /// keeping its thread policy and budget ceiling.
     pub fn quarantine(&self) {
-        *self.lock() = EngineSession::new();
+        let mut session = self.lock();
+        *session = session.clone().with_fresh_pool();
     }
 
     /// Warm arenas parked in the current session's pool.
@@ -131,9 +134,9 @@ fn build_matrix(source: &MatrixSource) -> Result<AnyCsrMatrix, String> {
                 catalog::by_name(name).ok_or_else(|| format!("unknown catalog matrix {name:?}"))?;
             Ok(AnyCsrMatrix::U32(entry.generate_scaled(*scale, *gen_seed)))
         }
-        MatrixSource::Inline(mm) => parse_matrix_market_bytes_any(mm.as_bytes())
-            .and_then(|coo| coo.try_into_csr())
-            .map_err(|e| format!("matrix_mm: {e}")),
+        MatrixSource::Inline(mm) => {
+            parse_matrix_market_bytes_any(mm.as_bytes()).map_err(|e| format!("matrix_mm: {e}"))
+        }
     }
 }
 
@@ -901,6 +904,25 @@ mod tests {
                 "workload",
             ]
         );
+    }
+
+    #[test]
+    fn quarantine_keeps_the_budget_ceiling_and_thread_policy() {
+        let shared = SharedSession::new(
+            EngineSession::new()
+                .with_budget_ceiling(Budget::bytes(1))
+                .with_parallelism(fgh_core::Parallelism::Serial),
+        );
+        let before = shared.current();
+        shared.quarantine();
+        let after = shared.current();
+        assert!(
+            !Arc::ptr_eq(before.pool(), after.pool()),
+            "the pool is replaced"
+        );
+        let cfg = JobParams::new(Model::FineGrain2D, 4).into_config(&after);
+        assert_eq!(cfg.budget.max_bytes, Some(1));
+        assert_eq!(cfg.parallelism, fgh_core::Parallelism::Serial);
     }
 
     #[test]

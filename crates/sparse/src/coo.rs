@@ -212,26 +212,6 @@ impl<I: IndexType> CooMatrix<I> {
         std::mem::swap(&mut self.nrows, &mut self.ncols);
     }
 
-    /// Re-expresses the matrix under another index width, with a typed
-    /// [`SparseError::TooLarge`] when narrowing does not fit. Widening
-    /// (`u32` → `u64`) always succeeds.
-    pub fn convert_width<J: IndexType>(&self) -> Result<CooMatrix<J>> {
-        let mut m: CooMatrix<J> = CooMatrix::with_capacity(
-            J::checked(self.nrows.as_u64(), "row count")?,
-            J::checked(self.ncols.as_u64(), "column count")?,
-            self.nnz(),
-        );
-        m.dedup_policy = self.dedup_policy;
-        for (r, c, v) in self.iter() {
-            m.push(
-                J::checked(r.as_u64(), "row index")?,
-                J::checked(c.as_u64(), "column index")?,
-                v,
-            )?;
-        }
-        Ok(m)
-    }
-
     /// Checks the structural invariants: the three triplet arrays are
     /// parallel and every coordinate is inside the declared dimensions.
     /// Every public mutating operation preserves these (proptested);
@@ -358,22 +338,5 @@ mod tests {
         let mut m: CooMatrix<u64> = CooMatrix::new(1 << 34, 1 << 34);
         m.push(big, 3, 1.5).unwrap();
         assert_eq!(m.iter().next(), Some((big, 3, 1.5)));
-    }
-
-    #[test]
-    fn convert_width_roundtrips_and_narrows_checked() {
-        let m: CooMatrix = CooMatrix::from_triplets(3, 3, vec![(0, 1, 2.0), (2, 2, 4.0)])
-            .unwrap()
-            .with_dedup_policy(DedupPolicy::LastWins);
-        let wide: CooMatrix<u64> = m.convert_width().unwrap();
-        assert_eq!(wide.dedup_policy(), DedupPolicy::LastWins);
-        let back: CooMatrix<u32> = wide.convert_width().unwrap();
-        assert_eq!(m, back);
-
-        let big: CooMatrix<u64> = CooMatrix::new(1 << 40, 2);
-        assert!(matches!(
-            big.convert_width::<u32>(),
-            Err(SparseError::TooLarge { .. })
-        ));
     }
 }

@@ -27,25 +27,36 @@ impl<I: IndexType> CsrMatrix<I> {
     /// dedup policy — including rejecting duplicates outright.
     pub fn from_coo(mut coo: CooMatrix<I>) -> Self {
         coo.compress();
-        Self::from_compressed(coo)
+        let row_ptr = vec![0usize; coo.nrows().index() + 1];
+        Self::from_compressed(coo, row_ptr)
     }
 
     /// Builds a CSR matrix from a COO matrix, resolving duplicates with
     /// the COO matrix's [`crate::coo::DedupPolicy`]. Fails with
     /// [`SparseError::DuplicateEntry`] under the `Error` policy when a
-    /// duplicate coordinate exists.
+    /// duplicate coordinate exists, and with [`SparseError::Io`] when the
+    /// allocator refuses the row pointer array — the row count may come
+    /// from an untrusted header, which must not abort the process.
     pub fn try_from_coo(mut coo: CooMatrix<I>) -> Result<Self> {
         coo.compress_policy()?;
-        Ok(Self::from_compressed(coo))
+        let len = coo.nrows().index() + 1;
+        let mut row_ptr = Vec::new();
+        row_ptr.try_reserve_exact(len).map_err(|e| {
+            SparseError::Io(format!(
+                "row pointers for {} rows: {e}",
+                coo.nrows().as_u64()
+            ))
+        })?;
+        row_ptr.resize(len, 0);
+        Ok(Self::from_compressed(coo, row_ptr))
     }
 
     /// CSR assembly from an already-compressed (row-major, duplicate-free)
-    /// COO matrix.
+    /// COO matrix into `row_ptr`, which arrives as nrows+1 zeros.
     // lint: checked-index — row_ptr has nrows+1 slots and every COO row id was bounds-checked at insert
-    fn from_compressed(coo: CooMatrix<I>) -> Self {
+    fn from_compressed(coo: CooMatrix<I>, mut row_ptr: Vec<usize>) -> Self {
         let (nrows, ncols, rows, cols, vals) = coo.into_parts();
         let nnz = rows.len();
-        let mut row_ptr = vec![0usize; nrows.index() + 1];
         for &r in &rows {
             row_ptr[r.index() + 1] += 1;
         }
@@ -579,5 +590,11 @@ mod tests {
         assert_eq!(wide.get(0, 2), Some(2.0));
         let back: CsrMatrix<u32> = wide.convert_width().unwrap();
         assert_eq!(m, back);
+
+        let big: CsrMatrix<u64> = CsrMatrix::from_coo(CooMatrix::new(2, 1 << 40));
+        assert!(matches!(
+            big.convert_width::<u32>(),
+            Err(SparseError::TooLarge { .. })
+        ));
     }
 }

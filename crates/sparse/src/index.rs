@@ -160,8 +160,8 @@ impl IndexType for u64 {
 }
 
 /// A runtime tag for the two supported index widths — the width-erased
-/// counterpart of [`IndexType`], carried by [`crate::AnyCooMatrix`] /
-/// [`crate::AnyCsrMatrix`] and reported in decomposition outcomes.
+/// counterpart of [`IndexType`], carried by [`crate::AnyCsrMatrix`] and
+/// reported in decomposition outcomes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexWidth {
     /// 32-bit indices (fast path).

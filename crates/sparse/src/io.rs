@@ -7,35 +7,37 @@
 //!
 //! ## Streaming architecture
 //!
-//! The parser is a line-fed state machine ([`MmParser`]) that builds the
-//! COO matrix directly from byte slices without ever materializing the
-//! text: drivers hand it one `&[u8]` line at a time with its 1-based line
-//! number. Three drivers share the machine:
+//! A private line-fed state machine builds the COO matrix directly from
+//! byte slices, never materializing the text. One driver feeds it from any
+//! [`BufRead`]: it slices lines out of the reader's own buffer and copies
+//! only a line that straddles two buffer fills, so memory stays
+//! O(longest line). Every entry point goes through that driver:
 //!
-//! * [`parse_matrix_market_bytes`] — zero-copy over an in-memory slice
-//!   (also the mmap path: on unix, [`read_matrix_market_typed`] maps the
-//!   file read-only and scans the mapping),
-//! * [`read_matrix_market_from_typed`] — chunked scanning over any
-//!   [`Read`] with a carry buffer for lines that straddle chunks,
-//! * [`read_matrix_market_any`] — peeks the header first
-//!   ([`read_mm_header`]), selects the index width with
-//!   [`IndexWidth::select`], then parses at that width into an
-//!   [`AnyCooMatrix`].
+//! * [`parse_matrix_market_bytes`] and [`read_matrix_market_from`] hand it
+//!   their input as is — an in-memory slice is one buffer fill, so
+//!   nothing is copied;
+//! * [`read_matrix_market`] opens the file behind a 64 KiB [`BufReader`];
+//! * [`read_matrix_market_any`] and [`parse_matrix_market_bytes_any`] stop
+//!   the driver at the size line, select the index width with
+//!   [`IndexWidth::select`], then parse again from the start at that width
+//!   and compress to an [`AnyCsrMatrix`].
 //!
-//! Error reporting is unchanged from the historical in-memory parser:
-//! every structural error carries the 1-based line number where it was
-//! detected. That parser survives as [`legacy`] — a deliberately naive
-//! oracle the test suite diffs the streaming parser against.
+//! Every structural error carries the 1-based line number where it was
+//! detected, as the historical in-memory parser reported it. That parser
+//! survives as [`legacy`] — a deliberately naive oracle the test suite
+//! diffs the streaming parser against.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::fs::File;
+use std::io::{BufRead, BufReader, BufWriter, Cursor, ErrorKind, Read, Seek, Write};
+use std::ops::ControlFlow;
 use std::path::Path;
 
 use crate::index::{IndexType, IndexWidth};
-use crate::{AnyCooMatrix, CooMatrix, CsrMatrix, Result, SparseError};
+use crate::{AnyCsrMatrix, CooMatrix, CsrMatrix, Result, SparseError};
 
 /// The value field declared in the Matrix Market header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MmField {
+enum MmField {
     /// Real floating-point values.
     Real,
     /// Integer values (read as `f64`).
@@ -46,43 +48,13 @@ pub enum MmField {
 
 /// The symmetry qualifier declared in the Matrix Market header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MmSymmetry {
+enum MmSymmetry {
     /// All entries stored explicitly.
     General,
     /// Lower triangle stored; `(i, j)` implies `(j, i)` with equal value.
     Symmetric,
     /// Lower triangle stored; `(i, j)` implies `(j, i)` with negated value.
     SkewSymmetric,
-}
-
-/// Everything a Matrix Market banner + size line declare, before any entry
-/// is read. Dimensions stay `u64` — this is what width selection consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MmHeader {
-    /// Declared row count.
-    pub nrows: u64,
-    /// Declared column count.
-    pub ncols: u64,
-    /// Declared entry count (stored entries, pre-expansion).
-    pub nnz: u64,
-    /// Value field.
-    pub field: MmField,
-    /// Symmetry qualifier.
-    pub symmetry: MmSymmetry,
-}
-
-impl MmHeader {
-    /// The narrowest index width able to hold this matrix's fine-grain
-    /// hypergraph (symmetry expansion can double the stored entry count,
-    /// which the pin estimate must survive).
-    pub fn select_width(&self) -> IndexWidth {
-        let nnz = if self.symmetry == MmSymmetry::General {
-            self.nnz
-        } else {
-            self.nnz.saturating_mul(2)
-        };
-        IndexWidth::select(self.nrows, self.ncols, nnz)
-    }
 }
 
 // Cap the speculative preallocation: a hostile header may declare a huge
@@ -99,11 +71,10 @@ enum MmState {
 }
 
 /// The streaming Matrix Market parser: a state machine fed one line at a
-/// time as raw bytes. Drivers call [`MmParser::feed_line`] for every input
-/// line (1-based numbering, no terminator) and [`MmParser::finish`] at
-/// EOF. The COO matrix is built incrementally — no intermediate text or
-/// token buffers outlive a single line.
-pub struct MmParser<I: IndexType = u32> {
+/// time as raw bytes by [`feed_lines`]. The COO matrix is built
+/// incrementally — no intermediate text or token buffers outlive a single
+/// line.
+struct MmParser<I: IndexType> {
     state: MmState,
     field: MmField,
     symmetry: MmSymmetry,
@@ -113,15 +84,9 @@ pub struct MmParser<I: IndexType = u32> {
     coo: CooMatrix<I>,
 }
 
-impl<I: IndexType> Default for MmParser<I> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<I: IndexType> MmParser<I> {
     /// A fresh parser expecting the banner line.
-    pub fn new() -> Self {
+    fn new() -> Self {
         MmParser {
             state: MmState::ExpectHeader,
             field: MmField::Real,
@@ -133,23 +98,27 @@ impl<I: IndexType> MmParser<I> {
         }
     }
 
-    /// The parsed header, once the size line has been consumed.
-    pub fn header(&self) -> Option<MmHeader> {
-        match self.state {
-            MmState::Entries => Some(MmHeader {
-                nrows: self.coo.nrows().as_u64(),
-                ncols: self.coo.ncols().as_u64(),
-                nnz: self.nnz as u64,
-                field: self.field,
-                symmetry: self.symmetry,
-            }),
-            _ => None,
+    /// Once the size line has been consumed, the narrowest index width
+    /// able to hold the declared matrix's fine-grain hypergraph (symmetry
+    /// expansion can double the stored entry count, which the pin estimate
+    /// must survive).
+    fn width(&self) -> Option<IndexWidth> {
+        if !matches!(self.state, MmState::Entries) {
+            return None;
         }
+        let nnz = self.nnz as u64;
+        let nnz = if self.symmetry == MmSymmetry::General {
+            nnz
+        } else {
+            nnz.saturating_mul(2)
+        };
+        let (nrows, ncols) = (self.coo.nrows().as_u64(), self.coo.ncols().as_u64());
+        Some(IndexWidth::select(nrows, ncols, nnz))
     }
 
     /// Feeds one input line (without its terminator). `no` is the 1-based
     /// line number used in error reports.
-    pub fn feed_line(&mut self, no: u64, line: &[u8]) -> Result<()> {
+    fn feed_line(&mut self, no: u64, line: &[u8]) -> Result<()> {
         let at = |msg: String| SparseError::ParseAt { line: no, msg };
         // Invalid UTF-8 surfaces like the BufRead::lines() failure the
         // historical parser produced, keeping error variants stable.
@@ -264,7 +233,7 @@ impl<I: IndexType> MmParser<I> {
 
     /// Consumes the parser at EOF, returning the COO matrix or the
     /// structural error an incomplete stream implies.
-    pub fn finish(self) -> Result<CooMatrix<I>> {
+    fn finish(self) -> Result<CooMatrix<I>> {
         match self.state {
             MmState::ExpectHeader => Err(SparseError::Parse("empty file".into())),
             MmState::ExpectSize { .. } => Err(SparseError::Parse("missing size line".into())),
@@ -281,24 +250,48 @@ impl<I: IndexType> MmParser<I> {
     }
 }
 
-/// Splits a byte buffer into lines at `\n`, stripping one trailing `\r`
-/// per line (CRLF input). The final fragment counts as a line even without
-/// a terminator.
-// lint: checked-index — p comes from position() over the same slice, so p < rest.len()
-fn for_each_line<F>(data: &[u8], mut f: F) -> Result<()>
-where
-    F: FnMut(u64, &[u8]) -> Result<()>,
-{
+/// The one line driver: hands `f` each line of `input` with its 1-based
+/// number, stripped of its `\n` and of one trailing `\r` (CRLF input),
+/// until EOF or until `f` breaks. Lines are sliced out of the reader's
+/// buffer; only a line that straddles two fills is copied. The final
+/// fragment counts as a line even without a terminator.
+fn feed_lines(
+    mut input: impl BufRead,
+    mut f: impl FnMut(u64, &[u8]) -> Result<ControlFlow<()>>,
+) -> Result<()> {
+    let mut carry: Vec<u8> = Vec::new();
     let mut no = 0u64;
-    let mut rest = data;
-    while !rest.is_empty() {
-        no += 1;
-        let (line, tail) = match rest.iter().position(|&b| b == b'\n') {
-            Some(p) => (&rest[..p], &rest[p + 1..]),
-            None => (rest, &rest[rest.len()..]),
+    loop {
+        let buf = match input.fill_buf() {
+            Ok([]) => break,
+            Ok(buf) => buf,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
         };
-        f(no, trim_cr(line))?;
-        rest = tail;
+        let filled = buf.len();
+        let mut lines = buf.split(|&b| b == b'\n');
+        // What follows the fill's last `\n` may continue in the next fill.
+        let tail = lines.next_back().unwrap_or_default();
+        for line in lines {
+            no += 1;
+            let flow = if carry.is_empty() {
+                f(no, trim_cr(line))?
+            } else {
+                carry.extend_from_slice(line);
+                let flow = f(no, trim_cr(&carry))?;
+                carry.clear();
+                flow
+            };
+            if flow.is_break() {
+                return Ok(());
+            }
+        }
+        carry.extend_from_slice(tail);
+        input.consume(filled);
+    }
+    if !carry.is_empty() {
+        // An unterminated last line: nothing follows for a break to skip.
+        let _ = f(no + 1, trim_cr(&carry))?;
     }
     Ok(())
 }
@@ -310,167 +303,94 @@ fn trim_cr(line: &[u8]) -> &[u8] {
     }
 }
 
-/// Parses a complete in-memory Matrix Market document at an explicit
-/// width. Zero-copy: also serves the mmap path.
-pub fn parse_matrix_market_bytes<I: IndexType>(data: &[u8]) -> Result<CooMatrix<I>> {
-    let mut p = MmParser::<I>::new();
-    for_each_line(data, |no, line| p.feed_line(no, line))?;
+/// Parses a whole document at an explicit width.
+fn parse<I: IndexType>(input: impl BufRead) -> Result<CooMatrix<I>> {
+    let mut p = MmParser::new();
+    feed_lines(input, |no, line| {
+        p.feed_line(no, line).map(ControlFlow::Continue)
+    })?;
     p.finish()
 }
 
-/// Parses an in-memory Matrix Market document, selecting the index width
-/// from its header.
-pub fn parse_matrix_market_bytes_any(data: &[u8]) -> Result<AnyCooMatrix> {
-    match scan_header_bytes(data)?.select_width() {
-        IndexWidth::U32 => Ok(AnyCooMatrix::U32(parse_matrix_market_bytes(data)?)),
-        IndexWidth::U64 => Ok(AnyCooMatrix::U64(parse_matrix_market_bytes(data)?)),
-    }
-}
-
-/// Scans only as far as the size line of an in-memory document.
-// lint: checked-index — pos comes from position() over the same slice, so pos < rest.len()
-fn scan_header_bytes(data: &[u8]) -> Result<MmHeader> {
-    // Widths at or above the banner+size capacity never fail narrowing, so
-    // u64 sees every header verbatim.
+/// Reads `input` only as far as the size line and returns the index width
+/// its header selects.
+fn scan_width(input: impl BufRead) -> Result<IndexWidth> {
+    // At u64 every declared dimension reaches width selection unnarrowed.
     let mut p = MmParser::<u64>::new();
-    let mut no = 0u64;
-    let mut rest = data;
-    while !rest.is_empty() {
-        no += 1;
-        let (line, tail) = match rest.iter().position(|&b| b == b'\n') {
-            Some(pos) => (&rest[..pos], &rest[pos + 1..]),
-            None => (rest, &rest[rest.len()..]),
-        };
-        p.feed_line(no, trim_cr(line))?;
-        if let Some(h) = p.header() {
-            return Ok(h);
-        }
-        rest = tail;
+    feed_lines(input, |no, line| {
+        p.feed_line(no, line)?;
+        Ok(match p.width() {
+            Some(_) => ControlFlow::Break(()),
+            None => ControlFlow::Continue(()),
+        })
+    })?;
+    if let Some(width) = p.width() {
+        return Ok(width);
     }
-    match p.finish() {
-        Err(e) => Err(e),
-        // Unreachable: a stream that reached the Entries state returned
-        // above, and finish() errors in every earlier state.
-        Ok(_) => Err(SparseError::Parse("missing size line".into())),
-    }
+    // EOF before the size line: finish() names what is missing.
+    p.finish()?;
+    Err(SparseError::Parse("missing size line".into()))
 }
 
-/// Drives an [`MmParser`] over any reader in fixed-size chunks, carrying
-/// partial lines across chunk boundaries. Memory use is O(longest line),
-/// independent of file size.
-// lint: checked-index — n <= buf.len() from read(); pos from position() over the same chunk
-fn drive_reader<I: IndexType>(mut reader: impl Read) -> Result<CooMatrix<I>> {
-    let mut p = MmParser::<I>::new();
-    let mut buf = vec![0u8; 64 * 1024];
-    let mut pending: Vec<u8> = Vec::new();
-    let mut no = 0u64;
-    loop {
-        let n = match reader.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        };
-        let mut chunk = &buf[..n];
-        while let Some(pos) = chunk.iter().position(|&b| b == b'\n') {
-            let (line, rest) = (&chunk[..pos], &chunk[pos + 1..]);
-            no += 1;
-            if pending.is_empty() {
-                p.feed_line(no, trim_cr(line))?;
-            } else {
-                pending.extend_from_slice(line);
-                p.feed_line(no, trim_cr(&pending))?;
-                pending.clear();
-            }
-            chunk = rest;
-        }
-        pending.extend_from_slice(chunk);
-    }
-    if !pending.is_empty() {
-        no += 1;
-        p.feed_line(no, trim_cr(&pending))?;
-    }
-    p.finish()
+/// Parses `input` at the width its header selects, compressing with the
+/// parsed matrix's dedup policy (see [`CsrMatrix::try_from_coo`]).
+fn parse_any(mut input: impl BufRead + Seek) -> Result<AnyCsrMatrix> {
+    let width = scan_width(&mut input)?;
+    input.rewind()?;
+    Ok(match width {
+        IndexWidth::U32 => AnyCsrMatrix::U32(CsrMatrix::try_from_coo(parse(input)?)?),
+        IndexWidth::U64 => AnyCsrMatrix::U64(CsrMatrix::try_from_coo(parse(input)?)?),
+    })
+}
+
+/// Opens a file behind the 64 KiB buffer the driver reads it through.
+fn open(path: impl AsRef<Path>) -> Result<BufReader<File>> {
+    Ok(BufReader::with_capacity(64 * 1024, File::open(path)?))
+}
+
+/// Parses a complete in-memory Matrix Market document at an explicit
+/// width, without copying it.
+pub fn parse_matrix_market_bytes<I: IndexType>(data: &[u8]) -> Result<CooMatrix<I>> {
+    parse(data)
+}
+
+/// Parses an in-memory Matrix Market document into CSR at the index width
+/// its header selects (see [`read_matrix_market_any`]).
+pub fn parse_matrix_market_bytes_any(data: &[u8]) -> Result<AnyCsrMatrix> {
+    parse_any(Cursor::new(data))
 }
 
 /// Reads a Matrix Market file from disk into COO format at the default
 /// `u32` width. See [`read_matrix_market_any`] for automatic width
-/// selection and [`read_matrix_market_typed`] for an explicit width.
+/// selection.
 pub fn read_matrix_market(path: impl AsRef<Path>) -> Result<CooMatrix> {
-    read_matrix_market_typed::<u32>(path)
+    parse(open(path)?)
 }
 
-/// Reads a Matrix Market file from disk at an explicit index width. On
-/// unix the file is memory-mapped and scanned zero-copy; elsewhere (and
-/// whenever mapping fails, e.g. an empty file or a pipe) it falls back to
-/// chunked streaming reads.
-pub fn read_matrix_market_typed<I: IndexType>(path: impl AsRef<Path>) -> Result<CooMatrix<I>> {
-    let file = std::fs::File::open(path)?;
-    #[cfg(all(unix, not(miri)))]
-    if let Some(map) = mmap::Mmap::map(&file) {
-        return parse_matrix_market_bytes(map.bytes());
-    }
-    drive_reader(file)
+/// Reads a Matrix Market file from disk into CSR, selecting the index
+/// width from its header: `u32` when the fine-grain hypergraph fits 32-bit
+/// ids, `u64` otherwise. The header is scanned first (the driver stops at
+/// the size line), then the file is parsed once at the selected width and
+/// compressed with the parsed matrix's dedup policy.
+pub fn read_matrix_market_any(path: impl AsRef<Path>) -> Result<AnyCsrMatrix> {
+    parse_any(open(path)?)
 }
 
-/// Reads a Matrix Market file from disk, selecting the index width from
-/// its header: `u32` when the fine-grain hypergraph fits 32-bit ids, `u64`
-/// otherwise. The header is peeked (a bounded scan to the size line), then
-/// the file is parsed once at the selected width.
-pub fn read_matrix_market_any(path: impl AsRef<Path>) -> Result<AnyCooMatrix> {
-    let path = path.as_ref();
-    let header = read_mm_header(path)?;
-    match header.select_width() {
-        IndexWidth::U32 => Ok(AnyCooMatrix::U32(read_matrix_market_typed(path)?)),
-        IndexWidth::U64 => Ok(AnyCooMatrix::U64(read_matrix_market_typed(path)?)),
-    }
-}
-
-/// Reads only the banner and size line of a Matrix Market file — enough
-/// for width selection and admission control without touching the entries.
-pub fn read_mm_header(path: impl AsRef<Path>) -> Result<MmHeader> {
-    let file = std::fs::File::open(path)?;
-    let mut p = MmParser::<u64>::new();
-    let mut reader = BufReader::new(file);
-    let mut line = String::new();
-    let mut no = 0u64;
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return match p.finish() {
-                Err(e) => Err(e),
-                Ok(_) => Err(SparseError::Parse("missing size line".into())),
-            };
-        }
-        no += 1;
-        let bytes = line.as_bytes();
-        let bytes = bytes.strip_suffix(b"\n").unwrap_or(bytes);
-        p.feed_line(no, trim_cr(bytes))?;
-        if let Some(h) = p.header() {
-            return Ok(h);
-        }
-    }
-}
-
-/// Reads Matrix Market data from any reader at the default `u32` width.
+/// Reads Matrix Market data from any buffered reader at the default `u32`
+/// width; lines are sliced out of the reader's own buffer.
 ///
 /// The parser is strict about structure (every error carries the 1-based
 /// line number where it was detected) but lenient about presentation:
 /// banner keywords are case-insensitive, and blank lines or trailing
 /// whitespace anywhere — including before EOF — are tolerated.
-pub fn read_matrix_market_from(reader: impl Read) -> Result<CooMatrix> {
-    drive_reader(reader)
-}
-
-/// [`read_matrix_market_from`] at an explicit index width.
-pub fn read_matrix_market_from_typed<I: IndexType>(reader: impl Read) -> Result<CooMatrix<I>> {
-    drive_reader(reader)
+pub fn read_matrix_market_from(reader: impl BufRead) -> Result<CooMatrix> {
+    parse(reader)
 }
 
 /// Writes a CSR matrix to a Matrix Market file (`general real` coordinate
 /// format).
 pub fn write_matrix_market<I: IndexType>(a: &CsrMatrix<I>, path: impl AsRef<Path>) -> Result<()> {
-    let file = std::fs::File::create(path)?;
+    let file = File::create(path)?;
     write_matrix_market_to(a, BufWriter::new(file))
 }
 
@@ -539,76 +459,6 @@ fn parse_num<T: std::str::FromStr>(token: Option<&str>, what: &str, line: u64) -
             line,
             msg: format!("bad {what}: {token:?}"),
         })
-}
-
-/// Minimal read-only mmap over raw libc — no external crate, unmapped on
-/// drop. Used only as a fast path; every failure falls back to streaming
-/// reads.
-#[cfg(all(unix, not(miri)))]
-mod mmap {
-    use std::os::unix::io::AsRawFd;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut core::ffi::c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut core::ffi::c_void;
-        fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
-    }
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    pub struct Mmap {
-        ptr: *mut core::ffi::c_void,
-        len: usize,
-    }
-
-    impl Mmap {
-        /// Maps a file read-only; `None` for empty/unstatable/unmappable
-        /// inputs (pipes, zero-length files), signalling "use the reader".
-        pub fn map(file: &std::fs::File) -> Option<Mmap> {
-            let len = file.metadata().ok()?.len();
-            if len == 0 || len > usize::MAX as u64 {
-                return None;
-            }
-            let len = len as usize;
-            // lint: unsafe — fresh private read-only mapping of a file we hold open; address chosen by the kernel, length is the file size
-            let ptr = unsafe {
-                mmap(
-                    core::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            // MAP_FAILED is (void*)-1.
-            if ptr.is_null() || ptr as usize == usize::MAX {
-                return None;
-            }
-            Some(Mmap { ptr, len })
-        }
-
-        pub fn bytes(&self) -> &[u8] {
-            // lint: unsafe — the mapping stays valid for `len` bytes until drop, and PROT_READ makes it plain immutable memory
-            unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
-        }
-    }
-
-    impl Drop for Mmap {
-        fn drop(&mut self) {
-            // lint: unsafe — ptr/len are exactly what mmap returned; unmapping once in Drop cannot double-free
-            unsafe {
-                munmap(self.ptr, self.len);
-            }
-        }
-    }
 }
 
 /// The historical in-memory parser, retained verbatim as a differential
@@ -830,7 +680,7 @@ mod tests {
         let data = "%%MatrixMarket matrix coordinate real general\n\
                     5000000000 3 1\n\
                     4999999999 2 1.0\n";
-        let coo = read_matrix_market_from_typed::<u64>(data.as_bytes()).unwrap();
+        let coo = parse_matrix_market_bytes::<u64>(data.as_bytes()).unwrap();
         assert_eq!(coo.nrows(), 5_000_000_000);
         assert_eq!(coo.nnz(), 1);
         assert_eq!(coo.iter().next(), Some((4_999_999_998, 1, 1.0)));
@@ -841,12 +691,14 @@ mod tests {
         let small = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n";
         let any = parse_matrix_market_bytes_any(small.as_bytes()).unwrap();
         assert_eq!(any.width(), IndexWidth::U32);
+        // CSR row pointers are dense in rows, so the oversized dimension
+        // is the column count.
         let big = "%%MatrixMarket matrix coordinate real general\n\
-                   5000000000 3 1\n\
+                   3 5000000000 1\n\
                    1 1 1.0\n";
         let any = parse_matrix_market_bytes_any(big.as_bytes()).unwrap();
         assert_eq!(any.width(), IndexWidth::U64);
-        assert_eq!(any.nrows(), 5_000_000_000);
+        assert_eq!(any.ncols(), 5_000_000_000);
     }
 
     #[test]
@@ -938,23 +790,9 @@ mod tests {
 
     #[test]
     fn chunk_boundary_straddling_lines() {
-        // Force a tiny chunked read path by feeding through a reader that
-        // returns one byte at a time — every line straddles a "chunk".
-        struct OneByte<'a>(&'a [u8]);
-        impl Read for OneByte<'_> {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                match self.0.split_first() {
-                    Some((&b, rest)) => {
-                        buf[0] = b;
-                        self.0 = rest;
-                        Ok(1)
-                    }
-                    None => Ok(0),
-                }
-            }
-        }
-        let data = "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 1.5\n3 2 -2.0\n";
-        let a = read_matrix_market_from(OneByte(data.as_bytes())).unwrap();
+        // A one-byte buffer: every line straddles buffer fills.
+        let data = "%%MatrixMarket matrix coordinate real general\r\n3 3 2\n1 1 1.5\n3 2 -2.0";
+        let a = read_matrix_market_from(BufReader::with_capacity(1, data.as_bytes())).unwrap();
         let b = read_matrix_market_from(data.as_bytes()).unwrap();
         assert_eq!(a, b);
     }
@@ -985,21 +823,16 @@ mod tests {
 
     #[test]
     fn header_peek() {
-        let data = "%%MatrixMarket matrix coordinate pattern symmetric\n% c\n10 10 7\n";
-        let h = scan_header_bytes(data.as_bytes()).unwrap();
-        assert_eq!(
-            h,
-            MmHeader {
-                nrows: 10,
-                ncols: 10,
-                nnz: 7,
-                field: MmField::Pattern,
-                symmetry: MmSymmetry::Symmetric,
-            }
-        );
+        // The scan stops at the size line: the entry after it is never read.
+        let data =
+            "%%MatrixMarket matrix coordinate pattern symmetric\n% c\n10 10 7\nnot an entry\n";
+        assert_eq!(scan_width(data.as_bytes()).unwrap(), IndexWidth::U32);
         // Symmetric storage doubles the effective nnz for width selection.
-        assert_eq!(h.select_width(), IndexWidth::U32);
-        assert!(scan_header_bytes(b"%%MatrixMarket matrix coordinate real general\n").is_err());
+        let data = "%%MatrixMarket matrix coordinate pattern symmetric\n50000 50000 1200000000\n";
+        assert_eq!(scan_width(data.as_bytes()).unwrap(), IndexWidth::U64);
+        let data = "%%MatrixMarket matrix coordinate pattern general\n50000 50000 1200000000\n";
+        assert_eq!(scan_width(data.as_bytes()).unwrap(), IndexWidth::U32);
+        assert!(scan_width(&b"%%MatrixMarket matrix coordinate real general\n"[..]).is_err());
     }
 
     #[test]
@@ -1022,14 +855,11 @@ mod tests {
         write_matrix_market(&a, &path).unwrap();
         let b = CsrMatrix::from_coo(read_matrix_market(&path).unwrap());
         assert_eq!(a, b);
-        // The mmap fast path and width peeking agree with the reader path.
-        let c = read_matrix_market_from(std::fs::File::open(&path).unwrap()).unwrap();
+        // The buffered reader, the header scan and the width-erased reader
+        // agree on the same file.
+        let c = read_matrix_market_from(BufReader::new(File::open(&path).unwrap())).unwrap();
         assert_eq!(b.to_coo(), c);
-        let h = read_mm_header(&path).unwrap();
-        assert_eq!((h.nrows, h.ncols, h.nnz), (5, 5, 5));
-        assert_eq!(
-            read_matrix_market_any(&path).unwrap().width(),
-            IndexWidth::U32
-        );
+        assert_eq!(scan_width(open(&path).unwrap()).unwrap(), IndexWidth::U32);
+        assert_eq!(read_matrix_market_any(&path).unwrap(), AnyCsrMatrix::U32(b));
     }
 }

@@ -8,7 +8,8 @@
 //! * [`CsrMatrix`] — compressed sparse row, the primary analysis/compute
 //!   format,
 //! * [`CscMatrix`] — compressed sparse column,
-//! * [`io`] — Matrix Market (`.mtx`) reading and writing,
+//! * [`io`] — Matrix Market (`.mtx`) reading, through one streaming line
+//!   driver over any buffered reader, and writing,
 //! * [`gen`] — synthetic sparse matrix generators (stencils, power grids,
 //!   LP constraint blocks, scale-free patterns, ...),
 //! * [`catalog`] — synthetic analogues of the 14 test matrices from Table 1
@@ -21,13 +22,14 @@
 //! hypergraphs compact) with a `u64` big path for instances whose
 //! fine-grain hypergraphs exceed what 32 bits address. Pointer arrays are
 //! `usize`, values are `f64`. [`IndexWidth::select`] picks the narrowest
-//! width from a parsed header, and [`AnyCooMatrix`] / [`AnyCsrMatrix`]
-//! carry a width-erased matrix across API boundaries.
+//! width from a parsed header, and [`AnyCsrMatrix`] carries a
+//! width-erased matrix across API boundaries.
 
 // Robustness contract: this crate parses untrusted input, so the library
 // (non-test) code must not panic. Sites that are provably infallible carry
 // a narrowly scoped `allow` with a justification.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod any;
 pub mod catalog;
@@ -42,7 +44,7 @@ pub mod reorder;
 pub mod spy;
 pub mod stats;
 
-pub use any::{AnyCooMatrix, AnyCsrMatrix};
+pub use any::AnyCsrMatrix;
 pub use coo::{CooMatrix, DedupPolicy};
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
