@@ -17,12 +17,14 @@
 //! Usage: `cargo bench --bench parallel_scaling [-- --quick]`
 //! (`--quick` shrinks the matrix and repetitions for CI smoke runs).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use fgh_core::models::FineGrainModel;
 use fgh_hypergraph::Hypergraph;
 use fgh_partition::{
-    partition_hypergraph_seeds, partition_hypergraph_seeds_traced, Parallelism, PartitionConfig,
+    partition_hypergraph_seeds, partition_hypergraph_with, run_seeds, ArenaPool, Parallelism,
+    PartitionConfig,
 };
 use fgh_trace::Tracer;
 
@@ -61,7 +63,10 @@ fn phase_breakdown(hg: &Hypergraph, threads: usize) -> Vec<(&'static str, u64)> 
     let cfg = config_for(threads);
     let (tracer, sink) = Tracer::collecting();
     let root = tracer.span("sweep");
-    let results = partition_hypergraph_seeds_traced(hg, K, &cfg, SEEDS, &root.handle());
+    let pool = Arc::new(ArenaPool::new());
+    let results = run_seeds(&cfg, SEEDS, &pool, &root.handle(), |driver| {
+        partition_hypergraph_with(driver, hg, K, None)
+    });
     drop(root);
     for r in results {
         r.expect("traced partition run failed");

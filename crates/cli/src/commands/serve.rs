@@ -52,7 +52,11 @@ fn serve_config(o: &Opts) -> Result<ServeConfig, String> {
     cfg.cache_bytes = o.parse_or("cache-bytes", 8usize << 20)?;
     cfg.drain = Duration::from_millis(o.parse_or("drain-ms", 10_000u64)?);
     cfg.budget_ceiling = o.budget()?;
-    cfg.parallelism = o.parallelism()?;
+    // Without --threads each job stays serial: the workers are the
+    // daemon's concurrency.
+    if o.has("threads") {
+        cfg.parallelism = o.parallelism()?;
+    }
     cfg.fault_injection = o.has("fault-injection");
     Ok(cfg)
 }
@@ -239,6 +243,7 @@ fn check_metrics(path: &str) -> CmdResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fgh_core::Parallelism;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -256,6 +261,14 @@ mod tests {
         .unwrap();
         // And the artifact validator accepts what self-test wrote.
         run(&args(&format!("--check-metrics {metrics_s}"))).unwrap();
+    }
+
+    #[test]
+    fn serve_config_runs_jobs_serially_unless_threads_is_given() {
+        let cfg = serve_config(&Opts::parse(&args("--workers 4")).unwrap()).unwrap();
+        assert_eq!(cfg.parallelism, Parallelism::Serial);
+        let cfg = serve_config(&Opts::parse(&args("--threads 2")).unwrap()).unwrap();
+        assert_eq!(cfg.parallelism, Parallelism::Threads(2));
     }
 
     #[test]

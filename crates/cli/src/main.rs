@@ -103,8 +103,9 @@ fn usage() -> &'static str {
      \x20       spgemm-fine-grain (spgemm workload only, its default)\n\
      \n\
      common flags:\n\
-     \x20 --threads N       partitioner thread count (default: all cores);\n\
-     \x20                   results are bit-identical for every N\n\
+     \x20 --threads N       partitioner thread count (default: all cores; serve\n\
+     \x20                   defaults to 1 per job, its --workers being the\n\
+     \x20                   concurrency); results are bit-identical for every N\n\
      \x20 --initial S       initial scheme: ghg (default) | random | binpacking |\n\
      \x20                   geometric | auto (geometric needs vertex coordinates,\n\
      \x20                   i.e. the fine-grain model; falls back to ghg)\n\

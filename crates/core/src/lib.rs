@@ -27,7 +27,11 @@
 //! supported workload ([`workload::decompose_workload`] over
 //! [`workload::Workload::Spmv`] and [`workload::Workload::Spgemm`]);
 //! [`api`] holds the shared vocabulary ([`Model`], [`DecomposeConfig`],
-//! [`DecompositionOutcome`]) and the SpMV pipeline behind it.
+//! [`DecompositionOutcome`]) and the SpMV pipeline behind it. To keep
+//! warm scratch arenas across requests, an embedder (such as `fgh serve`)
+//! creates one [`ArenaPool`] and passes it to every call of
+//! [`decompose_workload_in`] or [`decompose_workload_any_in`]; the pool
+//! is `Sync`, so many threads may share it.
 //! [`reduction`] generalizes the model to arbitrary input/output
 //! reduction problems with optional pre-assigned elements (the paper's
 //! §3 remark).
@@ -42,7 +46,6 @@ pub mod metrics;
 pub mod models;
 pub mod reduction;
 pub mod report;
-pub mod session;
 pub mod status;
 pub mod workload;
 
@@ -57,7 +60,6 @@ pub use report::{
     metrics_document, metrics_json, spgemm_metrics_document, spgemm_metrics_json,
     validate_metrics_value, METRICS_SCHEMA,
 };
-pub use session::{EngineSession, JobParams};
 pub use status::{DecompositionStatus, DegradedReason};
 pub use workload::{
     decompose_workload, decompose_workload_any, decompose_workload_any_in, decompose_workload_in,

@@ -218,8 +218,8 @@ pub fn decompose_workload<I: DecomposeIndex>(
 }
 
 /// [`decompose_workload`] drawing all partitioner scratch arenas from a
-/// caller-supplied [`ArenaPool`] — the session-reuse entry point behind
-/// [`crate::session::EngineSession`].
+/// caller-supplied [`ArenaPool`]. A caller that passes one pool to every
+/// request keeps warm buffers across whole decompositions.
 pub fn decompose_workload_in<I: DecomposeIndex>(
     workload: Workload<'_, I>,
     cfg: &DecomposeConfig,
@@ -903,5 +903,48 @@ mod tests {
             "imbalance {}%",
             out.stats.load_imbalance_percent()
         );
+    }
+
+    #[test]
+    fn session_runs_spgemm_workloads() {
+        let a = test_matrix();
+        let pool = Arc::new(ArenaPool::new());
+        let out = decompose_workload_in(Workload::Spgemm(&a, &a), &spgemm_cfg(4), &pool)
+            .unwrap()
+            .into_spgemm()
+            .unwrap();
+        out.decomposition.validate(&a, &a).unwrap();
+        assert_eq!(out.objective, out.stats.total_volume());
+        assert!(pool.idle() > 0, "spgemm jobs share the pool");
+    }
+
+    #[test]
+    fn pool_is_reused_across_requests() {
+        let a = test_matrix();
+        let pool = Arc::new(ArenaPool::new());
+        let cfg = DecomposeConfig::new(Model::FineGrain2D, 4);
+        decompose_workload_in(Workload::Spmv(&a), &cfg, &pool).unwrap();
+        let warmed = pool.idle();
+        assert!(warmed > 0, "first request must park arenas for reuse");
+        decompose_workload_in(Workload::Spmv(&a), &cfg, &pool).unwrap();
+        // Reuse, not growth: the second identical request checks the same
+        // arenas out and back in.
+        assert_eq!(pool.idle(), warmed);
+    }
+
+    #[test]
+    fn cancelled_token_degrades_with_cancelled_reason() {
+        let a = test_matrix();
+        let token = crate::CancelToken::new();
+        token.cancel(); // tripped before the run even starts
+        let cfg = DecomposeConfig::new(Model::FineGrain2D, 4).with_cancel(token);
+        let out = decompose_workload_in(Workload::Spmv(&a), &cfg, &Arc::new(ArenaPool::new()))
+            .unwrap()
+            .into_spmv()
+            .unwrap();
+        out.decomposition.validate(&a).unwrap();
+        assert_eq!(out.status.code(), Some("cancelled"));
+        assert!(out.engine.cancelled());
+        assert!(!out.engine.truncated(), "cancel is not a budget truncation");
     }
 }

@@ -1,14 +1,15 @@
-//! Concurrent engine reuse: many threads driving one [`EngineSession`]
-//! (one shared [`ArenaPool`]) must produce exactly the results serial
-//! runs produce, with no arena cross-talk. This is the contract
-//! `fgh serve`'s worker pool is built on; CI runs it additionally under
-//! the `paranoid` feature, which turns on the engine's internal
-//! invariant sweeps.
+//! Concurrent engine reuse: many threads passing one shared
+//! [`ArenaPool`] to `decompose_workload{,_any}_in` must produce exactly
+//! the results serial runs produce, with no arena cross-talk. This is the
+//! contract `fgh serve`'s worker pool is built on; CI runs it
+//! additionally under the `paranoid` feature, which turns on the engine's
+//! internal invariant sweeps.
 
 use std::sync::Arc;
 
 use fgh_core::{
-    DecomposeConfig, EngineSession, JobParams, Model, Workload, WorkloadAny, WorkloadOutcome,
+    decompose_workload_any_in, decompose_workload_in, ArenaPool, DecomposeConfig, Model, Workload,
+    WorkloadAny, WorkloadOutcome,
 };
 use fgh_sparse::gen::{self, ValueMode};
 use fgh_sparse::{AnyCsrMatrix, CsrMatrix};
@@ -27,7 +28,7 @@ fn matrix(seed: u64) -> CsrMatrix {
 
 #[test]
 fn threads_sharing_one_session_match_serial_results() {
-    let session = Arc::new(EngineSession::new());
+    let pool = Arc::new(ArenaPool::new());
     let jobs: Vec<(u64, Model, u32)> = (0..12)
         .map(|i| {
             let model = [
@@ -54,20 +55,20 @@ fn threads_sharing_one_session_match_serial_results() {
         })
         .collect();
 
-    // The same jobs, concurrently, all through ONE shared session/pool.
+    // The same jobs, concurrently, all drawing from ONE shared pool.
     let handles: Vec<_> = jobs
         .iter()
         .map(|&(seed, model, k)| {
-            let session = Arc::clone(&session);
+            let pool = Arc::clone(&pool);
             std::thread::spawn(move || {
                 let a = AnyCsrMatrix::U32(matrix(seed));
-                let out = session
-                    .decompose_workload_any(
-                        WorkloadAny::Spmv(&a),
-                        JobParams::new(model, k).with_seed(seed),
-                    )
-                    .and_then(WorkloadOutcome::into_spmv)
-                    .unwrap();
+                let out = decompose_workload_any_in(
+                    WorkloadAny::Spmv(&a),
+                    &DecomposeConfig::new(model, k).with_seed(seed),
+                    &pool,
+                )
+                .and_then(WorkloadOutcome::into_spmv)
+                .unwrap();
                 (seed, out)
             })
         })
@@ -102,20 +103,20 @@ fn pool_stabilizes_under_repeated_concurrent_waves() {
     // at least one per job per wave and pass that bound on the third.
     let bound = WAVE_JOBS * ARENAS_PER_K4_JOB;
     let waves = bound / WAVE_JOBS + 1;
-    let session = Arc::new(EngineSession::new());
+    let pool = Arc::new(ArenaPool::new());
     let run_wave = || {
         let handles: Vec<_> = (0..WAVE_JOBS)
             .map(|t| {
-                let session = Arc::clone(&session);
+                let pool = Arc::clone(&pool);
                 std::thread::spawn(move || {
                     let a = matrix(7);
-                    session
-                        .decompose_workload(
-                            Workload::Spmv(&a),
-                            JobParams::new(Model::FineGrain2D, 4).with_seed(t as u64),
-                        )
-                        .and_then(WorkloadOutcome::into_spmv)
-                        .unwrap()
+                    decompose_workload_in(
+                        Workload::Spmv(&a),
+                        &DecomposeConfig::new(Model::FineGrain2D, 4).with_seed(t as u64),
+                        &pool,
+                    )
+                    .and_then(WorkloadOutcome::into_spmv)
+                    .unwrap()
                 })
             })
             .collect();
@@ -126,7 +127,7 @@ fn pool_stabilizes_under_repeated_concurrent_waves() {
     };
     for wave in 1..=waves {
         run_wave();
-        let idle = session.idle_arenas();
+        let idle = pool.idle();
         assert!(idle > 0, "arenas must be parked for reuse");
         assert!(
             idle <= bound,

@@ -354,7 +354,7 @@ pub fn partition_graph_best<I: ArenaIndex>(
 
 /// [`partition_graph_best`] drawing every seed's scratch arena from a
 /// caller-supplied [`ArenaPool`] and recording under a trace scope — the
-/// session-reuse entry point matching
+/// pool-reuse entry point matching
 /// `fgh_partition::partition_hypergraph_best_traced_in`, on the same
 /// seed fan-out and best-of rule ([`fgh_partition::run_seeds`],
 /// [`fgh_partition::best_of_seeds`]).

@@ -29,13 +29,11 @@ pub mod hypergraph;
 pub mod io;
 pub mod metrics;
 pub mod partition;
-pub mod stats;
 
 pub use builder::HypergraphBuilder;
 pub use hypergraph::Hypergraph;
 pub use metrics::{connectivities, connectivity_sets, cutsize_connectivity, cutsize_cutnet};
 pub use partition::Partition;
-pub use stats::HypergraphStats;
 
 /// Errors from hypergraph construction and partition validation.
 ///

@@ -34,7 +34,7 @@ pub mod lock_order {
     pub const JOB_QUEUE: u16 = 1;
     /// `fgh-serve`'s LRU plan cache.
     pub const PLAN_CACHE: u16 = 2;
-    /// `fgh-serve`'s per-worker `SharedSession` state.
+    /// `fgh-serve`'s `SharedSession`: the arena pool its workers share.
     pub const SESSION_STATE: u16 = 3;
     /// `fgh-serve`'s in-flight cancellation-token table.
     pub const IN_FLIGHT_TABLE: u16 = 4;

@@ -77,14 +77,10 @@ pub use connectivity::NetConnectivity;
 pub use engine::{MultilevelDriver, RecursiveOutcome, Substrate};
 pub use error::PartitionError;
 pub use level::{EngineStats, Level};
-pub use parallel::{
-    best_of_seeds, partition_hypergraph_seeds, partition_hypergraph_seeds_traced,
-    partition_hypergraph_seeds_traced_in, run_seeds,
-};
+pub use parallel::{best_of_seeds, partition_hypergraph_seeds, run_seeds};
 pub use recursive::{
     partition_hypergraph, partition_hypergraph_best, partition_hypergraph_best_traced_in,
-    partition_hypergraph_fixed, partition_hypergraph_traced, partition_hypergraph_with,
-    PartitionResult,
+    partition_hypergraph_traced, partition_hypergraph_with, PartitionResult,
 };
 
 #[cfg(test)]

@@ -33,36 +33,8 @@ pub fn partition_hypergraph_seeds<I: ArenaIndex>(
     cfg: &PartitionConfig,
     runs: usize,
 ) -> Vec<Result<PartitionResult, PartitionError>> {
-    partition_hypergraph_seeds_traced(hg, k, cfg, runs, &SpanHandle::noop())
-}
-
-/// [`partition_hypergraph_seeds`] recording under a trace scope: each
-/// seed gets a `run[offset]` child span of `parent` carrying the run's
-/// engine/arena counters, with the multilevel phase spans nested inside.
-pub fn partition_hypergraph_seeds_traced<I: ArenaIndex>(
-    hg: &Hypergraph<I>,
-    k: u32,
-    cfg: &PartitionConfig,
-    runs: usize,
-    parent: &SpanHandle,
-) -> Vec<Result<PartitionResult, PartitionError>> {
-    partition_hypergraph_seeds_traced_in(hg, k, cfg, runs, &Arc::new(ArenaPool::new()), parent)
-}
-
-/// [`partition_hypergraph_seeds_traced`] drawing every seed's scratch
-/// arena from a caller-supplied [`ArenaPool`] instead of a run-local one.
-/// A long-lived session passes the same pool to every request so warm
-/// buffers survive across whole decompositions, not just across the seeds
-/// of one fan-out.
-pub fn partition_hypergraph_seeds_traced_in<I: ArenaIndex>(
-    hg: &Hypergraph<I>,
-    k: u32,
-    cfg: &PartitionConfig,
-    runs: usize,
-    pool: &Arc<ArenaPool>,
-    parent: &SpanHandle,
-) -> Vec<Result<PartitionResult, PartitionError>> {
-    run_seeds(cfg, runs, pool, parent, |driver| {
+    let pool = Arc::new(ArenaPool::new());
+    run_seeds(cfg, runs, &pool, &SpanHandle::noop(), |driver| {
         partition_hypergraph_with(driver, hg, k, None)
     })
 }

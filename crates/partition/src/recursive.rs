@@ -64,7 +64,7 @@ pub fn partition_hypergraph<I: ArenaIndex>(
     k: u32,
     cfg: &PartitionConfig,
 ) -> Result<PartitionResult, PartitionError> {
-    partition_hypergraph_fixed(hg, k, None, cfg)
+    partition_hypergraph_with(&mut MultilevelDriver::new(cfg.clone()), hg, k, None)
 }
 
 /// [`partition_hypergraph`] recording under a trace scope: the multilevel
@@ -87,21 +87,11 @@ pub fn partition_hypergraph_traced<I: ArenaIndex>(
     r
 }
 
-/// Like [`partition_hypergraph`], with optional pre-assigned vertices:
-/// `fixed[v] = part` pins vertex `v`, `fixed[v] = u32::MAX` leaves it free.
-pub fn partition_hypergraph_fixed<I: ArenaIndex>(
-    hg: &Hypergraph<I>,
-    k: u32,
-    fixed: Option<&[u32]>,
-    cfg: &PartitionConfig,
-) -> Result<PartitionResult, PartitionError> {
-    let mut driver = MultilevelDriver::new(cfg.clone());
-    partition_hypergraph_with(&mut driver, hg, k, fixed)
-}
-
-/// Like [`partition_hypergraph_fixed`], but running on a caller-supplied
-/// [`MultilevelDriver`] — the driver's arena and instrumentation persist
-/// across calls, so repeated partitioning reuses all scratch buffers.
+/// [`partition_hypergraph`] on a caller-supplied [`MultilevelDriver`]
+/// (whose config it runs under), with optional pre-assigned vertices:
+/// `fixed[v] = part` pins vertex `v`, `fixed[v] = u32::MAX` leaves it
+/// free. The driver's arena and instrumentation persist across calls, so
+/// repeated partitioning reuses all scratch buffers.
 pub fn partition_hypergraph_with<I: ArenaIndex>(
     driver: &mut MultilevelDriver,
     hg: &Hypergraph<I>,
@@ -192,7 +182,7 @@ pub fn partition_hypergraph_best<I: ArenaIndex>(
 
 /// [`partition_hypergraph_best`] drawing every seed's scratch arena from
 /// a caller-supplied [`crate::ArenaPool`] and recording under a trace
-/// scope — the session-reuse entry point: a server passes one pool for
+/// scope — the pool-reuse entry point: a server passes one pool for
 /// its whole lifetime so warm buffers survive across requests. Each seed
 /// gets a `run[offset]` child span of `parent` carrying the run's
 /// engine/arena counters, with the multilevel phase spans nested inside.
@@ -204,8 +194,9 @@ pub fn partition_hypergraph_best_traced_in<I: ArenaIndex>(
     pool: &std::sync::Arc<crate::arena::ArenaPool>,
     parent: &SpanHandle,
 ) -> Result<PartitionResult, PartitionError> {
-    let results =
-        crate::parallel::partition_hypergraph_seeds_traced_in(hg, k, cfg, runs, pool, parent);
+    let results = crate::parallel::run_seeds(cfg, runs, pool, parent, |driver| {
+        partition_hypergraph_with(driver, hg, k, None)
+    });
     crate::parallel::best_of_seeds(results, cfg.epsilon, |r| (r.imbalance_percent, r.cutsize))
 }
 
@@ -289,8 +280,8 @@ mod tests {
         fixed[0] = 3;
         fixed[10] = 0;
         fixed[20] = 2;
-        let r = partition_hypergraph_fixed(&hg, 4, Some(&fixed), &PartitionConfig::with_seed(2))
-            .unwrap();
+        let mut driver = MultilevelDriver::new(PartitionConfig::with_seed(2));
+        let r = partition_hypergraph_with(&mut driver, &hg, 4, Some(&fixed)).unwrap();
         assert_eq!(r.partition.part(0), 3);
         assert_eq!(r.partition.part(10), 0);
         assert_eq!(r.partition.part(20), 2);
@@ -299,14 +290,11 @@ mod tests {
     #[test]
     fn fixed_validation() {
         let hg = two_clusters(4);
+        let mut driver = MultilevelDriver::new(PartitionConfig::default());
         let bad = vec![9u32; 8];
-        assert!(
-            partition_hypergraph_fixed(&hg, 4, Some(&bad), &PartitionConfig::default()).is_err()
-        );
+        assert!(partition_hypergraph_with(&mut driver, &hg, 4, Some(&bad)).is_err());
         let short = vec![u32::MAX; 3];
-        assert!(
-            partition_hypergraph_fixed(&hg, 4, Some(&short), &PartitionConfig::default()).is_err()
-        );
+        assert!(partition_hypergraph_with(&mut driver, &hg, 4, Some(&short)).is_err());
     }
 
     #[test]

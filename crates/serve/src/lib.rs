@@ -23,8 +23,11 @@
 //!   the same way.
 //! * **Supervision** ([`worker`]): every job runs under `catch_unwind`;
 //!   a panic produces a typed `worker-panic` response, quarantines the
-//!   shared engine session (fresh arena pool), and the worker keeps
+//!   shared arena pool (swaps in a fresh one), and the worker keeps
 //!   serving. A worker thread lost outright is respawned.
+//! * **Per-job policy** ([`server::ServeConfig`]): every job runs under
+//!   the daemon's budget ceiling and per-job thread policy (serial by
+//!   default, since the worker count is the daemon's concurrency).
 //! * **Graceful shutdown** ([`server`]): SIGTERM (or
 //!   [`server::ServerHandle::shutdown`]) stops admission, drains queued
 //!   and in-flight jobs under a deadline, and flushes a final

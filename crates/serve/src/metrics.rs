@@ -43,7 +43,9 @@ pub struct ServeCounters {
     pub accepted_connections: AtomicU64,
     /// Jobs admitted past the queue.
     pub admitted: AtomicU64,
-    /// Jobs that produced a success response (full or degraded).
+    /// Jobs a worker answered, whatever the response: success (full or
+    /// degraded), a typed error, or `worker-panic`. The drain waits for
+    /// `admitted <= completed`, so every admitted job must count here.
     pub completed: AtomicU64,
     /// Jobs whose cancel token tripped (client disconnect or drain
     /// deadline) and that came back with the `cancelled` degraded code.

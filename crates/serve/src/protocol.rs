@@ -667,6 +667,24 @@ mod tests {
     }
 
     #[test]
+    fn readme_serving_example_is_a_valid_request() {
+        let readme = include_str!("../../../README.md");
+        let serving = &readme[readme
+            .find("\n## Serving")
+            .expect("README has a Serving section")..];
+        let block = serving
+            .split("```json\n")
+            .nth(1)
+            .and_then(|rest| rest.split("```").next())
+            .expect("the Serving section has a json block");
+        let v = parse(block).unwrap_or_else(|e| panic!("README request is not json: {e}"));
+        match parse_request(&v) {
+            Ok(Request::Decompose(_)) => {}
+            other => panic!("README request rejected: {other:?}"),
+        }
+    }
+
+    #[test]
     fn error_response_shape() {
         let e = error_response(codes::OVERLOADED, "queue full", Some(120));
         assert_eq!(e.get("ok"), Some(&Value::Bool(false)));

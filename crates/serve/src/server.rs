@@ -15,7 +15,7 @@
 //!   checkpoint instead of burning the queue's time on an answer nobody
 //!   will read.
 //! * **worker threads**: [`crate::worker::worker_loop`] — `catch_unwind`
-//!   per job, shared-session quarantine on panic.
+//!   per job, arena-pool quarantine on panic.
 //! * **supervisor thread**: respawns any worker whose thread died
 //!   outright (a panic that escaped containment), so the pool never
 //!   shrinks.
@@ -37,7 +37,7 @@ use fgh_invariant::{lock_order, OrderedMutex, OrderedMutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fgh_core::{Budget, CancelToken, EngineSession, Parallelism};
+use fgh_core::{ArenaPool, Budget, CancelToken, Parallelism};
 use fgh_trace::json::Value;
 
 use crate::cache::PlanCache;
@@ -96,6 +96,9 @@ impl ServeConfig {
 struct Shared {
     queue: Arc<BoundedQueue<Job>>,
     session: Arc<SharedSession>,
+    /// [`ServeConfig::budget_ceiling`] and [`ServeConfig::parallelism`],
+    /// handed to every worker.
+    policy: (Budget, Parallelism),
     cache: Arc<PlanCache>,
     counters: Arc<ServeCounters>,
     draining: AtomicBool,
@@ -203,12 +206,10 @@ impl Server {
             crate::signal::install_shutdown_handlers();
         }
 
-        let session = EngineSession::new()
-            .with_parallelism(config.parallelism)
-            .with_budget_ceiling(config.budget_ceiling);
         let shared = Arc::new(Shared {
             queue: Arc::new(BoundedQueue::new(config.queue_capacity)),
-            session: Arc::new(SharedSession::new(session)),
+            session: Arc::new(SharedSession::new(Arc::new(ArenaPool::new()))),
+            policy: (config.budget_ceiling, config.parallelism),
             cache: Arc::new(PlanCache::new(config.cache_bytes)),
             counters: Arc::new(ServeCounters::default()),
             draining: AtomicBool::new(false),
@@ -287,10 +288,13 @@ impl Server {
 fn spawn_worker(shared: &Arc<Shared>) -> JoinHandle<()> {
     let queue = Arc::clone(&shared.queue);
     let session = Arc::clone(&shared.session);
+    let policy = shared.policy;
     let cache = Arc::clone(&shared.cache);
     let counters = Arc::clone(&shared.counters);
     let fault_injection = shared.fault_injection;
-    std::thread::spawn(move || worker_loop(queue, session, cache, counters, fault_injection))
+    std::thread::spawn(move || {
+        worker_loop(queue, session, policy, cache, counters, fault_injection)
+    })
 }
 
 fn accept_loop(

@@ -6,10 +6,11 @@
 //! injected fault in tests) produces a typed `worker-panic` response and
 //! the worker keeps serving. Because a mid-partition panic can strand
 //! arenas or leave shared warm state suspect, the panic also
-//! *quarantines* the shared [`EngineSession`] — the supervisor swaps in
-//! a fresh [`fgh_core::ArenaPool`] under the same thread policy and
-//! budget ceiling, so no later job ever draws scratch that a dying job
-//! touched.
+//! *quarantines* the shared [`ArenaPool`]: [`SharedSession`] swaps in a
+//! fresh, empty pool, so no later job ever draws scratch that a dying job
+//! touched. The daemon's budget ceiling and per-job thread policy are
+//! not part of that swappable state; every job receives them by value
+//! from [`worker_loop`], so a quarantine cannot drop them.
 //!
 //! [`BoundedQueue`]: crate::queue::BoundedQueue
 
@@ -21,8 +22,8 @@ use std::time::{Duration, Instant};
 
 use fgh_core::report::{metrics_document, spgemm_metrics_document};
 use fgh_core::{
-    decompose_workload_any_in, Budget, CancelToken, CommSummary, DecomposeConfig, DecomposeIndex,
-    DecompositionOutcome, EngineSession, FghError, JobParams, Model, Outcome, SpgemmOutcome,
+    decompose_workload_any_in, ArenaPool, Budget, CancelToken, CommSummary, DecomposeConfig,
+    DecomposeIndex, DecompositionOutcome, FghError, Model, Outcome, Parallelism, SpgemmOutcome,
     WorkloadAny, WorkloadKind, WorkloadOutcome,
 };
 use fgh_invariant::{lock_order, OrderedMutex, OrderedMutexGuard};
@@ -54,43 +55,41 @@ pub struct Job {
     pub respond: SyncSender<Value>,
 }
 
-/// The shared engine handle with quarantine: workers take a cheap clone
-/// per job; a panic swaps the stored session's pool for a fresh one.
+/// The arena pool every job draws scratch from, with quarantine: workers
+/// take the current pool per job; a panic swaps in a fresh one.
 pub struct SharedSession {
-    inner: OrderedMutex<EngineSession>,
+    inner: OrderedMutex<Arc<ArenaPool>>,
 }
 
 impl SharedSession {
-    /// Wraps a session for shared use.
-    pub fn new(session: EngineSession) -> Self {
+    /// Wraps a pool for shared use.
+    pub fn new(pool: Arc<ArenaPool>) -> Self {
         SharedSession {
-            inner: OrderedMutex::new("SessionState", lock_order::SESSION_STATE, session),
+            inner: OrderedMutex::new("SessionState", lock_order::SESSION_STATE, pool),
         }
     }
 
-    fn lock(&self) -> OrderedMutexGuard<'_, EngineSession> {
+    fn lock(&self) -> OrderedMutexGuard<'_, Arc<ArenaPool>> {
         match self.inner.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
     }
 
-    /// A clone of the current session (shares its arena pool).
-    pub fn current(&self) -> EngineSession {
-        self.lock().clone()
+    /// The current pool.
+    pub fn current(&self) -> Arc<ArenaPool> {
+        Arc::clone(&self.lock())
     }
 
-    /// Swaps the current session's arena pool for a fresh one — nothing a
-    /// panicking job may have poisoned survives into later jobs — while
-    /// keeping its thread policy and budget ceiling.
+    /// Swaps in a fresh, empty pool: nothing a panicking job may have
+    /// poisoned survives into later jobs.
     pub fn quarantine(&self) {
-        let mut session = self.lock();
-        *session = session.clone().with_fresh_pool();
+        *self.lock() = Arc::new(ArenaPool::new());
     }
 
-    /// Warm arenas parked in the current session's pool.
+    /// Warm arenas parked in the current pool.
     pub fn idle_arenas(&self) -> usize {
-        self.lock().idle_arenas()
+        self.lock().idle()
     }
 }
 
@@ -217,11 +216,13 @@ fn apply_injection(fault_injection: bool, req: &DecomposeRequest, cancel: &Cance
     }
 }
 
-/// The config a request runs under: its model, K, ε, seed, runs,
-/// budget, and cancel token, composed with the session's policy. A
-/// model name that does not parse is a `bad-request` response.
+/// The config a request runs under: its model, K, ε, seed, runs and
+/// cancel token, its budget clamped under the daemon's budget ceiling,
+/// and the daemon's per-job thread policy (`policy`, from
+/// [`ServeConfig`](crate::server::ServeConfig)). A model name that does
+/// not parse is a `bad-request` response.
 fn job_config(
-    session: &EngineSession,
+    (ceiling, parallelism): (Budget, Parallelism),
     req: &DecomposeRequest,
     cancel: &CancelToken,
 ) -> Result<DecomposeConfig, Value> {
@@ -236,20 +237,22 @@ fn job_config(
     if let Some(bytes) = req.budget_bytes {
         budget.max_bytes = Some(bytes.min(usize::MAX as u64) as usize); // min-clamp makes the u64 -> usize conversion lossless
     }
-    Ok(JobParams::new(model, req.k)
+    Ok(DecomposeConfig::new(model, req.k)
         .with_epsilon(req.epsilon)
         .with_seed(req.seed)
         .with_runs(req.runs)
-        .with_budget(budget)
-        .with_cancel(cancel.clone())
-        .into_config(session))
+        .with_budget(ceiling.intersect(&budget))
+        .with_parallelism(parallelism)
+        .with_cancel(cancel.clone()))
 }
 
-/// Runs one job to a response [`Value`]. Never panics on well-behaved
-/// engine code; deliberate fault injection panics are the caller's
-/// `catch_unwind` business.
+/// Runs one job to a response [`Value`], drawing scratch from `pool`
+/// under the daemon's `policy` (budget ceiling, per-job thread policy).
+/// Never panics on well-behaved engine code; deliberate fault injection
+/// panics are the caller's `catch_unwind` business.
 pub fn execute_job(
-    session: &EngineSession,
+    pool: &Arc<ArenaPool>,
+    policy: (Budget, Parallelism),
     cache: &PlanCache,
     counters: &ServeCounters,
     fault_injection: bool,
@@ -263,14 +266,14 @@ pub fn execute_job(
     // SpMV decomposition) does not fit a task-hypergraph outcome, and
     // the traffic counters are cheap relative to the partitioning.
     if let WorkloadKind::Spgemm = req.workload {
-        return execute_workload(session, counters, req, cancel, false);
+        return execute_workload(pool, policy, counters, req, cancel, false);
     }
 
     let a = match build_matrix(&req.source) {
         Ok(a) => a,
         Err(e) => return error_response(codes::BAD_REQUEST, &e, None),
     };
-    let cfg = match job_config(session, req, cancel) {
+    let cfg = match job_config(policy, req, cancel) {
         Ok(cfg) => cfg,
         Err(response) => return response,
     };
@@ -293,7 +296,7 @@ pub fn execute_job(
         cache.quarantine(key);
     }
 
-    match decompose_workload_any_in(WorkloadAny::Spmv(&a), &cfg, session.pool())
+    match decompose_workload_any_in(WorkloadAny::Spmv(&a), &cfg, pool)
         .and_then(WorkloadOutcome::into_spmv)
     {
         Ok(out) => {
@@ -387,7 +390,8 @@ fn spgemm_replay<I: DecomposeIndex>(
 /// under `"metrics"` — the batch-response contract. SpGEMM responses
 /// always carry the simulator's `"traffic"` counters and `"flops"`.
 pub fn execute_workload(
-    session: &EngineSession,
+    pool: &Arc<ArenaPool>,
+    policy: (Budget, Parallelism),
     counters: &ServeCounters,
     req: &DecomposeRequest,
     cancel: &CancelToken,
@@ -398,7 +402,7 @@ pub fn execute_workload(
         Ok(a) => a,
         Err(e) => return error_response(codes::BAD_REQUEST, &e, None),
     };
-    let cfg = match job_config(session, req, cancel) {
+    let cfg = match job_config(policy, req, cancel) {
         Ok(cfg) => cfg,
         Err(response) => return response,
     };
@@ -423,13 +427,12 @@ pub fn execute_workload(
                 },
                 None => &a, // default: the A·A product
             };
-            let out =
-                match decompose_workload_any_in(WorkloadAny::Spgemm(&a, b), &cfg, session.pool())
-                    .and_then(WorkloadOutcome::into_spgemm)
-                {
-                    Ok(o) => o,
-                    Err(e) => return fgh_error_response(&e),
-                };
+            let out = match decompose_workload_any_in(WorkloadAny::Spgemm(&a, b), &cfg, pool)
+                .and_then(WorkloadOutcome::into_spgemm)
+            {
+                Ok(o) => o,
+                Err(e) => return fgh_error_response(&e),
+            };
             outcome_fields(&mut doc, counters, &out);
             doc.insert("flops".into(), num(out.flops()));
             let (traffic, metrics) = match out.width {
@@ -442,7 +445,7 @@ pub fn execute_workload(
             }
         }
         WorkloadKind::Spmv => {
-            let out = match decompose_workload_any_in(WorkloadAny::Spmv(&a), &cfg, session.pool())
+            let out = match decompose_workload_any_in(WorkloadAny::Spmv(&a), &cfg, pool)
                 .and_then(WorkloadOutcome::into_spmv)
             {
                 Ok(o) => o,
@@ -483,7 +486,8 @@ fn status_fields(
 /// up the worst sub-result — `full` only when every body succeeded
 /// fully, `degraded` with the first degradation's code otherwise.
 pub fn execute_batch(
-    session: &EngineSession,
+    pool: &Arc<ArenaPool>,
+    policy: (Budget, Parallelism),
     counters: &ServeCounters,
     fault_injection: bool,
     reqs: &[DecomposeRequest],
@@ -495,7 +499,7 @@ pub fn execute_batch(
     let mut first_reason: Option<String> = None;
     for req in reqs {
         apply_injection(fault_injection, req, cancel);
-        let r = execute_workload(session, counters, req, cancel, true);
+        let r = execute_workload(pool, policy, counters, req, cancel, true);
         if first_code.is_none() {
             match r.get("ok") {
                 Some(Value::Bool(true)) => {
@@ -543,12 +547,15 @@ pub fn execute_batch(
 }
 
 /// The worker loop: pop, execute under `catch_unwind`, respond, repeat.
+/// Every job draws scratch from the session's current pool and runs
+/// under the daemon's `policy` (budget ceiling, per-job thread policy).
 /// Exits when the queue is closed and empty. On a job panic the response
-/// is a typed `worker-panic` error and the shared session is
-/// quarantined; the loop itself survives.
+/// is a typed `worker-panic` error and the shared pool is quarantined;
+/// the loop itself survives.
 pub fn worker_loop(
     queue: Arc<crate::queue::BoundedQueue<Job>>,
     session: Arc<SharedSession>,
+    policy: (Budget, Parallelism),
     cache: Arc<PlanCache>,
     counters: Arc<ServeCounters>,
     fault_injection: bool,
@@ -560,10 +567,11 @@ pub fn worker_loop(
             }
             continue;
         };
-        let snapshot = session.current();
+        let pool = session.current();
         let result = catch_unwind(AssertUnwindSafe(|| match &job.request {
             JobPayload::Single(req) => execute_job(
-                &snapshot,
+                &pool,
+                policy,
                 &cache,
                 &counters,
                 fault_injection,
@@ -571,7 +579,7 @@ pub fn worker_loop(
                 &job.cancel,
             ),
             JobPayload::Batch(reqs) => {
-                execute_batch(&snapshot, &counters, fault_injection, reqs, &job.cancel)
+                execute_batch(&pool, policy, &counters, fault_injection, reqs, &job.cancel)
             }
         }));
         let response = match result {
@@ -618,9 +626,12 @@ mod tests {
         }
     }
 
-    fn fixture() -> (EngineSession, PlanCache, ServeCounters) {
+    /// An unlimited ceiling and the all-cores thread policy.
+    const POLICY: (Budget, Parallelism) = (Budget::UNLIMITED, Parallelism::Auto);
+
+    fn fixture() -> (Arc<ArenaPool>, PlanCache, ServeCounters) {
         (
-            EngineSession::new(),
+            Arc::new(ArenaPool::new()),
             PlanCache::new(8 << 20),
             ServeCounters::default(),
         )
@@ -628,22 +639,22 @@ mod tests {
 
     #[test]
     fn decompose_then_cache_hit() {
-        let (session, cache, counters) = fixture();
+        let (pool, cache, counters) = fixture();
         let token = CancelToken::new();
-        let r1 = execute_job(&session, &cache, &counters, false, &request(4), &token);
+        let r1 = execute_job(&pool, POLICY, &cache, &counters, false, &request(4), &token);
         assert_eq!(r1.get("ok"), Some(&Value::Bool(true)));
         assert_eq!(r1.get("cache").unwrap().as_str(), Some("miss"));
-        let r2 = execute_job(&session, &cache, &counters, false, &request(4), &token);
+        let r2 = execute_job(&pool, POLICY, &cache, &counters, false, &request(4), &token);
         assert_eq!(r2.get("cache").unwrap().as_str(), Some("hit"));
         assert_eq!(r1.get("volume"), r2.get("volume"));
         // Different K is a different key.
-        let r3 = execute_job(&session, &cache, &counters, false, &request(2), &token);
+        let r3 = execute_job(&pool, POLICY, &cache, &counters, false, &request(2), &token);
         assert_eq!(r3.get("cache").unwrap().as_str(), Some("miss"));
     }
 
     #[test]
     fn unknown_matrix_and_model_are_bad_requests() {
-        let (session, cache, counters) = fixture();
+        let (pool, cache, counters) = fixture();
         let token = CancelToken::new();
         let mut req = request(4);
         req.source = MatrixSource::Catalog {
@@ -651,14 +662,14 @@ mod tests {
             scale: 1,
             gen_seed: 1,
         };
-        let r = execute_job(&session, &cache, &counters, false, &req, &token);
+        let r = execute_job(&pool, POLICY, &cache, &counters, false, &req, &token);
         assert_eq!(
             r.get("error").unwrap().get("code").unwrap().as_str(),
             Some(codes::BAD_REQUEST)
         );
         let mut req = request(4);
         req.model = "quantum-3d".into();
-        let r = execute_job(&session, &cache, &counters, false, &req, &token);
+        let r = execute_job(&pool, POLICY, &cache, &counters, false, &req, &token);
         assert_eq!(
             r.get("error").unwrap().get("code").unwrap().as_str(),
             Some(codes::BAD_REQUEST)
@@ -667,14 +678,15 @@ mod tests {
 
     #[test]
     fn inline_matrix_market_decomposes() {
-        let (session, cache, counters) = fixture();
+        let (pool, cache, counters) = fixture();
         let mm = "%%MatrixMarket matrix coordinate real general\n4 4 4\n1 1 1.0\n2 2 1.0\n3 3 1.0\n4 4 1.0\n";
         let req = DecomposeRequest {
             source: MatrixSource::Inline(mm.into()),
             ..request(2)
         };
         let r = execute_job(
-            &session,
+            &pool,
+            POLICY,
             &cache,
             &counters,
             false,
@@ -687,17 +699,18 @@ mod tests {
 
     #[test]
     fn cancelled_job_reports_cancelled_code() {
-        let (session, cache, counters) = fixture();
+        let (pool, cache, counters) = fixture();
         let token = CancelToken::new();
         token.cancel();
-        let r = execute_job(&session, &cache, &counters, false, &request(4), &token);
+        let r = execute_job(&pool, POLICY, &cache, &counters, false, &request(4), &token);
         assert_eq!(r.get("ok"), Some(&Value::Bool(true)));
         assert_eq!(r.get("degraded_code").unwrap().as_str(), Some("cancelled"));
         assert_eq!(ServeCounters::get(&counters.cancelled_jobs), 1);
         // Degraded outcomes are never cached: re-running un-cancelled
         // must recompute, not serve the partial.
         let r2 = execute_job(
-            &session,
+            &pool,
+            POLICY,
             &cache,
             &counters,
             false,
@@ -710,11 +723,12 @@ mod tests {
 
     #[test]
     fn include_owners_ships_valid_arrays() {
-        let (session, cache, counters) = fixture();
+        let (pool, cache, counters) = fixture();
         let mut req = request(2);
         req.include_owners = true;
         let r = execute_job(
-            &session,
+            &pool,
+            POLICY,
             &cache,
             &counters,
             false,
@@ -728,12 +742,12 @@ mod tests {
 
     #[test]
     fn spgemm_request_bypasses_cache_and_reports_traffic() {
-        let (session, cache, counters) = fixture();
+        let (pool, cache, counters) = fixture();
         let token = CancelToken::new();
         let mut req = request(4);
         req.workload = WorkloadKind::Spgemm;
         req.model = "spgemm-fine-grain".into();
-        let r = execute_job(&session, &cache, &counters, false, &req, &token);
+        let r = execute_job(&pool, POLICY, &cache, &counters, false, &req, &token);
         assert_eq!(r.get("ok"), Some(&Value::Bool(true)), "{}", r.to_json());
         assert_eq!(r.get("cache").unwrap().as_str(), Some("bypass"));
         assert_eq!(r.get("workload").unwrap().as_str(), Some("spgemm"));
@@ -748,21 +762,22 @@ mod tests {
             r.get("objective").unwrap().as_u64()
         );
         // Re-running is always a fresh compute, never a plan-cache hit.
-        let r2 = execute_job(&session, &cache, &counters, false, &req, &token);
+        let r2 = execute_job(&pool, POLICY, &cache, &counters, false, &req, &token);
         assert_eq!(r2.get("cache").unwrap().as_str(), Some("bypass"));
     }
 
     #[test]
     fn mismatched_spgemm_operands_are_bad_requests() {
         // A is 2x4 with a nonzero in its last column, B is 3x2.
-        let (session, cache, counters) = fixture();
+        let (pool, cache, counters) = fixture();
         let req = body(
             r#"{"workload":"spgemm","k":2,
                 "matrix_mm":"%%MatrixMarket matrix coordinate real general\n2 4 2\n1 1 1.0\n2 4 1.0\n",
                 "matrix_b_mm":"%%MatrixMarket matrix coordinate real general\n3 2 2\n1 1 1.0\n3 2 1.0\n"}"#,
         );
         let r = execute_job(
-            &session,
+            &pool,
+            POLICY,
             &cache,
             &counters,
             false,
@@ -779,12 +794,19 @@ mod tests {
 
     #[test]
     fn batch_embeds_validating_metrics_documents() {
-        let (session, _cache, counters) = fixture();
+        let (pool, _cache, counters) = fixture();
         let token = CancelToken::new();
         let mut spgemm = request(3);
         spgemm.workload = WorkloadKind::Spgemm;
         spgemm.model = "spgemm-fine-grain".into();
-        let r = execute_batch(&session, &counters, false, &[request(2), spgemm], &token);
+        let r = execute_batch(
+            &pool,
+            POLICY,
+            &counters,
+            false,
+            &[request(2), spgemm],
+            &token,
+        );
         assert_eq!(r.get("ok"), Some(&Value::Bool(true)), "{}", r.to_json());
         assert_eq!(r.get("op").unwrap().as_str(), Some("batch"));
         assert_eq!(r.get("status").unwrap().as_str(), Some("full"));
@@ -800,11 +822,12 @@ mod tests {
 
     #[test]
     fn batch_rolls_up_the_first_failing_body() {
-        let (session, _cache, counters) = fixture();
+        let (pool, _cache, counters) = fixture();
         let mut bad = request(2);
         bad.model = "quantum-3d".into();
         let r = execute_batch(
-            &session,
+            &pool,
+            POLICY,
             &counters,
             false,
             &[request(2), bad],
@@ -838,7 +861,7 @@ mod tests {
 
     #[test]
     fn response_member_sets_are_pinned() {
-        let (session, cache, counters) = fixture();
+        let (pool, cache, counters) = fixture();
         let token = CancelToken::new();
         let spmv = body(r#"{"matrix":"bcspwr10","scale":48,"gen_seed":7,"k":4}"#);
         let single = [
@@ -854,14 +877,14 @@ mod tests {
             "status",
             "volume",
         ];
-        let miss = execute_job(&session, &cache, &counters, false, &spmv, &token);
+        let miss = execute_job(&pool, POLICY, &cache, &counters, false, &spmv, &token);
         assert_eq!(miss.get("cache").unwrap().as_str(), Some("miss"));
         assert_eq!(members(&miss), single);
-        let hit = execute_job(&session, &cache, &counters, false, &spmv, &token);
+        let hit = execute_job(&pool, POLICY, &cache, &counters, false, &spmv, &token);
         assert_eq!(hit.get("cache").unwrap().as_str(), Some("hit"));
         assert_eq!(members(&hit), single);
 
-        let batch = execute_batch(&session, &counters, false, &[spmv], &token);
+        let batch = execute_batch(&pool, POLICY, &counters, false, &[spmv], &token);
         let entry = &batch.get("results").unwrap().as_arr().unwrap()[0];
         assert_eq!(
             members(entry),
@@ -884,7 +907,7 @@ mod tests {
 
         let spgemm =
             body(r#"{"matrix":"bcspwr10","scale":48,"gen_seed":7,"k":4,"workload":"spgemm"}"#);
-        let r = execute_job(&session, &cache, &counters, false, &spgemm, &token);
+        let r = execute_job(&pool, POLICY, &cache, &counters, false, &spgemm, &token);
         assert_eq!(
             members(&r),
             [
@@ -907,67 +930,158 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_keeps_the_budget_ceiling_and_thread_policy() {
-        let shared = SharedSession::new(
-            EngineSession::new()
-                .with_budget_ceiling(Budget::bytes(1))
-                .with_parallelism(fgh_core::Parallelism::Serial),
+    fn ceiling_clamps_request_budget() {
+        let token = CancelToken::new();
+        // An unlimited request runs under the ceiling.
+        let cfg = job_config((Budget::bytes(1), Parallelism::Serial), &request(4), &token).unwrap();
+        assert_eq!(cfg.budget.max_bytes, Some(1));
+
+        // And a tighter request wins over a looser ceiling.
+        let mut req = request(4);
+        req.budget_bytes = Some(10);
+        let cfg = job_config((Budget::bytes(1000), Parallelism::Serial), &req, &token).unwrap();
+        assert_eq!(cfg.budget.max_bytes, Some(10));
+    }
+
+    #[test]
+    fn job_config_pins_every_field() {
+        let ceiling = Budget {
+            max_wall: Some(Duration::from_millis(200)),
+            max_bytes: Some(1 << 20),
+            ..Budget::UNLIMITED
+        };
+        let mut req = request(5);
+        req.model = "graph-1d".into();
+        req.epsilon = 0.1;
+        req.seed = 42;
+        req.runs = 3;
+        req.budget_ms = Some(50); // tighter than the ceiling: wins
+        req.budget_bytes = Some(1 << 30); // looser than the ceiling: clamped
+        let token = CancelToken::new();
+        let cfg = job_config((ceiling, Parallelism::Threads(3)), &req, &token).unwrap();
+        assert_eq!(cfg.model, Model::Graph1D);
+        assert_eq!(cfg.k, 5);
+        assert_eq!(cfg.epsilon, 0.1);
+        assert_eq!(cfg.seed, 42);
+        assert_eq!(cfg.runs, 3);
+        assert_eq!(cfg.parallelism, Parallelism::Threads(3));
+        assert_eq!(
+            cfg.budget,
+            Budget {
+                max_wall: Some(Duration::from_millis(50)),
+                max_bytes: Some(1 << 20),
+                ..Budget::UNLIMITED
+            }
         );
-        let before = shared.current();
-        shared.quarantine();
-        let after = shared.current();
+        assert!(!cfg.trace);
+        assert_eq!(cfg.initial, fgh_core::InitialScheme::Ghg);
+        // The attached token is the job's own: tripping it is visible
+        // through the config.
+        let cancel = cfg.cancel.expect("the job's token is attached");
+        assert!(!cancel.is_cancelled());
+        token.cancel();
+        assert!(cancel.is_cancelled());
+
+        // The other way round: a looser wall is clamped, tighter bytes win.
+        req.budget_ms = Some(10_000);
+        req.budget_bytes = Some(1 << 10);
+        let cfg = job_config((ceiling, Parallelism::Serial), &req, &token).unwrap();
+        assert_eq!(cfg.parallelism, Parallelism::Serial);
+        assert_eq!(
+            cfg.budget,
+            Budget {
+                max_wall: Some(Duration::from_millis(200)),
+                max_bytes: Some(1 << 10),
+                ..Budget::UNLIMITED
+            }
+        );
+    }
+
+    /// Runs `reqs` in order through one fault-injecting [`worker_loop`]
+    /// over `session`, on this thread, and returns their responses and
+    /// the counters.
+    fn run_worker_loop(
+        session: &Arc<SharedSession>,
+        policy: (Budget, Parallelism),
+        reqs: Vec<DecomposeRequest>,
+    ) -> (Vec<Value>, Arc<ServeCounters>) {
+        let queue = Arc::new(crate::queue::BoundedQueue::new(reqs.len()));
+        let replies: Vec<_> = reqs
+            .into_iter()
+            .map(|req| {
+                let (tx, rx) = std::sync::mpsc::sync_channel(1);
+                queue
+                    .push(Job {
+                        request: JobPayload::Single(Box::new(req)),
+                        cancel: CancelToken::new(),
+                        respond: tx,
+                    })
+                    .unwrap();
+                rx
+            })
+            .collect();
+        // Closed and drained, the loop returns.
+        queue.close();
+        let counters = Arc::new(ServeCounters::default());
+        let cache = Arc::new(PlanCache::new(1 << 20));
+        worker_loop(
+            queue,
+            Arc::clone(session),
+            policy,
+            cache,
+            Arc::clone(&counters),
+            true,
+        );
+        let responses = replies.iter().map(|rx| rx.try_recv().unwrap()).collect();
+        (responses, counters)
+    }
+
+    #[test]
+    fn quarantine_keeps_the_budget_ceiling_and_thread_policy() {
+        let session = Arc::new(SharedSession::new(Arc::new(ArenaPool::new())));
+        let before = session.current();
+        let mut panics = request(2);
+        panics.inject = Some("panic".into());
+        let (responses, _) = run_worker_loop(
+            &session,
+            (Budget::bytes(1), Parallelism::Serial),
+            vec![panics, request(2)],
+        );
+        // The job after the panic still runs under the one-byte ceiling.
+        let r = &responses[1];
+        assert_eq!(
+            r.get("status").unwrap().as_str(),
+            Some("degraded"),
+            "{}",
+            r.to_json()
+        );
+        assert_eq!(
+            r.get("degraded_code").unwrap().as_str(),
+            Some("budget-exhausted")
+        );
         assert!(
-            !Arc::ptr_eq(before.pool(), after.pool()),
+            !Arc::ptr_eq(&before, &session.current()),
             "the pool is replaced"
         );
-        let cfg = JobParams::new(Model::FineGrain2D, 4).into_config(&after);
-        assert_eq!(cfg.budget.max_bytes, Some(1));
-        assert_eq!(cfg.parallelism, fgh_core::Parallelism::Serial);
     }
 
     #[test]
     fn injected_panic_is_contained_by_worker_loop() {
-        let queue = Arc::new(crate::queue::BoundedQueue::new(4));
-        let session = Arc::new(SharedSession::new(EngineSession::new()));
-        let cache = Arc::new(PlanCache::new(1 << 20));
-        let counters = Arc::new(ServeCounters::default());
-        let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        let mut req = request(2);
-        req.inject = Some("panic".into());
-        queue
-            .push(Job {
-                request: JobPayload::Single(Box::new(req)),
-                cancel: CancelToken::new(),
-                respond: tx,
-            })
-            .unwrap();
+        let session = Arc::new(SharedSession::new(Arc::new(ArenaPool::new())));
+        let mut panics = request(2);
+        panics.inject = Some("panic".into());
         // A healthy job after the panicking one proves the worker survived.
-        let (tx2, rx2) = std::sync::mpsc::sync_channel(1);
-        queue
-            .push(Job {
-                request: JobPayload::Single(Box::new(request(2))),
-                cancel: CancelToken::new(),
-                respond: tx2,
-            })
-            .unwrap();
-        queue.close();
-        let w = {
-            let (q, s, c, m) = (
-                Arc::clone(&queue),
-                Arc::clone(&session),
-                Arc::clone(&cache),
-                Arc::clone(&counters),
-            );
-            std::thread::spawn(move || worker_loop(q, s, c, m, true))
-        };
-        let r1 = rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        let (responses, counters) = run_worker_loop(&session, POLICY, vec![panics, request(2)]);
         assert_eq!(
-            r1.get("error").unwrap().get("code").unwrap().as_str(),
+            responses[0]
+                .get("error")
+                .unwrap()
+                .get("code")
+                .unwrap()
+                .as_str(),
             Some(codes::WORKER_PANIC)
         );
-        let r2 = rx2.recv_timeout(Duration::from_secs(30)).unwrap();
-        assert_eq!(r2.get("ok"), Some(&Value::Bool(true)));
-        w.join().unwrap();
+        assert_eq!(responses[1].get("ok"), Some(&Value::Bool(true)));
         assert_eq!(ServeCounters::get(&counters.worker_panics), 1);
     }
 }

@@ -6,10 +6,10 @@
 //! decode`, and the SpMV executor's `expand → local-mult → fold`) and
 //! attaches typed **counters** to them (vertices/nets per level, FM
 //! moves/rollbacks, gain-bucket resizes, arena checkouts/reuses,
-//! `parallel_forks`, budget checkpoints). Completed spans stream to a
-//! pluggable [`Sink`]; afterwards a [`CollectingSink`] assembles them into
-//! a deterministic [`Trace`] tree that renders as a human-readable tree
-//! ([`Trace::render`]) or exports as machine-readable JSON
+//! `parallel_forks`, budget checkpoints). Completed spans stream to the
+//! tracer's in-memory [`CollectingSink`], which afterwards assembles them
+//! into a deterministic [`Trace`] tree that renders as a human-readable
+//! tree ([`Trace::render`]) or exports as machine-readable JSON
 //! ([`Trace::to_json`], schema documented in DESIGN.md §5.5).
 //!
 //! ## Overhead model
@@ -58,7 +58,7 @@ pub mod json;
 mod sink;
 mod tree;
 
-pub use sink::{CollectingSink, NullSink, Sink};
+pub use sink::CollectingSink;
 pub use tree::{validate_trace_value, Trace, TraceNode};
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,9 +68,9 @@ use std::time::Instant;
 /// The `parent` id of a root span (no parent).
 pub const NO_PARENT: u64 = 0;
 
-/// A completed span, as delivered to a [`Sink`]. `start_ns` is relative
-/// to the owning [`Tracer`]'s epoch (its creation instant), so spans from
-/// different threads of one run share a timeline.
+/// A completed span, as delivered to a [`CollectingSink`]. `start_ns` is
+/// relative to the owning [`Tracer`]'s epoch (its creation instant), so
+/// spans from different threads of one run share a timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Unique id within the tracer (ids start at 1; 0 means "no parent").
@@ -101,7 +101,7 @@ pub struct CounterRecord {
 
 /// Shared state of an enabled tracer.
 struct TracerCore {
-    sink: Arc<dyn Sink>,
+    sink: Arc<CollectingSink>,
     epoch: Instant,
     next_id: AtomicU64,
 }
@@ -127,23 +127,17 @@ impl Tracer {
         Tracer { core: None }
     }
 
-    /// A tracer recording to `sink`. The epoch (zero of the span
-    /// timeline) is the moment of this call.
-    pub fn new(sink: Arc<dyn Sink>) -> Tracer {
-        Tracer {
-            core: Some(Arc::new(TracerCore {
-                sink,
-                epoch: Instant::now(),
-                next_id: AtomicU64::new(1),
-            })),
-        }
-    }
-
-    /// Convenience: a tracer backed by a fresh [`CollectingSink`],
-    /// returned alongside it for later [`CollectingSink::build_trace`].
+    /// A tracer recording to a fresh [`CollectingSink`], returned
+    /// alongside it for later [`CollectingSink::build_trace`]. The epoch
+    /// (zero of the span timeline) is the moment of this call.
     pub fn collecting() -> (Tracer, Arc<CollectingSink>) {
         let sink = Arc::new(CollectingSink::new());
-        (Tracer::new(sink.clone()), sink)
+        let core = Arc::new(TracerCore {
+            sink: Arc::clone(&sink),
+            epoch: Instant::now(),
+            next_id: AtomicU64::new(1),
+        });
+        (Tracer { core: Some(core) }, sink)
     }
 
     /// `true` when spans will actually be recorded.

@@ -1,34 +1,14 @@
-//! Pluggable destinations for completed spans and counters.
+//! The in-memory destination for completed spans and counters.
 
 use std::sync::Mutex;
 
 use crate::tree::Trace;
 use crate::{CounterRecord, SpanRecord};
 
-/// A destination for trace records. Sinks must be thread-safe: fork-join
-/// workers record concurrently. Implementations should be cheap and
-/// non-blocking-ish — they run inline in the instrumented code (at phase
-/// granularity, never inside per-move loops).
-pub trait Sink: Send + Sync {
-    /// Called once per span, when it closes.
-    fn record_span(&self, span: SpanRecord);
-    /// Called once per counter attachment.
-    fn record_counter(&self, counter: CounterRecord);
-}
-
-/// A sink that drops everything. Useful as an explicit "tracing off"
-/// sink; note that [`crate::Tracer::disabled`] is cheaper still (no ids,
-/// no clock reads).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn record_span(&self, _span: SpanRecord) {}
-    fn record_counter(&self, _counter: CounterRecord) {}
-}
-
-/// A sink that buffers every record in memory, for tests and for
-/// assembling a [`Trace`] after the traced region completes.
+/// A sink that buffers every record in memory, for assembling a
+/// [`Trace`] after the traced region completes. It is thread-safe:
+/// fork-join workers record concurrently, inline in the instrumented code
+/// (at phase granularity, never inside per-move loops).
 #[derive(Debug, Default)]
 pub struct CollectingSink {
     spans: Mutex<Vec<SpanRecord>>,
@@ -61,16 +41,16 @@ impl CollectingSink {
     pub fn build_trace(&self) -> Trace {
         Trace::from_records(&self.spans(), &self.counters())
     }
-}
 
-impl Sink for CollectingSink {
-    fn record_span(&self, span: SpanRecord) {
+    /// Records one span, when it closes.
+    pub(crate) fn record_span(&self, span: SpanRecord) {
         if let Ok(mut g) = self.spans.lock() {
             g.push(span);
         }
     }
 
-    fn record_counter(&self, counter: CounterRecord) {
+    /// Records one counter attachment.
+    pub(crate) fn record_counter(&self, counter: CounterRecord) {
         if let Ok(mut g) = self.counters.lock() {
             g.push(counter);
         }
