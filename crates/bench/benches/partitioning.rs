@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fgh_core::models::FineGrainModel;
 use fgh_core::{decompose_workload, DecomposeConfig, Model, Workload, WorkloadOutcome};
-use fgh_partition::{partition_hypergraph_with, LevelArena, MultilevelDriver, PartitionConfig};
+use fgh_partition::{partition_hypergraph_with, MultilevelDriver, PartitionConfig};
 use std::hint::black_box;
 
 fn bench_models(c: &mut Criterion) {
@@ -58,9 +58,10 @@ fn bench_k_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// The engine's LevelArena vs per-level allocation: the same K-way run on
-/// the same driver, with buffer pooling on (default) and off (`disabled`).
-/// Results are bit-identical either way; only the allocation count differs.
+/// The engine's LevelArena kept warm across runs vs started empty: the
+/// same K-way run on one reused driver (`pooled`) and on a fresh driver
+/// per run (`cold`). Results are bit-identical either way; only the
+/// allocation count differs.
 fn bench_arena(c: &mut Criterion) {
     let entry = fgh_sparse::catalog::by_name("ken-11").expect("catalog name");
     let a = entry.generate_scaled(16, 1);
@@ -77,10 +78,9 @@ fn bench_arena(c: &mut Criterion) {
             )
         })
     });
-    group.bench_function("disabled", |b| {
-        let mut driver =
-            MultilevelDriver::with_arena(PartitionConfig::with_seed(7), LevelArena::disabled());
+    group.bench_function("cold", |b| {
         b.iter(|| {
+            let mut driver = MultilevelDriver::new(PartitionConfig::with_seed(7));
             black_box(
                 partition_hypergraph_with(&mut driver, black_box(hg), 16, None).expect("partition"),
             )

@@ -109,7 +109,7 @@ fn avg_cutsize(
     let mut total = 0u64;
     for r in 0..runs {
         let mut cfg = make(seed.wrapping_add(r as u64 * 7919));
-        if matches!(cfg.initial, InitialScheme::Geometric | InitialScheme::Auto) {
+        if cfg.initial == InitialScheme::Geometric {
             // The geometric scheme seeds from the fine-grain vertex
             // positions; the model has them, the hypergraph alone does not.
             let n = model.hypergraph().num_vertices();

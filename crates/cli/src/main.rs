@@ -107,7 +107,7 @@ fn usage() -> &'static str {
      \x20                   defaults to 1 per job, its --workers being the\n\
      \x20                   concurrency); results are bit-identical for every N\n\
      \x20 --initial S       initial scheme: ghg (default) | random | binpacking |\n\
-     \x20                   geometric | auto (geometric needs vertex coordinates,\n\
+     \x20                   geometric (auto is an alias; needs vertex coordinates,\n\
      \x20                   i.e. the fine-grain model; falls back to ghg)\n\
      \x20 --parallel        (spmv) execute with one thread per processor\n\
      \x20 --max-wall-ms N   wall-clock budget for the partitioner; when it\n\

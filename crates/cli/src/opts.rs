@@ -233,7 +233,7 @@ mod tests {
         let o = Opts::parse(&sv("m.mtx --initial geometric")).unwrap();
         assert_eq!(o.initial().unwrap(), InitialScheme::Geometric);
         let o = Opts::parse(&sv("m.mtx --initial AUTO")).unwrap();
-        assert_eq!(o.initial().unwrap(), InitialScheme::Auto);
+        assert_eq!(o.initial().unwrap(), InitialScheme::Geometric);
         let o = Opts::parse(&sv("m.mtx")).unwrap();
         assert_eq!(o.initial().unwrap(), InitialScheme::Ghg);
         let o = Opts::parse(&sv("m.mtx --initial bogus")).unwrap();

@@ -296,10 +296,9 @@ pub struct DecomposeConfig {
     pub cancel: Option<CancelToken>,
     /// Initial-partitioning scheme at the coarsest level. The default is
     /// [`InitialScheme::Ghg`] (greedy hypergraph growing, the paper's
-    /// scheme). [`InitialScheme::Geometric`] / [`InitialScheme::Auto`]
-    /// seed each bisection with a longest-axis cut through the nonzero
-    /// coordinates of the fine-grain model; models without natural
-    /// vertex coordinates fall back to GHG.
+    /// scheme). [`InitialScheme::Geometric`] seeds each bisection with a
+    /// longest-axis cut through the nonzero coordinates of the fine-grain
+    /// model; models without natural vertex coordinates fall back to GHG.
     pub initial: InitialScheme,
 }
 
@@ -646,7 +645,7 @@ pub(crate) fn with_coords<I: ArenaIndex>(
     coords: impl Fn(usize) -> (I, I),
 ) -> PartitionConfig {
     let mut pcfg = cfg.partition_config();
-    if matches!(cfg.initial, InitialScheme::Geometric | InitialScheme::Auto) {
+    if cfg.initial == InitialScheme::Geometric {
         let positions = (0..hg.num_vertices().index())
             .map(|v| {
                 let (r, c) = coords(v);

@@ -39,27 +39,6 @@ fn geometric_balances_catalog() {
     }
 }
 
-/// `Auto` on the fine-grain model resolves to the geometric scheme:
-/// bit-identical objectives.
-#[test]
-fn auto_matches_geometric_on_fine_grain() {
-    let a = by_name("sherman3").unwrap().generate_scaled(8, 42);
-    let geo = decompose_workload(
-        Workload::Spmv(&a),
-        &DecomposeConfig::new(Model::FineGrain2D, 8).with_initial(InitialScheme::Geometric),
-    )
-    .and_then(WorkloadOutcome::into_spmv)
-    .unwrap();
-    let auto = decompose_workload(
-        Workload::Spmv(&a),
-        &DecomposeConfig::new(Model::FineGrain2D, 8).with_initial(InitialScheme::Auto),
-    )
-    .and_then(WorkloadOutcome::into_spmv)
-    .unwrap();
-    assert_eq!(geo.objective, auto.objective);
-    assert_eq!(geo.stats.total_volume(), auto.stats.total_volume());
-}
-
 /// Models without vertex coordinates (1D column-net) silently fall back
 /// to GHG: requesting geometric must change nothing.
 #[test]

@@ -9,7 +9,9 @@
 //! gain arithmetic, not just speed — treat a failure here as a
 //! correctness regression, never re-record without understanding why.
 
-use fgh_core::{decompose_workload, DecomposeConfig, Model, Workload, WorkloadOutcome};
+use fgh_core::{
+    decompose_workload, DecomposeConfig, InitialScheme, Model, Workload, WorkloadOutcome,
+};
 use fgh_sparse::catalog::by_name;
 
 /// (catalog name, scale, k, [(seed, objective); 3])
@@ -42,29 +44,59 @@ const GOLDEN_FAN_OUT: &[(Model, usize, [[u64; 3]; 3])] = &[
     ),
 ];
 
-fn objective(model: Model, runs: usize, name: &str, scale: u32, k: u32, seed: u64) -> u64 {
+/// One run of every initial scheme but the default GHG on the fine-grain
+/// model, and of the checkerboard hypergraph model (the only caller of the
+/// multi-constraint partitioner), on `GOLDEN`'s inputs and seeds:
+/// (model, initial scheme, objectives in `GOLDEN`'s input and seed order).
+const GOLDEN_SCHEMES: &[(Model, InitialScheme, [[u64; 3]; 3])] = &[
+    (
+        Model::FineGrain2D,
+        InitialScheme::Random,
+        [[98, 90, 109], [375, 362, 354], [624, 641, 610]],
+    ),
+    (
+        Model::FineGrain2D,
+        InitialScheme::BinPacking,
+        [[96, 92, 98], [355, 370, 383], [654, 610, 617]],
+    ),
+    (
+        Model::FineGrain2D,
+        InitialScheme::Geometric,
+        [[90, 111, 105], [363, 368, 361], [632, 629, 607]],
+    ),
+    (
+        Model::CheckerboardHg2D,
+        InitialScheme::Ghg,
+        [[390, 303, 291], [555, 549, 547], [875, 874, 867]],
+    ),
+];
+
+fn objective(cfg: &DecomposeConfig, name: &str, scale: u32) -> u64 {
     let entry = by_name(name).unwrap_or_else(|| panic!("{name} not in catalog"));
     let a = entry.generate_scaled(scale, 42);
-    let cfg = DecomposeConfig::new(model, k)
-        .with_seed(seed)
-        .with_runs(runs);
-    let out = decompose_workload(Workload::Spmv(&a), &cfg)
+    let out = decompose_workload(Workload::Spmv(&a), cfg)
         .and_then(WorkloadOutcome::into_spmv)
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     out.objective
 }
 
-/// Runs `model` with `runs` seeds on every `GOLDEN` input and seed and
-/// fails with the full list of drifted objectives.
-fn check(model: Model, runs: usize, want: impl Fn(usize, usize) -> u64) {
+/// Runs `model` with `runs` seeds under `initial` on every `GOLDEN`
+/// input and seed and fails with the full list of drifted objectives.
+fn check(model: Model, runs: usize, initial: InitialScheme, want: impl Fn(usize, usize) -> u64) {
     let mut failures = Vec::new();
     for (i, &(name, scale, k, seeds)) in GOLDEN.iter().enumerate() {
         for (j, (seed, _)) in seeds.into_iter().enumerate() {
-            let (got, want) = (objective(model, runs, name, scale, k, seed), want(i, j));
-            println!("golden: {model} runs {runs} (\"{name}\", {scale}, {k}) seed {seed} => {got}");
+            let cfg = DecomposeConfig::new(model, k)
+                .with_seed(seed)
+                .with_runs(runs)
+                .with_initial(initial);
+            let (got, want) = (objective(&cfg, name, scale), want(i, j));
+            println!(
+                "golden: {model} runs {runs} {initial:?} (\"{name}\", {scale}, {k}) seed {seed} => {got}"
+            );
             if got != want {
                 failures.push(format!(
-                    "{model} runs {runs} {name} scale {scale} k {k} seed {seed}: \
+                    "{model} runs {runs} {initial:?} {name} scale {scale} k {k} seed {seed}: \
                      got {got}, recorded {want}"
                 ));
             }
@@ -79,12 +111,21 @@ fn check(model: Model, runs: usize, want: impl Fn(usize, usize) -> u64) {
 
 #[test]
 fn per_seed_objectives_match_pre_rewrite_engine() {
-    check(Model::FineGrain2D, 1, |i, j| GOLDEN[i].3[j].1);
+    check(Model::FineGrain2D, 1, InitialScheme::Ghg, |i, j| {
+        GOLDEN[i].3[j].1
+    });
 }
 
 #[test]
 fn graph_baseline_and_seed_fan_out_objectives_are_pinned() {
     for &(model, runs, want) in GOLDEN_FAN_OUT {
-        check(model, runs, |i, j| want[i][j]);
+        check(model, runs, InitialScheme::Ghg, |i, j| want[i][j]);
+    }
+}
+
+#[test]
+fn initial_schemes_and_multi_constraint_objectives_are_pinned() {
+    for &(model, initial, want) in GOLDEN_SCHEMES {
+        check(model, 1, initial, |i, j| want[i][j]);
     }
 }

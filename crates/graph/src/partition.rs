@@ -194,41 +194,8 @@ impl<I: ArenaIndex> Substrate for CsrGraph<I> {
             .expect("contraction preserves graph validity")
     }
 
-    // Infallible `expect` below: the induced subgraph's edges are renumbered
+    // Infallible `expect`s below: each side's induced edges are renumbered
     // into `0..map.len()`, which is exactly what `from_edges` validates.
-    #[allow(clippy::expect_used)]
-    fn extract_side(&self, side: &[u8], which: u8, _split: bool) -> (Self, Vec<I>) {
-        let n = Substrate::num_vertices(self);
-        let mut new_of_old = vec![I::MAX; n];
-        let mut map: Vec<I> = Vec::new();
-        let mut vwgt: Vec<u32> = Vec::new();
-        for v in 0..n {
-            if side[v] == which {
-                new_of_old[v] = I::from_index(map.len());
-                map.push(I::from_index(v));
-                vwgt.push(CsrGraph::vertex_weight(self, I::from_index(v)));
-            }
-        }
-        let mut edges: Vec<(I, I, u32)> = Vec::new();
-        for v in 0..n {
-            if side[v] != which {
-                continue;
-            }
-            let nv = new_of_old[v];
-            let vi = I::from_index(v);
-            for (&u, &w) in self.neighbors(vi).iter().zip(self.edge_weights(vi)) {
-                if side[u.index()] == which && vi < u {
-                    edges.push((nv, new_of_old[u.index()], w));
-                }
-            }
-        }
-        let sub = CsrGraph::from_edges(I::from_index(map.len()), &edges, Some(vwgt))
-            .expect("induced subgraph is valid");
-        (sub, map)
-    }
-
-    // Infallible `expect`s below: same contract as `extract_side`, for
-    // both sides built in a single pass over the adjacency.
     #[allow(clippy::expect_used)]
     fn extract_both(
         &self,
@@ -382,6 +349,29 @@ mod tests {
 
     const FREE: i8 = -1;
 
+    /// The subgraph induced by `side[v] == which` with its new→old map,
+    /// built one side at a time: the oracle for `extract_both`.
+    fn extract_side(g: &CsrGraph, side: &[u8], which: u8) -> (CsrGraph, Vec<u32>) {
+        let mut new_of_old = vec![u32::MAX; side.len()];
+        let mut map = Vec::new();
+        let mut vwgt = Vec::new();
+        for v in (0..g.n()).filter(|&v| side[v as usize] == which) {
+            new_of_old[v as usize] = map.len() as u32;
+            map.push(v);
+            vwgt.push(g.vertex_weight(v));
+        }
+        let mut edges = Vec::new();
+        for &v in &map {
+            for (&u, &w) in g.neighbors(v).iter().zip(g.edge_weights(v)) {
+                if side[u as usize] == which && v < u {
+                    edges.push((new_of_old[v as usize], new_of_old[u as usize], w));
+                }
+            }
+        }
+        let sub = CsrGraph::from_edges(map.len() as u32, &edges, Some(vwgt)).unwrap();
+        (sub, map)
+    }
+
     #[test]
     fn k2_two_cliques() {
         let g = two_cliques(50);
@@ -523,7 +513,7 @@ mod tests {
         // Path 0-1-2-3; clustering {0,1} and {2,3} leaves one edge (1,2).
         let edges = [(0u32, 1u32, 2u32), (1, 2, 3), (2, 3, 4)];
         let g = CsrGraph::from_edges(4u32, &edges, None).unwrap();
-        let c = Substrate::contract(&g, &[0, 0, 1, 1], 2, &mut LevelArena::disabled());
+        let c = Substrate::contract(&g, &[0, 0, 1, 1], 2, &mut LevelArena::new());
         assert_eq!(c.n(), 2);
         assert_eq!(c.num_edges(), 1);
         assert_eq!(c.edge_weights(0), &[3]);
@@ -541,7 +531,7 @@ mod tests {
         let mut arena = LevelArena::new();
         let [(g0, m0), (g1, m1)] = g.extract_both(&side, true, &mut arena);
         for (which, (sub, map)) in [(0u8, (&g0, &m0)), (1u8, (&g1, &m1))] {
-            let (es, em) = g.extract_side(&side, which, true);
+            let (es, em) = extract_side(&g, &side, which);
             assert_eq!(map, &em, "side-{which} map differs");
             assert_eq!(sub.n(), es.n());
             assert_eq!(sub.num_edges(), es.num_edges());
@@ -583,7 +573,7 @@ mod tests {
     fn extract_side_builds_induced_subgraph() {
         let g = two_cliques(3); // vertices 0..3 and 3..6, bridge (2,3)
         let side: Vec<u8> = (0..6).map(|v| u8::from(v >= 3)).collect();
-        let (sub, map) = g.extract_side(&side, 1, true);
+        let (sub, map) = extract_side(&g, &side, 1);
         assert_eq!(map, vec![3, 4, 5]);
         assert_eq!(sub.n(), 3);
         assert_eq!(

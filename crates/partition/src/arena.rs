@@ -7,10 +7,6 @@
 //! O(levels) large allocations total (buffers grow to the finest level's
 //! size once and are reused everywhere below it).
 //!
-//! [`LevelArena::disabled`] turns pooling off — every take allocates and
-//! every give drops — which is the honest pre-refactor baseline for
-//! benchmarking the arena's effect without keeping two driver codepaths.
-//!
 //! The arena itself is *not* generic over the index width: it holds
 //! separate `u32` and `u64` pools side by side, and the [`ArenaIndex`]
 //! trait statically dispatches a generic caller (`S::Ix::take_ids(...)`)
@@ -60,9 +56,9 @@ macro_rules! pooled {
             }
         }
 
-        /// Returns a buffer to the pool (dropped when pooling is disabled).
+        /// Returns a buffer to the pool (dropped when the pool is full).
         pub fn $give(&mut self, v: Vec<$t>) {
-            if self.enabled && self.$field.len() < POOL_CAP {
+            if self.$field.len() < POOL_CAP {
                 self.$field.push(v);
             }
         }
@@ -92,7 +88,7 @@ macro_rules! pooled_buckets {
 
         /// Returns gain buckets to the pool.
         pub fn $give(&mut self, b: GainBuckets<$t>) {
-            if self.enabled && self.$field.len() < POOL_CAP {
+            if self.$field.len() < POOL_CAP {
                 self.$field.push(b);
             }
         }
@@ -103,7 +99,6 @@ macro_rules! pooled_buckets {
 /// multilevel run. See the module docs for the allocation argument.
 #[derive(Debug, Default)]
 pub struct LevelArena {
-    enabled: bool,
     u8s: Vec<Vec<u8>>,
     i8s: Vec<Vec<i8>>,
     u32s: Vec<Vec<u32>>,
@@ -114,23 +109,9 @@ pub struct LevelArena {
 }
 
 impl LevelArena {
-    /// A pooling arena (the default for [`crate::engine::MultilevelDriver`]).
+    /// An empty arena; buffers are allocated on first take.
     pub fn new() -> Self {
-        LevelArena {
-            enabled: true,
-            ..Default::default()
-        }
-    }
-
-    /// An arena that never pools: every take allocates fresh, every give
-    /// drops. Matches the allocation behavior of the pre-engine drivers.
-    pub fn disabled() -> Self {
         LevelArena::default()
-    }
-
-    /// Whether buffers are recycled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Allocation counters accumulated since construction.
@@ -255,27 +236,19 @@ impl ArenaPool {
         ArenaPool::default()
     }
 
-    /// Takes an arena out of the pool, creating a fresh pooling arena when
-    /// the pool is empty.
-    // LevelArena::default() is the *disabled* arena, so clippy's
-    // unwrap_or_default() suggestion would turn pooling off.
-    #[allow(clippy::unwrap_or_default)]
+    /// Takes an arena out of the pool, creating an empty one when the pool
+    /// is empty.
     pub fn checkout(&self) -> LevelArena {
         self.arenas
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .pop()
-            .unwrap_or_else(LevelArena::new)
+            .unwrap_or_default()
     }
 
     /// Returns an arena to the pool so its buffers survive for the next
-    /// checkout. Disabled arenas are dropped: they hold no buffers and
-    /// recycling them would silently turn pooling back off for a future
     /// checkout.
     pub fn checkin(&self, arena: LevelArena) {
-        if !arena.is_enabled() {
-            return;
-        }
         let mut arenas = self.arenas.lock().unwrap_or_else(PoisonError::into_inner);
         if arenas.len() < ARENA_POOL_CAP {
             arenas.push(arena);
@@ -314,22 +287,6 @@ mod tests {
             ArenaStats {
                 fresh: 1,
                 reused: 1,
-                bucket_grows: 0
-            }
-        );
-    }
-
-    #[test]
-    fn disabled_arena_always_allocates() {
-        let mut a = LevelArena::disabled();
-        let v = a.take_u8(3, 1);
-        a.give_u8(v);
-        a.take_u8(3, 1);
-        assert_eq!(
-            a.stats(),
-            ArenaStats {
-                fresh: 2,
-                reused: 0,
                 bucket_grows: 0
             }
         );
@@ -385,7 +342,6 @@ mod tests {
         let pool = ArenaPool::new();
         assert_eq!(pool.idle(), 0);
         let mut a = pool.checkout();
-        assert!(a.is_enabled());
         let v = a.take_u32(16, 0);
         a.give_u32(v);
         pool.checkin(a);
@@ -401,13 +357,6 @@ mod tests {
                 bucket_grows: 0
             }
         );
-    }
-
-    #[test]
-    fn pool_drops_disabled_arenas() {
-        let pool = ArenaPool::new();
-        pool.checkin(LevelArena::disabled());
-        assert_eq!(pool.idle(), 0, "disabled arenas must not be recycled");
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub fn coarsen_once(
         max_net_size,
         weight_cap,
         rng,
-        &mut LevelArena::disabled(),
+        &mut LevelArena::new(),
     )
 }
 
@@ -221,7 +221,7 @@ mod tests {
 
     /// Direct contraction through the [`Substrate`] impl.
     fn contract(hg: &Hypergraph, cluster_of: &[u32], num_clusters: usize) -> Hypergraph {
-        Substrate::contract(hg, cluster_of, num_clusters, &mut LevelArena::disabled())
+        Substrate::contract(hg, cluster_of, num_clusters, &mut LevelArena::new())
     }
 
     #[test]
@@ -337,7 +337,7 @@ mod tests {
         let cluster32: Vec<u32> = (0..40).map(|v| v / 2).collect();
         let cluster64: Vec<u64> = cluster32.iter().map(|&c| c as u64).collect();
         let c32 = contract(&hg, &cluster32, 20);
-        let c64 = Substrate::contract(&hg64, &cluster64, 20, &mut LevelArena::disabled());
+        let c64 = Substrate::contract(&hg64, &cluster64, 20, &mut LevelArena::new());
         assert_eq!(c32.num_nets() as u64, c64.num_nets());
         for n in 0..c32.num_nets() {
             let narrow: Vec<u64> = c32.pins(n).iter().map(|&p| p as u64).collect();

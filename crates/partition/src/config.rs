@@ -158,11 +158,8 @@ pub enum InitialScheme {
     /// via [`PartitionConfig::coords`] and cut along the longest axis at
     /// the weighted median (Fagginger Auer & Bisseling's 1D-cut scheme
     /// for fine-grain models). Falls back to [`InitialScheme::Ghg`] when
-    /// no coordinates are attached.
+    /// no coordinates are attached. Parses from `geometric` or `auto`.
     Geometric,
-    /// Policy: [`InitialScheme::Geometric`] when coordinates are
-    /// attached, [`InitialScheme::Ghg`] otherwise.
-    Auto,
 }
 
 impl std::str::FromStr for InitialScheme {
@@ -173,8 +170,7 @@ impl std::str::FromStr for InitialScheme {
             "ghg" => Ok(InitialScheme::Ghg),
             "random" => Ok(InitialScheme::Random),
             "binpacking" | "bin-packing" => Ok(InitialScheme::BinPacking),
-            "geometric" => Ok(InitialScheme::Geometric),
-            "auto" => Ok(InitialScheme::Auto),
+            "geometric" | "auto" => Ok(InitialScheme::Geometric),
             other => Err(format!(
                 "unknown initial scheme '{other}' (expected ghg, random, \
                  binpacking, geometric, or auto)"
@@ -234,13 +230,12 @@ pub struct PartitionConfig {
     /// caller. `None` (the default) disables polling.
     pub cancel: Option<CancelToken>,
     /// Per-vertex 2D coordinates, indexed by *original* vertex id, for
-    /// the [`InitialScheme::Geometric`] / [`InitialScheme::Auto`]
-    /// schemes. The engine carries original-id maps through recursive
-    /// bisection and projects coordinates through coarsening levels by
-    /// weighted centroid, so one top-level array serves the whole
-    /// recursion. `None` (the default) leaves the geometric schemes
-    /// falling back to GHG. Shared by `Arc`: parallel runs clone the
-    /// config per domain, not the coordinates.
+    /// the [`InitialScheme::Geometric`] scheme. The engine carries
+    /// original-id maps through recursive bisection and projects
+    /// coordinates through coarsening levels by weighted centroid, so one
+    /// top-level array serves the whole recursion. `None` (the default)
+    /// leaves the geometric scheme falling back to GHG. Shared by `Arc`:
+    /// parallel runs clone the config per domain, not the coordinates.
     pub coords: Option<std::sync::Arc<Vec<(f32, f32)>>>,
 }
 
@@ -271,22 +266,6 @@ impl PartitionConfig {
         PartitionConfig {
             seed,
             ..Default::default()
-        }
-    }
-
-    /// The initial scheme a run will actually execute: resolves
-    /// [`InitialScheme::Auto`] and the no-coordinates fallback of
-    /// [`InitialScheme::Geometric`].
-    pub fn resolved_initial(&self) -> InitialScheme {
-        match self.initial {
-            InitialScheme::Geometric | InitialScheme::Auto => {
-                if self.coords.is_some() {
-                    InitialScheme::Geometric
-                } else {
-                    InitialScheme::Ghg
-                }
-            }
-            other => other,
         }
     }
 

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use fgh_hypergraph::{Hypergraph, Partition};
+use fgh_hypergraph::Hypergraph;
 use fgh_invariant::InvariantViolation;
 use fgh_sparse::IndexType;
 use fgh_trace::{Span, SpanHandle};
@@ -38,9 +38,10 @@ use fgh_trace::{Span, SpanHandle};
 use crate::arena::{ArenaIndex, ArenaPool, LevelArena};
 use crate::cancel::{CancelToken, SharedDeadline};
 use crate::coarsen::{coarsen_once_in, FREE};
-use crate::config::{PartitionConfig, FM_EARLY_EXIT, MAX_NET_SIZE_FOR_MATCHING};
+use crate::config::{InitialScheme, PartitionConfig, FM_EARLY_EXIT, MAX_NET_SIZE_FOR_MATCHING};
 use crate::initial::initial_best_in;
 use crate::level::{EngineStats, Level, StageTimer};
+use crate::parallel::in_thread_pool;
 use crate::refine::BisectionState;
 
 /// The structure a multilevel partitioner runs on: vertices with weights,
@@ -124,29 +125,17 @@ pub trait Substrate: Sized {
         num_clusters: usize,
         arena: &mut LevelArena,
     ) -> Self;
-    /// Extracts the sub-structure induced by `side[v] == which`, returning
-    /// it with the new→old vertex map. `split` enables net splitting
-    /// (hypergraphs only; graphs always drop cut edges).
-    fn extract_side(&self, side: &[u8], which: u8, split: bool) -> (Self, Vec<Self::Ix>);
-
-    /// Extracts both sides of a bisection at once, returning the side-0
-    /// and side-1 sub-structures with their new→old maps. The default
-    /// delegates to two [`Substrate::extract_side`] passes; substrates
-    /// override it to build both halves in a *single* pass over the
-    /// incidence structure, drawing remap scratch from `arena`. Must
-    /// produce exactly what the two `extract_side` calls would.
+    /// Extracts both sides of a bisection in one pass over the incidence
+    /// structure, returning the side-0 and side-1 sub-structures induced
+    /// by `side` with their new→old vertex maps (new ids rise with old
+    /// ids). `split` enables net splitting (hypergraphs only; graphs
+    /// always drop cut edges). Remap scratch comes from `arena`.
     fn extract_both(
         &self,
         side: &[u8],
         split: bool,
         arena: &mut LevelArena,
-    ) -> [(Self, Vec<Self::Ix>); 2] {
-        let _ = arena;
-        [
-            self.extract_side(side, 0, split),
-            self.extract_side(side, 1, split),
-        ]
-    }
+    ) -> [(Self, Vec<Self::Ix>); 2];
 
     /// Full structural self-audit, run by the driver at multilevel
     /// checkpoints when the `paranoid` feature is enabled. The default is
@@ -225,39 +214,27 @@ pub struct MultilevelDriver {
 
 impl Drop for MultilevelDriver {
     fn drop(&mut self) {
-        // Return the warm arena to the shared pool (disabled arenas are
-        // dropped there): forked workers recycle buffers across forks,
-        // and a caller holding the pool keeps them across whole runs.
+        // Return the warm arena to the shared pool: forked workers
+        // recycle buffers across forks, and a caller holding the pool
+        // keeps them across whole runs.
         self.pool.checkin(std::mem::take(&mut self.arena));
     }
 }
 
 impl MultilevelDriver {
-    /// A driver with a pooling arena (the default).
+    /// A driver over a private arena pool.
     pub fn new(cfg: PartitionConfig) -> Self {
-        Self::with_arena(cfg, LevelArena::new())
-    }
-
-    /// A driver over a caller-supplied arena — pass
-    /// [`LevelArena::disabled`] to reproduce the allocation behavior of
-    /// the pre-engine per-level drivers (benchmark ablation).
-    pub fn with_arena(cfg: PartitionConfig, arena: LevelArena) -> Self {
-        Self::assemble(cfg, arena, Arc::new(ArenaPool::new()))
+        Self::with_pool(cfg, Arc::new(ArenaPool::new()))
     }
 
     /// A driver drawing its scratch arena from (and returning it to) a
     /// shared [`ArenaPool`] — what parallel fan-outs use so every
     /// concurrency domain recycles the same warm buffers over time.
     pub fn with_pool(cfg: PartitionConfig, pool: Arc<ArenaPool>) -> Self {
-        let arena = pool.checkout();
-        Self::assemble(cfg, arena, pool)
-    }
-
-    fn assemble(cfg: PartitionConfig, arena: LevelArena, pool: Arc<ArenaPool>) -> Self {
         let threads = cfg.parallelism.resolved();
         MultilevelDriver {
             cfg,
-            arena,
+            arena: pool.checkout(),
             pool,
             threads,
             stats: EngineStats::default(),
@@ -288,14 +265,9 @@ impl MultilevelDriver {
     /// budget deadline and arena pool, fresh stats (merged back at the
     /// join).
     fn fork(&self) -> MultilevelDriver {
-        let arena = if self.arena.is_enabled() {
-            self.pool.checkout()
-        } else {
-            LevelArena::disabled()
-        };
         MultilevelDriver {
             cfg: self.cfg.clone(),
-            arena,
+            arena: self.pool.checkout(),
             pool: Arc::clone(&self.pool),
             threads: self.threads,
             stats: EngineStats::default(),
@@ -512,8 +484,8 @@ impl MultilevelDriver {
         };
         // Project coordinates down the level stack by weighted centroid
         // so the geometric scheme sees the contracted geometry. Only runs
-        // when the recursion attached coordinates, i.e. the geometric /
-        // auto scheme is active — the default path never allocates here.
+        // when the recursion attached coordinates, i.e. the geometric
+        // scheme is active — the default path never allocates here.
         let coarsest_coords: Option<Vec<(f32, f32)>> = coords.map(|top| {
             let mut cur = top.to_vec();
             for li in 0..levels.len() {
@@ -534,7 +506,7 @@ impl MultilevelDriver {
             // multi-try greedy growing — still balanced, no connectivity
             // work.
             let quick = PartitionConfig {
-                initial: crate::config::InitialScheme::BinPacking,
+                initial: InitialScheme::BinPacking,
                 initial_tries: 1,
                 fm_passes: 0,
                 ..self.cfg.clone()
@@ -652,27 +624,9 @@ impl MultilevelDriver {
             let mut ids = S::Ix::take_ids(&mut self.arena, 0, S::Ix::ZERO);
             ids.extend((0..n).map(S::Ix::from_index));
             let mut leaves: Vec<(u32, Vec<S::Ix>)> = Vec::new();
-            let pool = (self.threads > 1 && rayon::current_thread_index().is_none())
-                .then(|| {
-                    rayon::ThreadPoolBuilder::new()
-                        .num_threads(self.threads)
-                        .build()
-                        .ok()
-                })
-                .flatten();
-            match pool {
-                Some(pool) => {
-                    let (l, c) = pool.install(|| {
-                        let mut leaves = Vec::new();
-                        let mut cut = 0u64;
-                        self.recurse(sub, ids, fixed, k, 0, eps, &mut leaves, &mut cut);
-                        (leaves, cut)
-                    });
-                    leaves = l;
-                    cut_sum = c;
-                }
-                None => self.recurse(sub, ids, fixed, k, 0, eps, &mut leaves, &mut cut_sum),
-            }
+            in_thread_pool(self.threads, || {
+                self.recurse(sub, ids, fixed, k, 0, eps, &mut leaves, &mut cut_sum)
+            });
             for (part, leaf_ids) in leaves {
                 for &orig in &leaf_ids {
                     parts[orig.index()] = part;
@@ -728,15 +682,14 @@ impl MultilevelDriver {
             }
         }));
 
-        // When the geometric / auto scheme is active, translate the
-        // caller's original-id coordinate array into this node's local
-        // vertex space. A too-short array (caller error) degrades to the
-        // GHG fallback rather than panicking mid-recursion.
+        // When the geometric scheme is active, translate the caller's
+        // original-id coordinate array into this node's local vertex
+        // space. A too-short array (caller error) degrades to the GHG
+        // fallback rather than panicking mid-recursion.
         let local_coords: Option<Vec<(f32, f32)>> = match (self.cfg.initial, &self.cfg.coords) {
-            (
-                crate::config::InitialScheme::Geometric | crate::config::InitialScheme::Auto,
-                Some(c),
-            ) if c.len() >= fixed.len() => Some(ids.iter().map(|&orig| c[orig.index()]).collect()),
+            (InitialScheme::Geometric, Some(c)) if c.len() >= fixed.len() => {
+                Some(ids.iter().map(|&orig| c[orig.index()]).collect())
+            }
             _ => None,
         };
 
@@ -1132,15 +1085,6 @@ impl<I: ArenaIndex> Substrate for Hypergraph<I> {
             .expect("contraction preserves hypergraph validity")
     }
 
-    // Infallible `expect`: `side` holds only 0/1 by construction, so the
-    // 2-way `Partition` is always valid.
-    #[allow(clippy::expect_used)]
-    fn extract_side(&self, side: &[u8], which: u8, split: bool) -> (Self, Vec<I>) {
-        let partition =
-            Partition::new(2, side.iter().map(|&s| s as u32).collect()).expect("sides are 0/1"); // lint: checked-cast — side entries are 0 or 1
-        self.extract_part_mode(&partition, which as u32, split) // lint: checked-cast — which is 0 or 1
-    }
-
     // Infallible `expect`s: extraction renumbers pins into `0..map.len()`
     // with sorted, deduped, in-bounds nets — exactly what
     // `from_flat_nets` validates.
@@ -1220,7 +1164,7 @@ mod tests {
     use super::*;
     use crate::config::Budget;
     use crate::testutil::{random_hypergraph, two_clusters};
-    use fgh_hypergraph::cutsize_connectivity;
+    use fgh_hypergraph::{cutsize_connectivity, Partition};
 
     /// Rebuilds a `u32` hypergraph at `u64` width with identical content.
     fn widen(hg: &Hypergraph) -> Hypergraph<u64> {
@@ -1344,13 +1288,6 @@ mod tests {
         driver.partition_recursive(&hg, 8, &fixed);
         let a = driver.arena_stats();
         assert!(a.reused > a.fresh, "pool should serve most takes: {a:?}");
-
-        let mut ablation =
-            MultilevelDriver::with_arena(PartitionConfig::with_seed(2), LevelArena::disabled());
-        ablation.partition_recursive(&hg, 8, &fixed);
-        let b = ablation.arena_stats();
-        assert_eq!(b.reused, 0);
-        assert!(b.fresh > a.fresh, "disabled arena must allocate every take");
     }
 
     #[test]
@@ -1447,11 +1384,12 @@ mod tests {
         let side: Vec<u8> = (0..200u32)
             .map(|v| ((v.wrapping_mul(2_654_435_761) >> 16) & 1) as u8)
             .collect();
+        let partition = Partition::new(2, side.iter().map(|&s| s as u32).collect()).unwrap();
         let mut arena = LevelArena::new();
         for split in [true, false] {
             let [(h0, m0), (h1, m1)] = hg.extract_both(&side, split, &mut arena);
-            let (e0, em0) = hg.extract_side(&side, 0, split);
-            let (e1, em1) = hg.extract_side(&side, 1, split);
+            let (e0, em0) = hg.extract_part_mode(&partition, 0, split);
+            let (e1, em1) = hg.extract_part_mode(&partition, 1, split);
             assert_eq!(m0, em0, "side-0 map differs (split={split})");
             assert_eq!(m1, em1, "side-1 map differs (split={split})");
             assert_eq!(h0, e0, "side-0 hypergraph differs (split={split})");
@@ -1534,18 +1472,5 @@ mod tests {
                 assert_eq!(par.parts[v], p, "fixed vertex {v} moved");
             }
         }
-    }
-
-    #[test]
-    fn disabled_arena_gives_identical_results() {
-        let hg = random_hypergraph(300, 450, 5, 4);
-        let fixed = vec![u32::MAX; 300];
-        let cfg = PartitionConfig::with_seed(3);
-        let mut pooled = MultilevelDriver::new(cfg.clone());
-        let mut fresh = MultilevelDriver::with_arena(cfg, LevelArena::disabled());
-        let a = pooled.partition_recursive(&hg, 4, &fixed);
-        let b = fresh.partition_recursive(&hg, 4, &fixed);
-        assert_eq!(a.parts, b.parts, "arena pooling must not change results");
-        assert_eq!(a.cut_sum, b.cut_sum);
     }
 }

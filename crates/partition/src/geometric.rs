@@ -12,50 +12,35 @@
 //! coordinate along the longest axis (ties broken by vertex id via the
 //! stable sort), and side 0 is filled from the low end up to its weight
 //! target — a weighted-median cut. Randomness enters only through the
-//! FM refinement that follows, so multiple tries still explore distinct
-//! local optima while the geometric seed stays reproducible.
+//! FM refinement that follows (see [`crate::initial`]), so multiple tries
+//! still explore distinct local optima while the geometric seed stays
+//! reproducible.
 
 use fgh_sparse::IndexType;
-use rand::Rng;
 
-use crate::arena::{ArenaIndex, LevelArena};
-use crate::coarsen::FREE;
 use crate::engine::Substrate;
-use crate::level::EngineStats;
-use crate::refine::BisectionState;
 
-/// One geometric bisection try: longest-axis weighted-median sweep,
-/// followed by FM refinement. `coords[v]` is the position of *local*
-/// vertex `v` (already projected to this substrate's level).
-#[allow(clippy::too_many_arguments)]
-// lint: checked-index — coords/fixed/side all have length num_vertices and every v ranges over 0..num_vertices (engine contract, asserted by BisectionState); targets is [f64; 2] indexed by constant 0
-pub(crate) fn geometric_once<S: Substrate>(
+/// The geometric seeder: a longest-axis weighted-median sweep over the
+/// `free` vertices (all on side 0), placing every one past the cut on
+/// side 1. `coords[v]` is the position of *local* vertex `v` (already
+/// projected to this substrate's level); `fixed_w` is the fixed
+/// vertices' weight per side.
+// lint: checked-index — coords and side have length num_vertices and free holds vertex ids < num_vertices (engine contract); targets and fixed_w are [_; 2] indexed by constant 0
+pub(crate) fn sweep<S: Substrate>(
     sub: &S,
+    side: &mut [u8],
+    free: &mut [S::Ix],
+    fixed_w: [u64; 2],
     coords: &[(f32, f32)],
-    fixed: &[i8],
     targets: [f64; 2],
-    epsilon: f64,
-    fm_passes: usize,
-    rng: &mut impl Rng,
-    arena: &mut LevelArena,
-    stats: &mut EngineStats,
-) -> Vec<u8> {
-    let n = sub.num_vertices();
-    let mut side = seed_sides_local(sub, fixed, arena);
-    let mut order = S::Ix::take_ids(arena, 0, S::Ix::ZERO);
-    order.extend(
-        (0..n)
-            .map(S::Ix::from_index)
-            .filter(|&v| fixed[v.index()] == FREE),
-    );
-
+) {
     // Longest axis of the free vertices' bounding box. A degenerate box
     // (single row/column, or all vertices coincident) still orders
     // deterministically: the sweep key collapses to equal values and the
     // stable sort leaves vertices in id order.
     let mut lo = (f32::INFINITY, f32::INFINITY);
     let mut hi = (f32::NEG_INFINITY, f32::NEG_INFINITY);
-    for &v in order.iter() {
+    for &v in free.iter() {
         let (x, y) = coords[v.index()];
         lo = (lo.0.min(x), lo.1.min(y));
         hi = (hi.0.max(x), hi.1.max(y));
@@ -71,49 +56,20 @@ pub(crate) fn geometric_once<S: Substrate>(
     };
     // Stable sort: equal coordinates keep ascending-id order, so the cut
     // position is deterministic without a secondary key.
-    order.sort_by(|&a, &b| key(a).total_cmp(&key(b)));
+    free.sort_by(|&a, &b| key(a).total_cmp(&key(b)));
 
     // Weighted-median sweep: fill side 0 from the low end of the axis
     // until it reaches its target, everything past the cut goes to 1.
     // Fixed-0 vertices count toward side 0's fill regardless of position.
     let target0 = targets[0].floor().max(0.0) as u64;
-    let mut w0: u64 = (0..n)
-        .filter(|&v| side[v] == 0 && fixed[v] != FREE)
-        .map(|v| sub.vertex_weight(S::Ix::from_index(v)) as u64)
-        .sum();
-    for &v in order.iter() {
+    let mut w0 = fixed_w[0];
+    for &v in free.iter() {
         if w0 < target0 {
             w0 += sub.vertex_weight(v) as u64;
         } else {
             side[v.index()] = 1;
         }
     }
-    S::Ix::give_ids(arena, order);
-
-    let mut st = BisectionState::new_in(sub, side, fixed, targets, epsilon, arena);
-    st.refine_in(
-        rng,
-        fm_passes,
-        0,
-        arena,
-        stats,
-        &fgh_trace::SpanHandle::noop(),
-    );
-    st.into_sides_in(arena)
-}
-
-/// Per-vertex starting side: fixed-1 vertices on side 1, the rest on 0.
-/// (Mirrors `initial::seed_sides`, which stays private to that module.)
-// lint: checked-index — fixed has length num_vertices (engine contract) and side is taken at that length; v < n
-fn seed_sides_local<S: Substrate>(sub: &S, fixed: &[i8], arena: &mut LevelArena) -> Vec<u8> {
-    let n = sub.num_vertices();
-    let mut side = arena.take_u8(n, 0);
-    for v in 0..n {
-        if fixed[v] == 1 {
-            side[v] = 1;
-        }
-    }
-    side
 }
 
 /// Projects fine-level coordinates onto a coarse level: each coarse
@@ -154,9 +110,40 @@ pub(crate) fn project_centroids<S: Substrate>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::LevelArena;
+    use crate::coarsen::FREE;
+    use crate::config::{InitialScheme, PartitionConfig};
+    use crate::initial::initial_best_in;
+    use crate::level::EngineStats;
     use fgh_hypergraph::Hypergraph;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// One geometric try with no FM: the raw sweep.
+    fn raw_sweep(
+        hg: &Hypergraph,
+        coords: &[(f32, f32)],
+        fixed: &[i8],
+        targets: [f64; 2],
+    ) -> Vec<u8> {
+        let cfg = PartitionConfig {
+            initial: InitialScheme::Geometric,
+            initial_tries: 1,
+            fm_passes: 0,
+            ..Default::default()
+        };
+        initial_best_in(
+            hg,
+            fixed,
+            targets,
+            0.0,
+            &cfg,
+            Some(coords),
+            &mut SmallRng::seed_from_u64(1),
+            &mut LevelArena::new(),
+            &mut EngineStats::default(),
+        )
+    }
 
     /// Two point clusters along x, connected internally: the sweep must
     /// cut between them.
@@ -175,20 +162,7 @@ mod tests {
                 }
             })
             .collect();
-        let fixed = vec![FREE; 8];
-        let mut arena = LevelArena::disabled();
-        let mut stats = EngineStats::default();
-        let side = geometric_once(
-            &hg,
-            &coords,
-            &fixed,
-            [4.0, 4.0],
-            0.0,
-            0, // no FM: test the raw sweep
-            &mut SmallRng::seed_from_u64(1),
-            &mut arena,
-            &mut stats,
-        );
+        let side = raw_sweep(&hg, &coords, &[FREE; 8], [4.0, 4.0]);
         assert_eq!(side, vec![0, 0, 0, 0, 1, 1, 1, 1]);
     }
 
@@ -198,20 +172,7 @@ mod tests {
     fn degenerate_coincident_coords_balance() {
         let hg = Hypergraph::<u32>::from_nets(6, &[vec![0, 1], vec![2, 3]]).unwrap();
         let coords = vec![(7.0, 7.0); 6];
-        let fixed = vec![FREE; 6];
-        let mut arena = LevelArena::disabled();
-        let mut stats = EngineStats::default();
-        let side = geometric_once(
-            &hg,
-            &coords,
-            &fixed,
-            [3.0, 3.0],
-            0.0,
-            0,
-            &mut SmallRng::seed_from_u64(1),
-            &mut arena,
-            &mut stats,
-        );
+        let side = raw_sweep(&hg, &coords, &[FREE; 6], [3.0, 3.0]);
         assert_eq!(side, vec![0, 0, 0, 1, 1, 1]);
     }
 
@@ -222,19 +183,7 @@ mod tests {
         let coords: Vec<(f32, f32)> = (0..4).map(|v| (v as f32, 0.0)).collect();
         // Vertex 0 (lowest x) pinned to side 1; vertex 3 (highest) to 0.
         let fixed = vec![1, FREE, FREE, 0];
-        let mut arena = LevelArena::disabled();
-        let mut stats = EngineStats::default();
-        let side = geometric_once(
-            &hg,
-            &coords,
-            &fixed,
-            [2.0, 2.0],
-            0.0,
-            0,
-            &mut SmallRng::seed_from_u64(1),
-            &mut arena,
-            &mut stats,
-        );
+        let side = raw_sweep(&hg, &coords, &fixed, [2.0, 2.0]);
         assert_eq!(side[0], 1);
         assert_eq!(side[3], 0);
     }

@@ -1,8 +1,10 @@
-//! Initial partitioning of the coarsest substrate: greedy growing (GHG on
-//! hypergraphs, GGP on graphs — the same max-gain frontier growth) with
-//! multiple random tries.
+//! Initial partitioning of the coarsest substrate: multiple random tries
+//! of one seeding scheme — greedy growing (GHG on hypergraphs, GGP on
+//! graphs — the same max-gain frontier growth), random fill, weight-only
+//! bin packing, or the geometric sweep — each FM-polished, best kept.
 
 use fgh_sparse::IndexType;
+use fgh_trace::SpanHandle;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -17,8 +19,14 @@ use crate::refine::BisectionState;
 /// entry point): scheme, tries, and FM passes are read from `cfg`.
 /// `coords[v]`, when present, positions *local* vertex `v` for the
 /// geometric scheme — the engine projects top-level coordinates down to
-/// the coarsest substrate before calling this. Geometric/Auto without
-/// coordinates fall back to GHG.
+/// the coarsest substrate before calling this. Geometric without
+/// coordinates falls back to GHG.
+///
+/// Every try starts from the fixed vertices on their sides and every free
+/// vertex on side 0, and the scheme's seeder moves free vertices across.
+/// The try then builds one [`BisectionState`], FM-polishes it, and scores
+/// it as it stands. The best (balance penalty, cut) wins, the earliest
+/// try on ties.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn initial_best_in<S: Substrate>(
     sub: &S,
@@ -31,252 +39,133 @@ pub(crate) fn initial_best_in<S: Substrate>(
     arena: &mut LevelArena,
     stats: &mut EngineStats,
 ) -> Vec<u8> {
-    let scheme = match (cfg.initial, coords) {
-        (InitialScheme::Geometric | InitialScheme::Auto, Some(_)) => InitialScheme::Geometric,
-        (InitialScheme::Geometric | InitialScheme::Auto, None) => InitialScheme::Ghg,
-        (other, _) => other,
-    };
-    let mut best: Option<(u64, u64, Vec<u8>)> = None;
+    let n = sub.num_vertices();
+    let mut best: Option<((u64, u64), Vec<u8>)> = None;
     for _ in 0..cfg.initial_tries.max(1) {
-        let sides = match scheme {
-            InitialScheme::Ghg => ghg_once(
-                sub,
-                fixed,
-                targets,
-                epsilon,
-                cfg.fm_passes,
-                rng,
-                arena,
-                stats,
-            ),
-            InitialScheme::Random => random_once(
-                sub,
-                fixed,
-                targets,
-                epsilon,
-                cfg.fm_passes,
-                rng,
-                arena,
-                stats,
-            ),
-            InitialScheme::BinPacking => bin_packing_once(
-                sub,
-                fixed,
-                targets,
-                epsilon,
-                cfg.fm_passes,
-                rng,
-                arena,
-                stats,
-            ),
-            // `scheme` is resolved above: Geometric only with coords
-            // present, Auto never survives resolution.
-            InitialScheme::Geometric => {
-                let Some(coords) = coords else {
-                    unreachable!("geometric scheme resolved without coords")
-                };
-                crate::geometric::geometric_once(
-                    sub,
-                    coords,
-                    fixed,
-                    targets,
-                    epsilon,
-                    cfg.fm_passes,
-                    rng,
-                    arena,
-                    stats,
-                )
+        let mut side = arena.take_u8(n, 0);
+        let mut free = S::Ix::take_ids(arena, 0, S::Ix::ZERO);
+        // Weight of the fixed vertices on each side.
+        let mut fixed_w = [0u64; 2];
+        for v in 0..n {
+            let vi = S::Ix::from_index(v);
+            if fixed[v] == FREE {
+                free.push(vi);
+            } else {
+                side[v] = u8::from(fixed[v] == 1);
+                fixed_w[usize::from(side[v])] += sub.vertex_weight(vi) as u64;
             }
-            InitialScheme::Auto => unreachable!("Auto resolves before dispatch"),
+        }
+        // Growth picks vertices by gain, so it runs on the try's state;
+        // the other seeders place free vertices before the state exists.
+        let placed = match (cfg.initial, coords) {
+            (InitialScheme::Random, _) => {
+                random_fill(sub, &mut side, &mut free, fixed_w, targets, rng);
+                true
+            }
+            (InitialScheme::BinPacking, _) => {
+                bin_pack(sub, &mut side, &mut free, fixed_w, targets, rng);
+                true
+            }
+            (InitialScheme::Geometric, Some(coords)) => {
+                crate::geometric::sweep(sub, &mut side, &mut free, fixed_w, coords, targets);
+                true
+            }
+            // GHG, and the geometric scheme without coordinates.
+            (InitialScheme::Ghg | InitialScheme::Geometric, _) => false,
         };
-        let st = BisectionState::new_in(sub, sides, fixed, targets, epsilon, arena);
+        let mut st = BisectionState::new_in(sub, side, fixed, targets, epsilon, arena);
+        if !placed {
+            grow(sub, &mut st, &mut free, targets, rng, arena);
+        }
+        S::Ix::give_ids(arena, free);
+        st.refine_in(rng, cfg.fm_passes, 0, arena, stats, &SpanHandle::noop());
         let key = (st.balance_penalty(), st.cut());
         let sides = st.into_sides_in(arena);
-        if best
-            .as_ref()
-            .map(|(p, c, _)| key < (*p, *c))
-            .unwrap_or(true)
-        {
-            if let Some((_, _, old)) = best.replace((key.0, key.1, sides)) {
-                arena.give_u8(old);
+        match &best {
+            Some((best_key, _)) if *best_key <= key => arena.give_u8(sides),
+            _ => {
+                if let Some((_, old)) = best.replace((key, sides)) {
+                    arena.give_u8(old);
+                }
             }
-        } else {
-            arena.give_u8(sides);
         }
     }
-    match best {
-        Some((_, _, sides)) => sides,
-        // Unreachable (the loop runs at least once), but a seed split is
-        // a safe fallback rather than a panic.
-        None => seed_sides(sub, fixed, arena),
-    }
+    // The loop runs at least once; an all-zero split is a safe fallback
+    // rather than a panic.
+    best.map_or_else(|| arena.take_u8(n, 0), |(_, sides)| sides)
 }
 
-/// Per-vertex starting side: fixed-1 vertices on side 1, the rest on 0.
-fn seed_sides<S: Substrate>(sub: &S, fixed: &[i8], arena: &mut LevelArena) -> Vec<u8> {
-    let n = sub.num_vertices();
-    let mut side = arena.take_u8(n, 0);
-    for v in 0..n {
-        if fixed[v] == 1 {
-            side[v] = 1;
-        }
-    }
-    side
-}
-
-/// Random assignment: shuffle free vertices, fill side 1 to its target.
-#[allow(clippy::too_many_arguments)]
-fn random_once<S: Substrate>(
+/// Random fill: shuffle the free vertices and move them to side 1 until
+/// it reaches its target weight.
+fn random_fill<S: Substrate>(
     sub: &S,
-    fixed: &[i8],
+    side: &mut [u8],
+    free: &mut [S::Ix],
+    fixed_w: [u64; 2],
     targets: [f64; 2],
-    epsilon: f64,
-    fm_passes: usize,
     rng: &mut impl Rng,
-    arena: &mut LevelArena,
-    stats: &mut EngineStats,
-) -> Vec<u8> {
-    let n = sub.num_vertices();
-    let mut side = seed_sides(sub, fixed, arena);
-    let mut order = S::Ix::take_ids(arena, 0, S::Ix::ZERO);
-    order.extend(
-        (0..n)
-            .map(S::Ix::from_index)
-            .filter(|&v| fixed[v.index()] == FREE),
-    );
-    order.shuffle(rng);
+) {
+    free.shuffle(rng);
     let target1 = targets[1].floor().max(0.0) as u64;
-    let mut w1: u64 = (0..n)
-        .filter(|&v| side[v] == 1)
-        .map(|v| sub.vertex_weight(S::Ix::from_index(v)) as u64)
-        .sum();
-    for &v in order.iter() {
+    let mut w1 = fixed_w[1];
+    for &v in free.iter() {
         if w1 >= target1 {
             break;
         }
         side[v.index()] = 1;
         w1 += sub.vertex_weight(v) as u64;
     }
-    S::Ix::give_ids(arena, order);
-    let mut st = BisectionState::new_in(sub, side, fixed, targets, epsilon, arena);
-    st.refine_in(
-        rng,
-        fm_passes,
-        0,
-        arena,
-        stats,
-        &fgh_trace::SpanHandle::noop(),
-    );
-    st.into_sides_in(arena)
 }
 
 /// Weight-only greedy bin packing: heaviest free vertices first, each onto
-/// the side with more remaining capacity (ties randomized by a shuffled
-/// pre-pass), connectivity ignored.
-#[allow(clippy::too_many_arguments)]
-fn bin_packing_once<S: Substrate>(
+/// the side with the larger remaining gap to its target (ties randomized
+/// by a shuffled pre-pass), connectivity ignored.
+fn bin_pack<S: Substrate>(
     sub: &S,
-    fixed: &[i8],
+    side: &mut [u8],
+    free: &mut [S::Ix],
+    mut w: [u64; 2],
     targets: [f64; 2],
-    epsilon: f64,
-    fm_passes: usize,
     rng: &mut impl Rng,
-    arena: &mut LevelArena,
-    stats: &mut EngineStats,
-) -> Vec<u8> {
-    let n = sub.num_vertices();
-    let mut side = seed_sides(sub, fixed, arena);
-    let mut w = [0u64; 2];
-    for v in 0..n {
-        if fixed[v] != FREE {
-            w[side[v] as usize] += sub.vertex_weight(S::Ix::from_index(v)) as u64;
-        }
-    }
-    let mut order = S::Ix::take_ids(arena, 0, S::Ix::ZERO);
-    order.extend(
-        (0..n)
-            .map(S::Ix::from_index)
-            .filter(|&v| fixed[v.index()] == FREE),
-    );
-    order.shuffle(rng);
-    order.sort_by_key(|&v| std::cmp::Reverse(sub.vertex_weight(v)));
-    for &v in order.iter() {
-        // Fill toward proportional targets: pick the side with the larger
-        // remaining gap.
-        let gap0 = targets[0] - w[0] as f64;
-        let gap1 = targets[1] - w[1] as f64;
-        let s = usize::from(gap1 > gap0);
+) {
+    free.shuffle(rng);
+    free.sort_by_key(|&v| std::cmp::Reverse(sub.vertex_weight(v)));
+    for &v in free.iter() {
+        let s = usize::from(targets[1] - w[1] as f64 > targets[0] - w[0] as f64);
         side[v.index()] = s as u8; // lint: checked-cast — s is 0 or 1
         w[s] += sub.vertex_weight(v) as u64;
     }
-    S::Ix::give_ids(arena, order);
-    let mut st = BisectionState::new_in(sub, side, fixed, targets, epsilon, arena);
-    st.refine_in(
-        rng,
-        fm_passes,
-        0,
-        arena,
-        stats,
-        &fgh_trace::SpanHandle::noop(),
-    );
-    st.into_sides_in(arena)
 }
 
-/// Greedy growing: start everything free on side 0 and pull max-gain
-/// vertices across until side 1 reaches its target weight.
-#[allow(clippy::too_many_arguments)]
-fn ghg_once<S: Substrate>(
+/// Greedy growing: pull max-gain free vertices across to side 1 until it
+/// reaches its target weight. Gains make the growth cluster-shaped:
+/// vertices adjacent to side 1 have higher gain.
+fn grow<S: Substrate>(
     sub: &S,
-    fixed: &[i8],
+    st: &mut BisectionState<'_, S>,
+    free: &mut [S::Ix],
     targets: [f64; 2],
-    epsilon: f64,
-    fm_passes: usize,
     rng: &mut impl Rng,
     arena: &mut LevelArena,
-    stats: &mut EngineStats,
-) -> Vec<u8> {
-    let n = sub.num_vertices();
-    // Fixed vertices start on their side, everything else on side 0.
-    let side = seed_sides(sub, fixed, arena);
-    let mut st = BisectionState::new_in(sub, side, fixed, targets, epsilon, arena);
-
-    // Grow side 1 until it reaches its target weight. Gains make the
-    // growth cluster-shaped: vertices adjacent to side 1 have higher gain.
+) {
     let target1 = targets[1].floor().max(0.0) as u64;
-    if st.weights()[1] < target1 {
-        let mut buckets = S::Ix::take_buckets(arena, n, sub.max_gain_bound());
-        let mut insert_order = S::Ix::take_ids(arena, 0, S::Ix::ZERO);
-        insert_order.extend(
-            (0..n)
-                .map(S::Ix::from_index)
-                .filter(|&v| fixed[v.index()] == FREE),
-        );
-        // Random seed bias: shuffle so ties (isolated vertices) vary.
-        insert_order.shuffle(rng);
-        for &v in insert_order.iter() {
-            buckets.insert(v, st.gain(v));
-        }
-        while st.weights()[1] < target1 {
-            let state = &st;
-            let popped = buckets.pop_max_where(|u| state.sides()[u.index()] == 0);
-            match popped {
-                Some((v, _)) => st.apply_move(v, Some(&mut buckets)),
-                None => break,
-            }
-        }
-        S::Ix::give_buckets(arena, buckets);
-        S::Ix::give_ids(arena, insert_order);
+    if st.weights()[1] >= target1 {
+        return;
     }
-
-    st.refine_in(
-        rng,
-        fm_passes,
-        0,
-        arena,
-        stats,
-        &fgh_trace::SpanHandle::noop(),
-    );
-    st.into_sides_in(arena)
+    let mut buckets = S::Ix::take_buckets(arena, sub.num_vertices(), sub.max_gain_bound());
+    // Random seed bias: shuffle so ties (isolated vertices) vary.
+    free.shuffle(rng);
+    for &v in free.iter() {
+        buckets.insert(v, st.gain(v));
+    }
+    while st.weights()[1] < target1 {
+        let state = &*st;
+        match buckets.pop_max_where(|u| state.sides()[u.index()] == 0) {
+            Some((v, _)) => st.apply_move(v, Some(&mut buckets)),
+            None => break,
+        }
+    }
+    S::Ix::give_buckets(arena, buckets);
 }
 
 #[cfg(test)]
@@ -316,7 +205,7 @@ mod tests {
             &cfg,
             None,
             &mut SmallRng::seed_from_u64(seed),
-            &mut LevelArena::disabled(),
+            &mut LevelArena::new(),
             &mut EngineStats::default(),
         )
     }

@@ -6,8 +6,10 @@
 //!   agglomerative heavy-connectivity clustering (HCC), followed by
 //!   contraction that dedupes pins, drops single-pin nets, and merges
 //!   identical nets (summing their costs).
-//! * **Initial partitioning** ([`initial`]): greedy hypergraph growing
-//!   (GHG) from random seeds, multiple tries, best kept.
+//! * **Initial partitioning** ([`initial`]): multiple tries, best kept,
+//!   each seeded by greedy hypergraph growing (GHG, the default), random
+//!   fill, weight-only bin packing, or a longest-axis geometric sweep
+//!   ([`geometric`]) and then FM-polished.
 //! * **Refinement** ([`refine`]): Fiduccia–Mattheyses passes with
 //!   gain-bucket lists, balance-constrained moves, lock-on-move, and
 //!   best-prefix rollback.

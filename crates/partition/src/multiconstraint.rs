@@ -19,6 +19,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use crate::connectivity::NetConnectivity;
 use crate::error::PartitionError;
 use crate::level::StageTimer;
 use crate::EngineStats;
@@ -132,7 +133,7 @@ pub fn partition_multiconstraint(
 
     let mut part_load = vec![0u64; k as usize * c];
     let mut parts = vec![u32::MAX; n as usize];
-    let mut net_touch: Vec<Vec<(u32, u32)>> = vec![Vec::new(); hg.num_nets() as usize];
+    let mut net_touch = NetConnectivity::empty(k, hg.num_nets() as usize);
     for &v in &order {
         let mut best: Option<(f64, u32)> = None;
         for p in 0..k {
@@ -145,7 +146,7 @@ pub fn partition_multiconstraint(
             // Connectivity bonus: parts already on v's nets are cheaper.
             let mut bonus = 0.0f64;
             for &nn in hg.nets(v) {
-                if net_touch[nn as usize].iter().any(|&(q, _)| q == p) {
+                if net_touch.count(nn, p) > 0 {
                     bonus += hg.net_cost(nn) as f64;
                 }
             }
@@ -163,10 +164,7 @@ pub fn partition_multiconstraint(
             part_load[p as usize * c + i] += w as u64;
         }
         for &nn in hg.nets(v) {
-            match net_touch[nn as usize].iter_mut().find(|(q, _)| *q == p) {
-                Some((_, cnt)) => *cnt += 1,
-                None => net_touch[nn as usize].push((p, 1)),
-            }
+            net_touch.add_pin(nn as usize, p);
         }
     }
 
@@ -184,11 +182,11 @@ pub fn partition_multiconstraint(
             // Candidate parts: those on v's nets.
             let mut cands: Vec<u32> = Vec::new();
             for &nn in hg.nets(v) {
-                for &(q, _) in &net_touch[nn as usize] {
+                net_touch.for_each_part(nn, |q, _| {
                     if q != from && !cands.contains(&q) {
                         cands.push(q);
                     }
-                }
+                });
             }
             let mut best: Option<(i64, u32)> = None;
             for &q in &cands {
@@ -202,12 +200,10 @@ pub fn partition_multiconstraint(
                 let mut gain = 0i64;
                 for &nn in hg.nets(v) {
                     let cost = hg.net_cost(nn) as i64;
-                    let cnt_from = count(&net_touch[nn as usize], from);
-                    let cnt_to = count(&net_touch[nn as usize], q);
-                    if cnt_from == 1 {
+                    if net_touch.count(nn, from) == 1 {
                         gain += cost;
                     }
-                    if cnt_to == 0 {
+                    if net_touch.count(nn, q) == 0 {
                         gain -= cost;
                     }
                 }
@@ -224,7 +220,7 @@ pub fn partition_multiconstraint(
                         part_load[q as usize * c + i] += w as u64;
                     }
                     for &nn in hg.nets(v) {
-                        move_touch(&mut net_touch[nn as usize], nn, from, q)?;
+                        net_touch.move_pin(nn, from, q)?;
                     }
                     moved += 1;
                 }
@@ -264,38 +260,6 @@ fn norm_total(w: &MultiWeights, totals: &[u64], v: u32) -> f64 {
         .enumerate()
         .map(|(i, &x)| x as f64 / (totals[i].max(1)) as f64)
         .sum()
-}
-
-fn count(touch: &[(u32, u32)], p: u32) -> u32 {
-    touch
-        .iter()
-        .find(|&&(q, _)| q == p)
-        .map(|&(_, c)| c)
-        .unwrap_or(0)
-}
-
-fn move_touch(
-    touch: &mut Vec<(u32, u32)>,
-    net: u32,
-    from: u32,
-    to: u32,
-) -> Result<(), PartitionError> {
-    let Some(i) = touch.iter().position(|&(q, _)| q == from) else {
-        // Corrupt per-net touch table: a typed error so release builds
-        // abort the sweep instead of continuing on broken counts.
-        return Err(PartitionError::internal(format!(
-            "net {net} has no pins in part {from} to move to part {to}"
-        )));
-    };
-    touch[i].1 -= 1;
-    if touch[i].1 == 0 {
-        touch.swap_remove(i);
-    }
-    match touch.iter_mut().find(|(q, _)| *q == to) {
-        Some((_, c)) => *c += 1,
-        None => touch.push((to, 1)),
-    }
-    Ok(())
 }
 
 #[cfg(test)]

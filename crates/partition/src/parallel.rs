@@ -62,13 +62,22 @@ where
     F: Fn(&mut MultilevelDriver) -> Result<R, PartitionError> + Sync,
 {
     let runs = runs.max(1);
-    let threads = cfg.parallelism.resolved();
+    in_thread_pool(cfg.parallelism.resolved(), || {
+        run_range(cfg, 0, runs, pool, parent, &run)
+    })
+}
+
+/// Runs `op` inside a fork-join pool of `threads` threads, so the
+/// `rayon::join`s it reaches can fork. Runs it inline when `threads` is 1,
+/// when the caller already runs inside a pool (whose threads the joins
+/// then share, instead of a nested pool), or when no pool can be built.
+pub(crate) fn in_thread_pool<R>(threads: usize, op: impl FnOnce() -> R) -> R {
     if threads > 1 && rayon::current_thread_index().is_none() {
-        if let Ok(tp) = rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
-            return tp.install(|| run_range(cfg, 0, runs, pool, parent, &run));
+        if let Ok(pool) = rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
+            return pool.install(op);
         }
     }
-    run_range(cfg, 0, runs, pool, parent, &run)
+    op()
 }
 
 /// The best of a multi-seed sweep: balanced results first, then the lower

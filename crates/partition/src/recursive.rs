@@ -340,13 +340,12 @@ mod tests {
                 InitialScheme::Random,
                 InitialScheme::BinPacking,
                 InitialScheme::Geometric,
-                InitialScheme::Auto,
             ] {
-                // Geometric/Auto run both with coordinates attached (an
+                // Geometric runs both with coordinates attached (an
                 // arbitrary deterministic point cloud) and without
                 // (exercising the GHG fallback).
                 let coords: Option<std::sync::Arc<Vec<(f32, f32)>>> =
-                    matches!(initial, InitialScheme::Geometric | InitialScheme::Auto).then(|| {
+                    (initial == InitialScheme::Geometric).then(|| {
                         std::sync::Arc::new(
                             (0..300)
                                 .map(|v| ((v % 17) as f32, (v / 17) as f32))
@@ -366,7 +365,7 @@ mod tests {
                     "{coarsening:?}/{initial:?}: imbalance {}%",
                     r.imbalance_percent
                 );
-                if matches!(initial, InitialScheme::Geometric | InitialScheme::Auto) {
+                if initial == InitialScheme::Geometric {
                     let no_coords = PartitionConfig {
                         coarsening,
                         initial,

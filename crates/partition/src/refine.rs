@@ -67,14 +67,7 @@ impl<'a, S: Substrate> BisectionState<'a, S> {
         targets: [f64; 2],
         epsilon: f64,
     ) -> Self {
-        Self::new_in(
-            sub,
-            side,
-            fixed,
-            targets,
-            epsilon,
-            &mut LevelArena::disabled(),
-        )
+        Self::new_in(sub, side, fixed, targets, epsilon, &mut LevelArena::new())
     }
 
     /// Arena-backed variant of [`BisectionState::new`]: cut bookkeeping
@@ -147,13 +140,8 @@ impl<'a, S: Substrate> BisectionState<'a, S> {
         &self.side
     }
 
-    /// Consumes the state, returning the side assignment.
-    pub fn into_sides(self) -> Vec<u8> {
-        self.side
-    }
-
-    /// Like [`BisectionState::into_sides`], but recycles the cut
-    /// bookkeeping buffers into `arena` first.
+    /// Consumes the state, returning the side assignment after recycling
+    /// the cut bookkeeping buffers into `arena`.
     pub fn into_sides_in(self, arena: &mut LevelArena) -> Vec<u8> {
         S::recycle_cut_state(self.cs, arena);
         self.side
@@ -229,7 +217,7 @@ impl<'a, S: Substrate> BisectionState<'a, S> {
         self.fm_pass_in(
             rng,
             early_exit,
-            &mut LevelArena::disabled(),
+            &mut LevelArena::new(),
             &mut EngineStats::default(),
         )
     }
@@ -308,7 +296,7 @@ impl<'a, S: Substrate> BisectionState<'a, S> {
             rng,
             max_passes,
             early_exit,
-            &mut LevelArena::disabled(),
+            &mut LevelArena::new(),
             &mut EngineStats::default(),
             &SpanHandle::noop(),
         )

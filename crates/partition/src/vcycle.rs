@@ -170,7 +170,7 @@ fn coarsen_respecting<I: ArenaIndex>(
             max_net,
             weight_cap,
             rng,
-            &mut LevelArena::disabled(),
+            &mut LevelArena::new(),
         ) {
             Some(level) => {
                 for (lv, &c) in level.map.iter().enumerate() {

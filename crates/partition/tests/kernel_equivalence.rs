@@ -147,7 +147,7 @@ fn fused_apply_move_matches_legacy_bucket_state() {
         let nv = hg.num_vertices();
         let mut rng = SmallRng::seed_from_u64(!seed);
 
-        let mut arena = LevelArena::disabled();
+        let mut arena = LevelArena::new();
         let (mut cs_new, mut cut_new) = hg.cut_state(&side, &mut arena);
         let (mut cs_old, mut cut_old) = hg.cut_state(&side, &mut arena);
 
@@ -200,7 +200,7 @@ fn fused_apply_move_matches_legacy_under_admissibility_skips() {
         let (hg, side) = random_instance(seed ^ 0x9e37, gen);
         let nv = hg.num_vertices();
 
-        let mut arena = LevelArena::disabled();
+        let mut arena = LevelArena::new();
         let (mut cs_new, mut cut_new) = hg.cut_state(&side, &mut arena);
         let (mut cs_old, mut cut_old) = hg.cut_state(&side, &mut arena);
 
@@ -252,7 +252,7 @@ fn counter_only_rollback_restores_cut_state() {
         let (hg, side0) = random_instance(seed ^ 0x5eed, gen);
         let nv = hg.num_vertices();
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut arena = LevelArena::disabled();
+        let mut arena = LevelArena::new();
         let (cs0, cut0) = hg.cut_state(&side0, &mut arena);
         assert_px_fresh(&hg, &cs0, &side0, &format!("seed {seed} start"));
 

@@ -28,8 +28,8 @@
 //!   volume; [`plan::DistributedSpmv::multiply_transpose`] runs `Aᵀx` on
 //!   the same layout with the phases reversed,
 //! * [`parallel::parallel_spmv`] — a real multi-threaded executor (one
-//!   thread per processor, crossbeam channels as the interconnect, each
-//!   thread allocating only its own slots).
+//!   thread per processor, `std::sync::mpsc` channels as the interconnect,
+//!   each thread allocating only its own slots).
 //!
 //! [`plan::DistributedSpmv::validate`] checks the compiled layout in
 //! release builds: slots in bounds, every received slot written by

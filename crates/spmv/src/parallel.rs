@@ -1,5 +1,5 @@
 //! Real multi-threaded SpMV executor: one OS thread per processor,
-//! crossbeam channels as the interconnect.
+//! `std::sync::mpsc` channels as the interconnect.
 //!
 //! Exercises the same [`DistributedSpmv`] plan as the simulator, but with
 //! genuinely concurrent phases — each thread loads the x entries it owns
@@ -8,7 +8,7 @@
 //! messages. A thread allocates only its own slots; the final `y` is
 //! assembled from the owners.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 use crate::plan::{load, DistributedSpmv, MeasuredComm, Words};
 use crate::{Result, SpmvError};
@@ -153,7 +153,7 @@ pub fn parallel_spmv(plan: &DistributedSpmv, x: &[f64]) -> Result<(Vec<f64>, Mea
 
     // One inbox per processor.
     let (senders, receivers): (Vec<Sender<Msg>>, Vec<Receiver<Msg>>) =
-        (0..k).map(|_| unbounded()).unzip();
+        (0..k).map(|_| channel()).unzip();
 
     // Expected message counts per processor and phase.
     let mut expect = vec![(0usize, 0usize); k];
@@ -166,11 +166,12 @@ pub fn parallel_spmv(plan: &DistributedSpmv, x: &[f64]) -> Result<(Vec<f64>, Mea
 
     let mut results: Vec<Result<Outcome>> = Vec::with_capacity(k);
     std::thread::scope(|scope| {
+        // Each inbox moves into its processor's thread.
         let handles: Vec<_> = (0..plan.k())
-            .zip(receivers.iter().zip(&expect))
+            .zip(receivers.into_iter().zip(&expect))
             .map(|(p, (inbox, &expect))| {
                 let senders = &senders;
-                scope.spawn(move || run_processor(plan, p, x, inbox, senders, expect))
+                scope.spawn(move || run_processor(plan, p, x, &inbox, senders, expect))
             })
             .collect();
         for h in handles {
