@@ -13,8 +13,8 @@
 //!
 //! `MODEL` is one of `graph-1d`, `hypergraph-1d-colnet`,
 //! `hypergraph-1d-rownet`, `fine-grain-2d` (default), `checkerboard-2d`,
-//! `mondriaan-2d`, `jagged-2d`, `checkerboard-hg-2d` (short aliases like
-//! `graph`, `finegrain`, `mondriaan` work too).
+//! `mondriaan-2d`, `jagged-2d` (short aliases like `graph`, `finegrain`,
+//! `mondriaan` work too).
 
 mod commands;
 mod error;
@@ -99,7 +99,7 @@ fn usage() -> &'static str {
      \x20     validate an fgh-serve-metrics/1 report file\n\
      \n\
      models: graph-1d | hypergraph-1d-colnet | hypergraph-1d-rownet |\n\
-     \x20       fine-grain-2d (default) | checkerboard-2d | mondriaan-2d | jagged-2d | checkerboard-hg-2d |\n\
+     \x20       fine-grain-2d (default) | checkerboard-2d | mondriaan-2d | jagged-2d |\n\
      \x20       spgemm-fine-grain (spgemm workload only, its default)\n\
      \n\
      common flags:\n\

@@ -224,6 +224,8 @@ mod tests {
         assert!(o.parse_required::<u32>("k").is_err());
         let o = Opts::parse(&sv("m.mtx --model bogus")).unwrap();
         assert!(o.model().is_err());
+        let o = Opts::parse(&sv("m.mtx --model checkerboard-hg")).unwrap();
+        assert!(o.model().is_err());
         let o = Opts::parse(&sv("a b")).unwrap();
         assert!(o.one_positional("matrix").is_err());
     }

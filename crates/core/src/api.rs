@@ -34,8 +34,8 @@ use fgh_trace::{SpanHandle, Trace};
 use crate::decomp::Decomposition;
 use crate::metrics::CommStats;
 use crate::models::{
-    CheckerboardHgModel, CheckerboardModel, ColumnNetModel, FineGrainModel, JaggedModel,
-    MondriaanModel, RowNetModel, StandardGraphModel,
+    CheckerboardModel, ColumnNetModel, FineGrainModel, JaggedModel, MondriaanModel, RowNetModel,
+    StandardGraphModel,
 };
 use crate::status::{DecompositionStatus, DegradedReason};
 use crate::workload::Pipeline;
@@ -46,8 +46,8 @@ use crate::FghError;
 /// `u32` / `u64` implement it.
 ///
 /// The width-dependent capabilities live here. The composite 2D models
-/// ([`Model::Checkerboard2D`], [`Model::Mondriaan2D`], [`Model::Jagged2D`],
-/// [`Model::CheckerboardHg2D`]) are `u32`-only, and
+/// ([`Model::Checkerboard2D`], [`Model::Mondriaan2D`], [`Model::Jagged2D`])
+/// are `u32`-only, and
 /// [`DecomposeIndex::as_u32_matrix`] is the zero-cost evidence check —
 /// `Some` (the identity) on the fast path, `None` (→
 /// [`FghError::UnsupportedWidth`]) on the big path; no model converts a
@@ -123,10 +123,6 @@ pub enum Model {
     /// independent per-stripe column groupings — the intermediate point of
     /// the jagged/checkerboard/fine-grain 2D taxonomy.
     Jagged2D,
-    /// Coarse-grain checkerboard *hypergraph* decomposition (the
-    /// companion IPDPS 2001 paper): volume-minimized row stripes, then a
-    /// single multi-constraint column grouping shared by all stripes.
-    CheckerboardHg2D,
     /// Fine-grain SpGEMM decomposition (`C = A · B`): one vertex per
     /// multiply task `a_ik · b_kj`, nets modeling A-row reuse, B-column
     /// reuse, and the C fold. The only model for
@@ -168,7 +164,7 @@ impl Model {
     /// the CLI's `compare` command and the metrics tests iterate this
     /// array (filtering by [`Model::workload`] where only one workload
     /// family applies).
-    pub const ALL: [Model; 9] = [
+    pub const ALL: [Model; 8] = [
         Model::Graph1D,
         Model::Hypergraph1DColNet,
         Model::Hypergraph1DRowNet,
@@ -176,7 +172,6 @@ impl Model {
         Model::Checkerboard2D,
         Model::Mondriaan2D,
         Model::Jagged2D,
-        Model::CheckerboardHg2D,
         Model::SpgemmFineGrain,
     ];
 
@@ -191,7 +186,6 @@ impl Model {
             Model::Checkerboard2D => "checkerboard-2d",
             Model::Mondriaan2D => "mondriaan-2d",
             Model::Jagged2D => "jagged-2d",
-            Model::CheckerboardHg2D => "checkerboard-hg-2d",
             Model::SpgemmFineGrain => "spgemm-fine-grain",
         }
     }
@@ -232,8 +226,8 @@ impl std::str::FromStr for Model {
 
     /// Parses a model from its canonical [`Model::name`], accepting the
     /// historical CLI aliases (`graph`, `colnet`, `rownet`, `finegrain`,
-    /// `fine-grain`, `checkerboard`, `mondriaan`, `jagged`,
-    /// `checkerboard-hg`, `spgemm`) case-insensitively.
+    /// `fine-grain`, `checkerboard`, `mondriaan`, `jagged`, `spgemm`)
+    /// case-insensitively.
     fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
         let lower = s.to_ascii_lowercase();
         let m = match lower.as_str() {
@@ -244,7 +238,6 @@ impl std::str::FromStr for Model {
             "checkerboard" | "checkerboard-2d" => Model::Checkerboard2D,
             "mondriaan" | "mondriaan-2d" => Model::Mondriaan2D,
             "jagged" | "jagged-2d" => Model::Jagged2D,
-            "checkerboard-hg" | "checkerboard-hg-2d" => Model::CheckerboardHg2D,
             "spgemm" | "spgemm-fine-grain" => Model::SpgemmFineGrain,
             _ => {
                 return Err(format!(
@@ -416,13 +409,10 @@ pub struct Outcome<D, S> {
     /// Multilevel engine statistics, including budget-truncation counters.
     /// For the single-partition models this is the winning run's stats;
     /// for the composite models ([`Model::Mondriaan2D`],
-    /// [`Model::Jagged2D`], [`Model::CheckerboardHg2D`]) it is the
-    /// **aggregate** over every internal engine run (merged counters —
-    /// [`Model::CheckerboardHg2D`]'s phase-2 multi-constraint partitioner
-    /// reports its placement and refinement work in the same vocabulary,
-    /// with coarsening counters untouched). Zeroed
-    /// only for [`Model::Checkerboard2D`], which builds its decomposition
-    /// directly without any partitioner.
+    /// [`Model::Jagged2D`]) it is the **aggregate** over every internal
+    /// engine run (merged counters). Zeroed only for
+    /// [`Model::Checkerboard2D`], which builds its decomposition directly
+    /// without any partitioner.
     pub engine: EngineStats,
     /// Structured execution trace, recorded when
     /// [`DecomposeConfig::trace`] was set: a tree of per-phase spans
@@ -598,15 +588,6 @@ fn decompose_with_model<I: DecomposeIndex>(
         Model::Jagged2D => {
             let a32 = require_u32(a, cfg.model)?;
             let model = JaggedModel::new(cfg.k, cfg.epsilon)?;
-            let ps = scope.child("partition");
-            let (d, stats) = model.decompose_traced(a32, &pcfg, &ps.handle())?;
-            drop(ps);
-            let vol = objective_volume(a32, &d, scope)?;
-            (d, vol, stats)
-        }
-        Model::CheckerboardHg2D => {
-            let a32 = require_u32(a, cfg.model)?;
-            let model = CheckerboardHgModel::new(cfg.k, cfg.epsilon)?;
             let ps = scope.child("partition");
             let (d, stats) = model.decompose_traced(a32, &pcfg, &ps.handle())?;
             drop(ps);

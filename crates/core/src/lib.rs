@@ -153,13 +153,12 @@ pub enum FghError {
     Cancelled(String),
     /// The chosen model does not support the matrix's index width: the
     /// composite 2D models ([`Model::Checkerboard2D`],
-    /// [`Model::Mondriaan2D`], [`Model::Jagged2D`],
-    /// [`Model::CheckerboardHg2D`]) run on the `u32` fast path only.
+    /// [`Model::Mondriaan2D`], [`Model::Jagged2D`]) run on the `u32` fast
+    /// path only.
     ///
     /// [`Model::Checkerboard2D`]: api::Model::Checkerboard2D
     /// [`Model::Mondriaan2D`]: api::Model::Mondriaan2D
     /// [`Model::Jagged2D`]: api::Model::Jagged2D
-    /// [`Model::CheckerboardHg2D`]: api::Model::CheckerboardHg2D
     UnsupportedWidth {
         /// Canonical name of the rejected model.
         model: &'static str,

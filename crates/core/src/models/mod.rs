@@ -4,7 +4,6 @@
 //! `C = A · B`).
 
 pub mod checkerboard;
-pub mod checkerboard_hg;
 pub mod fine_grain;
 pub mod graph_model;
 pub mod jagged;
@@ -13,7 +12,6 @@ pub mod oned;
 pub mod spgemm;
 
 pub use checkerboard::CheckerboardModel;
-pub use checkerboard_hg::CheckerboardHgModel;
 pub use fine_grain::FineGrainModel;
 pub use graph_model::StandardGraphModel;
 pub use jagged::JaggedModel;

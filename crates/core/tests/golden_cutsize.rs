@@ -8,11 +8,18 @@
 //! catalog analogues; any drift means a kernel changed tie-breaking or
 //! gain arithmetic, not just speed — treat a failure here as a
 //! correctness regression, never re-record without understanding why.
+//!
+//! The same inputs also gate the paper's Section-3 identity for every
+//! SpMV model: see `every_spmv_model_embeds_at_its_volume`.
 
+use fgh_core::models::FineGrainModel;
 use fgh_core::{
-    decompose_workload, DecomposeConfig, InitialScheme, Model, Workload, WorkloadOutcome,
+    decompose_workload, DecomposeConfig, InitialScheme, Model, Workload, WorkloadKind,
+    WorkloadOutcome,
 };
+use fgh_hypergraph::{cutsize_connectivity, Partition};
 use fgh_sparse::catalog::by_name;
+use fgh_sparse::CsrMatrix;
 
 /// (catalog name, scale, k, [(seed, objective); 3])
 #[allow(clippy::type_complexity)]
@@ -45,9 +52,8 @@ const GOLDEN_FAN_OUT: &[(Model, usize, [[u64; 3]; 3])] = &[
 ];
 
 /// One run of every initial scheme but the default GHG on the fine-grain
-/// model, and of the checkerboard hypergraph model (the only caller of the
-/// multi-constraint partitioner), on `GOLDEN`'s inputs and seeds:
-/// (model, initial scheme, objectives in `GOLDEN`'s input and seed order).
+/// model, on `GOLDEN`'s inputs and seeds: (model, initial scheme,
+/// objectives in `GOLDEN`'s input and seed order).
 const GOLDEN_SCHEMES: &[(Model, InitialScheme, [[u64; 3]; 3])] = &[
     (
         Model::FineGrain2D,
@@ -64,16 +70,15 @@ const GOLDEN_SCHEMES: &[(Model, InitialScheme, [[u64; 3]; 3])] = &[
         InitialScheme::Geometric,
         [[90, 111, 105], [363, 368, 361], [632, 629, 607]],
     ),
-    (
-        Model::CheckerboardHg2D,
-        InitialScheme::Ghg,
-        [[390, 303, 291], [555, 549, 547], [875, 874, 867]],
-    ),
 ];
 
-fn objective(cfg: &DecomposeConfig, name: &str, scale: u32) -> u64 {
+fn input(name: &str, scale: u32) -> CsrMatrix {
     let entry = by_name(name).unwrap_or_else(|| panic!("{name} not in catalog"));
-    let a = entry.generate_scaled(scale, 42);
+    entry.generate_scaled(scale, 42)
+}
+
+fn objective(cfg: &DecomposeConfig, name: &str, scale: u32) -> u64 {
+    let a = input(name, scale);
     let out = decompose_workload(Workload::Spmv(&a), cfg)
         .and_then(WorkloadOutcome::into_spmv)
         .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -124,8 +129,67 @@ fn graph_baseline_and_seed_fan_out_objectives_are_pinned() {
 }
 
 #[test]
-fn initial_schemes_and_multi_constraint_objectives_are_pinned() {
+fn initial_scheme_objectives_are_pinned() {
     for &(model, initial, want) in GOLDEN_SCHEMES {
         check(model, 1, initial, |i, j| want[i][j]);
     }
+}
+
+/// Embeds every SpMV model's decomposition into the fine-grain
+/// hypergraph: nonzero vertex `v` goes to `nonzero_owner[v]`, the dummy
+/// `v_jj` of a missing diagonal to `vec_owner[j]`. A model that keeps
+/// `x_j` and `y_j` with `a_jj` then has a connectivity−1 cutsize equal to
+/// its volume (the paper's Section-3 identity), so the fine-grain
+/// partitioner could have found it. Mondriaan can separate `x_j` from
+/// `a_jj`, where the cutsize only bounds the volume from below.
+#[test]
+fn every_spmv_model_embeds_at_its_volume() {
+    let mut failures = Vec::new();
+    for &(name, scale, _, _) in GOLDEN {
+        let a = input(name, scale);
+        let fine = FineGrainModel::build(&a).expect("catalog inputs are square");
+        let hg = fine.hypergraph();
+        for k in [4, 16] {
+            for model in Model::ALL
+                .into_iter()
+                .filter(|m| m.workload() == WorkloadKind::Spmv)
+            {
+                let cfg = DecomposeConfig::new(model, k).with_seed(1);
+                let out = decompose_workload(Workload::Spmv(&a), &cfg)
+                    .and_then(WorkloadOutcome::into_spmv)
+                    .unwrap_or_else(|e| panic!("{model} {name} k {k}: {e}"));
+                let d = &out.decomposition;
+                let parts = (0..hg.num_vertices())
+                    .map(|v| {
+                        if (v as usize) < fine.num_real_vertices() {
+                            d.nonzero_owner[v as usize]
+                        } else {
+                            d.vec_owner[fine.coords(v).0 as usize]
+                        }
+                    })
+                    .collect();
+                let embedded = Partition::new(k, parts).expect("owners are parts");
+                let (cut, volume) = (
+                    cutsize_connectivity(hg, &embedded),
+                    out.stats.total_volume(),
+                );
+                println!("embedding: {model} {name} k {k}: cutsize {cut}, volume {volume}");
+                let holds = if model == Model::Mondriaan2D {
+                    cut <= volume
+                } else {
+                    cut == volume
+                };
+                if !holds {
+                    failures.push(format!(
+                        "{model} {name} k {k}: cutsize {cut}, volume {volume}"
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "embedded cutsize breaks the identity:\n{}",
+        failures.join("\n")
+    );
 }

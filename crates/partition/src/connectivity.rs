@@ -136,7 +136,13 @@ impl NetConnectivity {
     /// Builds the table for `partition` over `hg`'s nets.
     pub fn build<I: IndexType>(hg: &Hypergraph<I>, partition: &Partition) -> Self {
         let nn = hg.num_nets().index();
-        let mut t = NetConnectivity::empty(partition.k(), nn);
+        let mut t = NetConnectivity {
+            k: partition.k(),
+            parts: vec![[0; INLINE_LAMBDA]; nn],
+            counts: vec![[0; INLINE_LAMBDA]; nn],
+            len: vec![0; nn],
+            spill: Vec::new(),
+        };
         for n in 0..nn {
             for &p in hg.pins(I::from_index(n)) {
                 t.add_pin(n, partition.part_at(p.index()));
@@ -145,21 +151,9 @@ impl NetConnectivity {
         t
     }
 
-    /// A table of `num_nets` nets with no pins yet, over parts `0..k`;
-    /// [`NetConnectivity::add_pin`] fills it in.
-    pub(crate) fn empty(k: u32, num_nets: usize) -> Self {
-        NetConnectivity {
-            k,
-            parts: vec![[0; INLINE_LAMBDA]; num_nets],
-            counts: vec![[0; INLINE_LAMBDA]; num_nets],
-            len: vec![0; num_nets],
-            spill: Vec::new(),
-        }
-    }
-
     /// Adds one pin of `part` to net `n`, spilling on inline overflow.
     // lint: checked-index — n < num_nets for every caller; inline slots are < INLINE_LAMBDA; spill ids index self.spill by construction
-    pub(crate) fn add_pin(&mut self, n: usize, part: u32) {
+    fn add_pin(&mut self, n: usize, part: u32) {
         let len = self.len[n];
         if len == SPILLED {
             let s = self.parts[n][0] as usize;

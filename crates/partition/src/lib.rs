@@ -66,7 +66,6 @@ pub mod geometric;
 pub mod initial;
 pub mod kway;
 pub mod level;
-pub mod multiconstraint;
 pub mod parallel;
 pub mod recursive;
 pub mod refine;

@@ -22,6 +22,7 @@ use rand::SeedableRng;
 use crate::arena::{ArenaIndex, LevelArena};
 use crate::coarsen::{coarsen_once_in, FREE};
 use crate::config::{CoarseningScheme, PartitionConfig, MAX_NET_SIZE_FOR_MATCHING};
+use crate::engine::Substrate;
 use crate::error::PartitionError;
 use crate::kway::kway_refine;
 use crate::level::Level;
@@ -142,20 +143,13 @@ fn coarsen_respecting<I: ArenaIndex>(
     weight_cap: u64,
     rng: &mut impl Rng,
 ) -> Option<(Level<Hypergraph<I>>, Vec<u32>)> {
-    // Reuse the two-sided fixed mechanism by running coarsening with a
-    // "fixed" vector derived from parity, then rejecting any cross-part
-    // cluster post-hoc would break the map; instead, encode each part in
-    // the fixed domain via two passes is insufficient for K > 2. The
-    // simplest correct approach: make cross-part merges impossible by
-    // lifting parts into the net structure — coarsen each part's induced
-    // sub-hypergraph separately and stitch the maps.
     let k = parts.iter().copied().max().map(|m| m + 1).unwrap_or(1);
     let partition = Partition::new(k, parts.to_vec()).ok()?;
     let n = hg.num_vertices().index();
 
+    let mut arena = LevelArena::new();
     let mut map = vec![I::MAX; n];
     let mut coarse_parts: Vec<u32> = Vec::new();
-    let mut cluster_weight: Vec<u64> = Vec::new();
     let mut next_cluster = 0usize;
     for part in 0..k {
         let (sub, ids) = hg.extract_part(&partition, part);
@@ -163,31 +157,20 @@ fn coarsen_respecting<I: ArenaIndex>(
             continue;
         }
         let fixed = vec![FREE; sub.num_vertices().index()];
-        match coarsen_once_in(
-            &sub,
-            &fixed,
-            scheme,
-            max_net,
-            weight_cap,
-            rng,
-            &mut LevelArena::new(),
-        ) {
+        match coarsen_once_in(&sub, &fixed, scheme, max_net, weight_cap, rng, &mut arena) {
             Some(level) => {
                 for (lv, &c) in level.map.iter().enumerate() {
                     map[ids[lv].index()] = I::from_index(next_cluster + c.index());
                 }
-                for c in 0..level.coarse.num_vertices().index() {
-                    coarse_parts.push(part);
-                    cluster_weight.push(level.coarse.vertex_weight(I::from_index(c)) as u64);
-                }
-                next_cluster += level.coarse.num_vertices().index();
+                let clusters = level.coarse.num_vertices().index();
+                coarse_parts.resize(coarse_parts.len() + clusters, part);
+                next_cluster += clusters;
             }
             None => {
                 // Part too small/rigid to coarsen: singleton clusters.
                 for &orig in &ids {
                     map[orig.index()] = I::from_index(next_cluster);
                     coarse_parts.push(part);
-                    cluster_weight.push(hg.vertex_weight(orig) as u64);
                     next_cluster += 1;
                 }
             }
@@ -198,42 +181,9 @@ fn coarsen_respecting<I: ArenaIndex>(
     }
 
     // Contract the FULL hypergraph under the stitched map (extract_part
-    // dropped cross-part pins; the contraction below restores them so cut
-    // nets keep their connectivity).
-    let weights: Vec<u32> = cluster_weight
-        .iter()
-        .map(|&w| u32::try_from(w).unwrap_or(u32::MAX))
-        .collect();
-    let mut stamp = vec![I::MAX; next_cluster];
-    let mut nets: Vec<Vec<I>> = Vec::new();
-    let mut costs: Vec<u32> = Vec::new();
-    let mut merged: std::collections::HashMap<Box<[I]>, usize> = Default::default();
-    for nn in 0..hg.num_nets().index() {
-        let nn = I::from_index(nn);
-        let mut pins: Vec<I> = Vec::new();
-        for &p in hg.pins(nn) {
-            let c = map[p.index()];
-            if stamp[c.index()] != nn {
-                stamp[c.index()] = nn;
-                pins.push(c);
-            }
-        }
-        if pins.len() < 2 {
-            continue;
-        }
-        pins.sort_unstable();
-        let key: Box<[I]> = pins.clone().into_boxed_slice();
-        match merged.get(&key) {
-            Some(&i) => costs[i] += hg.net_cost(nn),
-            None => {
-                merged.insert(key, nets.len());
-                nets.push(pins);
-                costs.push(hg.net_cost(nn));
-            }
-        }
-    }
-    let coarse =
-        Hypergraph::from_nets_weighted(I::from_index(next_cluster), &nets, weights, costs).ok()?;
+    // dropped cross-part pins; contracting `hg` restores them so cut nets
+    // keep their connectivity).
+    let coarse = hg.contract(&map, next_cluster, &mut arena);
     let fixed = vec![FREE; next_cluster];
     Some((Level { coarse, map, fixed }, coarse_parts))
 }

@@ -667,13 +667,16 @@ mod tests {
             r.get("error").unwrap().get("code").unwrap().as_str(),
             Some(codes::BAD_REQUEST)
         );
-        let mut req = request(4);
-        req.model = "quantum-3d".into();
-        let r = execute_job(&pool, POLICY, &cache, &counters, false, &req, &token);
-        assert_eq!(
-            r.get("error").unwrap().get("code").unwrap().as_str(),
-            Some(codes::BAD_REQUEST)
-        );
+        for model in ["quantum-3d", "checkerboard-hg-2d"] {
+            let mut req = request(4);
+            req.model = model.into();
+            let r = execute_job(&pool, POLICY, &cache, &counters, false, &req, &token);
+            assert_eq!(
+                r.get("error").unwrap().get("code").unwrap().as_str(),
+                Some(codes::BAD_REQUEST),
+                "{model}"
+            );
+        }
     }
 
     #[test]

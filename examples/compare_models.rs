@@ -1,4 +1,4 @@
-//! Compare all four decomposition models on one matrix — a one-matrix
+//! Compare every SpMV decomposition model on one matrix — a one-matrix
 //! slice of the paper's Table 2.
 //!
 //!     cargo run --release --example compare_models [matrix-name] [K]
@@ -36,7 +36,6 @@ fn main() {
         Model::Hypergraph1DColNet,
         Model::Hypergraph1DRowNet,
         Model::Checkerboard2D,
-        Model::CheckerboardHg2D,
         Model::Jagged2D,
         Model::Mondriaan2D,
         Model::FineGrain2D,
