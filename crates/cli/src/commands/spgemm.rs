@@ -1,7 +1,8 @@
-//! `fgh spgemm` — partition the fine-grain SpGEMM task hypergraph of
-//! `C = A · B`, replay the partition through the storage-traffic
-//! simulator, and cross-check that the measured remote traffic equals
-//! the partitioner's objective.
+//! `fgh spgemm` — partition the SpGEMM hypergraph of `C = A · B` (one
+//! vertex per used `A` nonzero, weighted by the multiply tasks that read
+//! it), replay the partition through the storage-traffic simulator, and
+//! cross-check that the measured remote traffic equals the partitioner's
+//! objective.
 
 use fgh_core::{
     decompose_workload_any, DecomposeConfig, DecomposeIndex, SpgemmOutcome, WorkloadAny,

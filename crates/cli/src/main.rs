@@ -78,9 +78,10 @@ fn usage() -> &'static str {
      \x20     decompose, execute one distributed y = Ax, verify and report\n\
      \x20 fgh spgemm <A.mtx> [B.mtx] --k K [--model M] [--strict] [--trace]\n\
      \x20            [--metrics-json FILE]\n\
-     \x20     partition the fine-grain SpGEMM task hypergraph of C = A*B\n\
-     \x20     (B omitted = A*A), replay the storage traffic, and verify that\n\
-     \x20     measured remote words equal the model-predicted volume\n\
+     \x20     partition the SpGEMM hypergraph of C = A*B (B omitted = A*A; one\n\
+     \x20     vertex per used A nonzero, weighted by the flops that read it),\n\
+     \x20     replay the storage traffic, and verify that measured remote\n\
+     \x20     words equal the model-predicted volume\n\
      \x20 fgh compare <matrix.mtx> --k K [--seed N]\n\
      \x20     run every model on the matrix and print a comparison table\n\
      \x20 fgh convert <matrix.mtx> [--model M] [--out FILE]\n\

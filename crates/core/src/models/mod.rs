@@ -1,7 +1,7 @@
 //! Decomposition models: the fine-grain 2D hypergraph model (the paper's
 //! contribution), the 1D baselines it is evaluated against, and the
-//! fine-grain SpGEMM extension (one vertex per multiply task of
-//! `C = A · B`).
+//! SpGEMM extension (one vertex per used nonzero of `A`, holding the
+//! multiply tasks of `C = A · B` that read it).
 
 pub mod checkerboard;
 pub mod fine_grain;

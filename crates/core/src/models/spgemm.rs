@@ -1,27 +1,45 @@
-//! The fine-grain SpGEMM hypergraph model (ROADMAP item 2): the paper's
-//! one-vertex-per-task idea extended from SpMV to `C = A · B`, following
-//! Ballard et al., *Hypergraph Partitioning for Sparse Matrix-Matrix
-//! Multiplication* (arXiv 1603.05627).
+//! The SpGEMM hypergraph model: the paper's one-vertex-per-nonzero idea
+//! carried from SpMV to `C = A · B`, following Ballard et al.,
+//! *Hypergraph Partitioning for Sparse Matrix-Matrix Multiplication*
+//! (arXiv 1603.05627).
 //!
-//! Each scalar multiply task `c_ij += a_ik * b_kj` becomes a unit-weight
-//! vertex, so vertex balance is exactly flop balance. Three net families
-//! model the three data movements of a distributed SpGEMM:
+//! The elementary work is the scalar multiply task `c_ij += a_ik * b_kj`,
+//! one per flop. The model merges the tasks that read one used nonzero
+//! `a_ik` — a contiguous range of the canonical task order — into one
+//! **vertex**, weighted by its task count so vertex balance stays flop
+//! balance. Ballard et al. derive their coarser SpGEMM models the same
+//! way, by merging fine-grain task vertices; this grouping has one vertex
+//! per used nonzero of `A`, as the paper has one per nonzero for SpMV.
+//! Three net families model the data movements of a distributed SpGEMM:
 //!
-//! * an **A net** per *used* nonzero `a_ik` (one with at least one task,
-//!   i.e. row `k` of `B` is nonempty), pinning the tasks that read it —
-//!   the *expand* of `A`;
-//! * a **B net** per used nonzero `b_kj` (column `k` of `A` nonempty),
-//!   pinning the tasks that read it — the *expand* of `B`;
+//! * a **B net** per *used* nonzero `b_kj` (column `k` of `A` nonempty),
+//!   pinning the groups of the tasks that read it — the *expand* of `B`.
+//!   Every group reading row `k` of `B` reads all of it, so the nets of
+//!   one row have one pin set and are stored as one net whose cost is
+//!   the row's length (per chunk, when the row's groups are split);
 //! * a **C net** per structural nonzero `c_ij` of the symbolic product,
-//!   pinning the tasks that produce a partial for it — the *fold* of `C`.
+//!   pinning the groups of the tasks that produce a partial for it — the
+//!   *fold* of `C`;
+//! * an **A net** only for a group heavier than four times the mean
+//!   group weight: such a group (a dense row of `B` meeting `a_ik`) is
+//!   cut into contiguous chunks of near-equal weight, each its own
+//!   vertex, and the A net ties the chunks back together — the *expand*
+//!   of `A`. Every other `a_ik` lives in one vertex and never moves.
 //!
-//! Decoding assigns each data element to the part of its net's **first
-//! pin**. That owner is by construction in the net's connectivity set Λ,
-//! so each net contributes exactly `λ − 1` words and the connectivity−1
-//! cutsize (the paper's eq. 3 applied to this hypergraph) **equals** the
-//! total SpGEMM communication volume — the same exactness property the
-//! SpMV fine-grain model has, verified here by [`SpgemmCommStats`] and
-//! end-to-end by the `fgh-traffic` storage simulator.
+//! The pins of a B or C net are distinct groups by construction: the
+//! readers of one `b_kj` differ in `i`, the producers of one `c_ij` in
+//! `k`, and either way in the `A` nonzero they read.
+//!
+//! Decoding gives every task its group's part and assigns each data
+//! element to the part of its **first consumer** (`A`, `B`) or **first
+//! producer** (`C`) in canonical task order. That owner is by
+//! construction in the net's connectivity set Λ, so each net contributes
+//! exactly its cost times `λ − 1` words, and an unsplit `a_ik` none,
+//! which is its true expand cost. The connectivity−1 cutsize (the paper's eq. 3 applied to
+//! this hypergraph) therefore **equals** the total SpGEMM communication
+//! volume — the same exactness property the SpMV fine-grain model has,
+//! verified here by [`SpgemmCommStats`] and end-to-end by the
+//! `fgh-traffic` storage simulator.
 //!
 //! Everything is keyed to one **canonical task order**: rows of `A` in
 //! CSR order, nonzeros `a_ik` within the row in CSR order, and for each
@@ -29,7 +47,7 @@
 //! that enumeration reified once and shared by the model, the exact
 //! statistics, and the traffic simulator, so the three can never drift.
 
-use fgh_hypergraph::{Hypergraph, HypergraphBuilder, Partition};
+use fgh_hypergraph::{Hypergraph, Partition};
 use fgh_sparse::{CsrMatrix, IndexType};
 
 use crate::metrics::{CommSummary, ProcStats};
@@ -174,15 +192,28 @@ pub fn spgemm_flops<I: IndexType>(a: &CsrMatrix<I>, b: &CsrMatrix<I>) -> u64 {
     flops
 }
 
-/// The fine-grain SpGEMM hypergraph of a conformable pair `(A, B)`.
+/// A task group may weigh at most this many times the mean group weight
+/// (`⌈flops / used A nonzeros⌉`) before it is split into chunks. The cap
+/// is independent of K, so the model is too; it keeps a dense row of `B`
+/// from becoming a vertex heavier than a part.
+const GROUP_CAP_FACTOR: usize = 4;
+
+/// The SpGEMM hypergraph of a conformable pair `(A, B)`: one vertex per
+/// used `A` nonzero's tasks (see the module docs).
 ///
-/// Net numbering: A nets first (ids `0..a_elems.len()`, in `A` CSR order
-/// over used elements), then B nets, then C nets (row-major order of the
-/// symbolic product). Vertex `t` is task `t` of the canonical order.
+/// Vertex `v` is the task range `vertex_starts[v]..vertex_starts[v+1]` of
+/// the canonical order: a used `A` nonzero's whole range, or one chunk of
+/// it when the group is split. Net numbering: the A nets of split groups
+/// first (in `A` CSR order), then the B nets in `B` CSR order, then a C
+/// net per structural nonzero of the product (row-major). The used
+/// `b_kj` of one chunk of row `k` (the whole row unless its groups are
+/// split) share one B net whose cost is their count: they are read by
+/// the same vertices, so their `λ − 1` words are equal.
 #[derive(Debug, Clone)]
 pub struct SpgemmModel<I: IndexType = u32> {
     hypergraph: Hypergraph<I>,
     structure: SpgemmStructure<I>,
+    vertex_starts: Vec<usize>,
 }
 
 impl<I: IndexType> SpgemmModel<I> {
@@ -194,51 +225,101 @@ impl<I: IndexType> SpgemmModel<I> {
     /// let a: CsrMatrix = CsrMatrix::from_coo(CooMatrix::from_triplets(
     ///     2, 2, vec![(0, 0, 1.0), (1, 0, 2.0), (1, 1, 3.0)]).unwrap());
     /// let m = SpgemmModel::build(&a, &a).unwrap();
-    /// // Tasks: (0,0,0), (1,0,0), (1,1,0), (1,1,1) — 4 flops.
-    /// assert_eq!(m.hypergraph().num_vertices(), 4);
-    /// // 3 used A nets + 3 used B nets + 3 structural C nonzeros.
-    /// assert_eq!(m.hypergraph().num_nets(), 9);
-    /// // Every task pins exactly its A, B, and C nets.
-    /// assert_eq!(m.hypergraph().num_pins(), 12);
+    /// // Tasks: (0,0,0), (1,0,0), (1,1,0), (1,1,1) — 4 flops in the
+    /// // groups of a_00, a_10 and a_11.
+    /// assert_eq!(m.structure().num_tasks(), 4);
+    /// assert_eq!(m.hypergraph().num_vertices(), 3);
+    /// assert_eq!(m.hypergraph().vertex_weights(), &[1, 1, 2]);
+    /// // No group is split, so no A nets. B nets: row 0 of B (read by
+    /// // a_00 and a_10) and row 1 (2 elements, read by a_11), then the
+    /// // 3 structural nonzeros of C.
+    /// assert_eq!(m.hypergraph().num_nets(), 5);
+    /// assert_eq!(m.hypergraph().net_costs(), &[1, 2, 1, 1, 1]);
+    /// // Every group pins one B net, and one C net per task.
+    /// assert_eq!(m.hypergraph().num_pins(), 3 + 4);
     /// ```
     pub fn build(a: &CsrMatrix<I>, b: &CsrMatrix<I>) -> Result<Self> {
         let s = SpgemmStructure::build(a, b)?;
-        let mut builder = HypergraphBuilder::<I>::new();
-        for _ in 0..s.tasks.len() {
-            builder.add_vertex(1);
+        let cap = (GROUP_CAP_FACTOR * s.num_tasks().div_ceil(s.a_elems.len().max(1)))
+            .clamp(1, u32::MAX as usize);
+        // Vertices: each group, or its near-equal contiguous chunks when
+        // it is heavier than `cap`, tied together by an A net.
+        let mut vertex_starts = vec![0usize];
+        let mut weights: Vec<u32> = Vec::with_capacity(s.a_elems.len());
+        let mut pin_ptr = vec![0usize];
+        let mut pins: Vec<I> = Vec::new();
+        for e in 0..s.a_elems.len() {
+            let (lo, hi) = (s.a_starts[e], s.a_starts[e + 1]);
+            let chunks = (hi - lo).div_ceil(cap);
+            let first = weights.len();
+            for c in 1..=chunks {
+                let end = lo + (hi - lo) * c / chunks;
+                let start = vertex_starts[vertex_starts.len() - 1];
+                weights.push((end - start) as u32); // lint: checked-cast — a chunk holds at most cap <= u32::MAX tasks
+                vertex_starts.push(end);
+            }
+            if chunks > 1 {
+                pins.extend((first..weights.len()).map(I::from_index));
+                pin_ptr.push(pins.len());
+            }
         }
-        let na = s.a_elems.len();
-        let nb = s.b_elems.len();
-        // A nets: the tasks of used element e are contiguous.
-        for e in 0..na {
-            let pins: Vec<I> = (s.a_starts[e]..s.a_starts[e + 1])
-                .map(I::from_index)
-                .collect();
-            builder.add_net(pins);
+        // B nets. The groups reading row k of B read all of it and are cut
+        // at the same offsets, so the used b_kj of one chunk of row k are
+        // read by the same vertices: one net per chunk, costing its
+        // length, prices each b_kj at λ − 1 as a net of its own would.
+        let mut chunk_len = vec![0u32; s.b_elems.len()];
+        for (v, &w) in weights.iter().enumerate() {
+            chunk_len[s.task_b[vertex_starts[v]]] = w;
         }
-        // B and C nets: gather scattered pins (canonical task order is
-        // preserved inside each net, so pin 0 is the first consumer).
-        let mut b_pins: Vec<Vec<I>> = vec![Vec::new(); nb];
-        let mut c_pins: Vec<Vec<I>> = vec![Vec::new(); s.c_elems.len()];
-        for t in 0..s.tasks.len() {
-            b_pins[s.task_b[t]].push(I::from_index(t));
-            c_pins[s.task_c[t]].push(I::from_index(t));
+        let a_nets = pin_ptr.len() - 1;
+        let mut costs = vec![1u32; a_nets];
+        let mut b_net = vec![usize::MAX; s.b_elems.len()];
+        for (b, &len) in chunk_len.iter().enumerate().filter(|&(_, &len)| len > 0) {
+            b_net[b] = costs.len();
+            costs.push(len);
         }
-        for pins in b_pins {
-            builder.add_net(pins);
+        let c_base = costs.len();
+        costs.resize(c_base + s.c_elems.len(), 1);
+        // Count each net's pins, then fill them in vertex order, so every
+        // net's pins come out ascending.
+        let nets_of = |v: usize| {
+            let (lo, hi) = (vertex_starts[v], vertex_starts[v + 1]);
+            std::iter::once(b_net[s.task_b[lo]]).chain((lo..hi).map(|t| c_base + s.task_c[t]))
+        };
+        let mut fill = vec![0usize; costs.len()];
+        for v in 0..weights.len() {
+            nets_of(v).for_each(|net| fill[net] += 1);
         }
-        for pins in c_pins {
-            builder.add_net(pins);
+        let mut end = pins.len();
+        for slot in &mut fill[a_nets..] {
+            let count = *slot;
+            *slot = end;
+            end += count;
+            pin_ptr.push(end);
         }
-        let hypergraph = builder.build()?;
+        pins.resize(end, I::ZERO);
+        for v in 0..weights.len() {
+            for net in nets_of(v) {
+                pins[fill[net]] = I::from_index(v);
+                fill[net] += 1;
+            }
+        }
+        let hypergraph = Hypergraph::from_flat_nets(
+            I::from_index(weights.len()),
+            pin_ptr,
+            pins,
+            weights,
+            costs,
+        )?;
         Ok(SpgemmModel {
             hypergraph,
             structure: s,
+            vertex_starts,
         })
     }
 
-    /// The underlying hypergraph (|V| = flops, |N| = used A + used B +
-    /// nnz(C)).
+    /// The underlying hypergraph (|V| = task groups, weighing the flops;
+    /// |N| = split groups + row chunks of used B + nnz(C)).
     pub fn hypergraph(&self) -> &Hypergraph<I> {
         &self.hypergraph
     }
@@ -248,29 +329,33 @@ impl<I: IndexType> SpgemmModel<I> {
         &self.structure
     }
 
-    /// `(row, col)` position of task `t` in the (m × n) product — the
-    /// geometric coordinates handed to the partitioner's geometric
+    /// `(i, k)` position in `A` of the nonzero that task group `v` reads
+    /// — the geometric coordinates handed to the partitioner's geometric
     /// initial scheme.
-    pub fn coords(&self, t: usize) -> (I, I) {
-        let (i, _, j) = self.structure.tasks[t];
-        (i, j)
+    pub fn coords(&self, v: usize) -> (I, I) {
+        let (i, k, _) = self.structure.tasks[self.vertex_starts[v]];
+        (i, k)
     }
 
-    /// Decodes a partition of the task hypergraph into a
-    /// [`SpgemmDecomposition`]: task `t` goes to `part[t]`, and every
-    /// data element to the part of its net's first pin (guaranteed to be
-    /// in the net's connectivity set, which makes the connectivity−1
-    /// cutsize exactly the communication volume).
+    /// Decodes a partition of the task-group hypergraph into a
+    /// [`SpgemmDecomposition`]: every task of group `v` goes to `part[v]`,
+    /// and every data element to the part of its first consumer or
+    /// producer in canonical task order (guaranteed to be in its net's
+    /// connectivity set, which makes the connectivity−1 cutsize exactly
+    /// the communication volume).
     pub fn decode(&self, partition: &Partition) -> Result<SpgemmDecomposition> {
         let s = &self.structure;
-        if partition.len() != s.tasks.len() {
+        let groups = self.vertex_starts.len() - 1;
+        if partition.len() != groups {
             return Err(ModelError::Invalid(format!(
-                "partition covers {} vertices, model has {} tasks",
-                partition.len(),
-                s.tasks.len()
+                "partition covers {} vertices, model has {groups} task groups",
+                partition.len()
             )));
         }
-        let task_owner: Vec<u32> = partition.parts().to_vec();
+        let mut task_owner = vec![0u32; s.tasks.len()];
+        for (v, &part) in partition.parts().iter().enumerate() {
+            task_owner[self.vertex_starts[v]..self.vertex_starts[v + 1]].fill(part);
+        }
         let a_owner: Vec<u32> = (0..s.a_elems.len())
             .map(|e| task_owner[s.a_starts[e]])
             .collect();
@@ -641,8 +726,9 @@ mod tests {
         assert_eq!(s.b_elems, vec![(0, 0)]);
         assert_eq!(s.c_elems, vec![(0, 0)]);
         let m = SpgemmModel::build(&a, &b).unwrap();
-        assert_eq!(m.hypergraph().num_nets(), 3);
-        assert_eq!(m.hypergraph().num_pins(), 3);
+        assert_eq!(m.hypergraph().num_vertices(), 1);
+        assert_eq!(m.hypergraph().num_nets(), 2);
+        assert_eq!(m.hypergraph().num_pins(), 2);
     }
 
     #[test]
@@ -656,17 +742,52 @@ mod tests {
     }
 
     #[test]
-    fn model_pins_three_nets_per_task() {
+    fn groups_weigh_their_tasks_and_pin_one_c_net_per_task() {
         let (a, b) = (sample_a(), sample_b());
+        let m = SpgemmModel::build(&a, &b).unwrap();
+        let (hg, s) = (m.hypergraph(), m.structure());
+        hg.validate_invariants().unwrap();
+        // One vertex per used A nonzero, none split: no A nets.
+        assert_eq!(hg.num_vertices() as usize, s.a_elems.len());
+        assert_eq!(hg.total_vertex_weight(), s.num_tasks() as u64);
+        // B rows 0, 1 and 2 are one net each, costing their lengths.
+        assert_eq!(&hg.net_costs()[..3], &[2, 1, 1]);
+        assert_eq!(hg.num_nets() as usize, 3 + s.c_elems.len());
+        for v in 0..hg.num_vertices() {
+            let tasks = (s.a_starts[v as usize + 1] - s.a_starts[v as usize]) as u32;
+            assert_eq!(hg.vertex_weight(v), tasks, "group {v}");
+            assert_eq!(hg.vertex_degree(v), 1 + tasks as usize, "group {v}");
+            assert_eq!(m.coords(v as usize), s.a_elems[v as usize]);
+        }
+    }
+
+    #[test]
+    fn heavy_group_is_split_and_tied_by_an_a_net() {
+        // Row 0 of B is dense (12 entries) and meets a_00 alone; the other
+        // groups read one entry each. flops = 12 + 11 over 12 groups, so
+        // the cap is 4 * 2 = 8 and a_00's group splits into chunks of 6.
+        let n = 12;
+        let a = mat(n, n, (0..n).map(|i| (i, i, 1.0)).collect());
+        let mut bt: Vec<(u32, u32, f64)> = (0..n).map(|j| (0, j, 1.0)).collect();
+        bt.extend((1..n).map(|i| (i, i, 1.0)));
+        let b = mat(n, n, bt);
         let m = SpgemmModel::build(&a, &b).unwrap();
         let hg = m.hypergraph();
         hg.validate_invariants().unwrap();
-        assert_eq!(hg.num_vertices() as usize, m.structure().num_tasks());
-        assert_eq!(hg.num_pins(), 3 * m.structure().num_tasks());
-        for t in 0..hg.num_vertices() {
-            assert_eq!(hg.vertex_degree(t), 3, "task {t}");
-            assert_eq!(hg.vertex_weight(t), 1);
-        }
+        assert_eq!(hg.num_vertices(), 13);
+        assert_eq!(&hg.vertex_weights()[..3], &[6, 6, 1]);
+        assert_eq!(hg.pins(0), &[0, 1], "the A net of a_00");
+        // Row 0 of B: one B net per chunk.
+        assert_eq!(hg.pins(1), &[0]);
+        assert_eq!(hg.pins(2), &[1]);
+        assert_eq!(&hg.net_costs()[..3], &[1, 6, 6]);
+        assert_eq!(m.coords(1), (0, 0));
+        // Splitting the chunks costs one A word, and the decode agrees.
+        let p = Partition::new(2, (0..13).map(|v| u32::from(v == 1)).collect()).unwrap();
+        let d = m.decode(&p).unwrap();
+        let stats = SpgemmCommStats::compute(&a, &b, &d).unwrap();
+        assert_eq!(stats.a_expand_volume, 1);
+        assert_eq!(cutsize_connectivity(hg, &p), stats.total_volume());
     }
 
     #[test]

@@ -190,8 +190,9 @@ impl SpgemmOutcome {
 ///
 /// Dispatch is total: a [`Workload::Spmv`] input runs the configured SpMV
 /// model and returns [`WorkloadOutcome::Spmv`]; a [`Workload::Spgemm`]
-/// input builds the fine-grain SpGEMM task hypergraph, partitions it with
-/// the same multilevel engine, and returns [`WorkloadOutcome::Spgemm`].
+/// input builds the SpGEMM hypergraph of its multiply tasks grouped by
+/// the `A` nonzero they read, partitions it with the same multilevel
+/// engine, and returns [`WorkloadOutcome::Spgemm`].
 ///
 /// # Failure semantics
 ///
@@ -238,9 +239,9 @@ pub fn decompose_workload_in<I: DecomposeIndex>(
 /// * [`IndexWidth::select`] says so for any operand — the fine-grain
 ///   hypergraph (nnz + dummies vertices, `2M` nets) would overflow
 ///   32-bit ids even though the matrix itself fits `u32`;
-/// * for SpGEMM only, the flop count (task-hypergraph vertices) plus the
-///   net-count bound (used A + used B + nnz(C) ≤ nnz(A) + nnz(B) +
-///   flops) reaches `u32::MAX`.
+/// * for SpGEMM only, the flop count (every task is one C-net pin) plus
+///   the net-count bound (split A groups + B nets + nnz(C) ≤ nnz(A) +
+///   nnz(B) + flops) reaches `u32::MAX`.
 ///
 /// The request checks run first, so a malformed pair is rejected before
 /// its flops are counted. The outcome's `width` field records which path
@@ -534,8 +535,9 @@ fn degradation_status(
 }
 
 /// SpGEMM's part of the decompose skeleton: model → multilevel partition
-/// → first-pin decode → replayed statistics. Its work units are multiply
-/// tasks, so an empty product is caught after the model build.
+/// of the task groups → first-consumer decode → replayed statistics. Its
+/// work units are multiply tasks, so an empty product is caught after the
+/// model build.
 impl<I: DecomposeIndex> Pipeline for SpgemmModel<I> {
     type Decomposition = SpgemmDecomposition;
     type Stats = SpgemmCommStats;
@@ -560,18 +562,18 @@ impl<I: DecomposeIndex> Pipeline for SpgemmModel<I> {
         pool: &Arc<ArenaPool>,
         scope: &SpanHandle,
     ) -> std::result::Result<(SpgemmDecomposition, u64, EngineStats), FghError> {
-        // Tasks have natural (row, col) positions in the product.
-        let pcfg = with_coords(cfg, self.hypergraph(), |t| self.coords(t));
+        // Task groups have natural (row, col) positions: their A nonzero.
+        let pcfg = with_coords(cfg, self.hypergraph(), |v| self.coords(v));
         hypergraph_arm(cfg, &pcfg, pool, scope, self.hypergraph(), |r| {
             self.decode(&r.partition)
         })
     }
 
-    /// Round-robin the tasks; the first-pin decode keeps the exact-volume
-    /// property.
+    /// Round-robin the task groups; the first-consumer decode keeps the
+    /// exact-volume property.
     fn round_robin(&self, k: u32) -> std::result::Result<SpgemmDecomposition, FghError> {
-        let parts: Vec<u32> = (0..self.structure().num_tasks())
-            .map(|t| (t % k as usize) as u32) // lint: checked-cast — value < k, a u32
+        let parts: Vec<u32> = (0..self.hypergraph().num_vertices().index())
+            .map(|v| (v % k as usize) as u32) // lint: checked-cast — value < k, a u32
             .collect();
         let p = fgh_hypergraph::Partition::new(k, parts)
             .map_err(fgh_partition::PartitionError::from)?;

@@ -1,9 +1,11 @@
 //! SpMV is SpGEMM with a dense n×1 `B`: on a matrix with a full
 //! diagonal (so the fine-grain model needs no dummy vertices), the SpGEMM
-//! task hypergraph of `(A, x)` is the paper's fine-grain hypergraph of
-//! `A` plus one singleton net per nonzero. Task `t` is nonzero `t`, the
-//! B-net of `x_j` is the column net `n_j`, and the C-net of `y_i` is the
-//! row net `m_i`, so both models price every partition alike.
+//! hypergraph of `(A, x)` is the paper's fine-grain hypergraph of `A`.
+//! Every task group is one task (each `a_ik` meets the one entry of row
+//! `k` of `x`), so group `t` is nonzero `t`, no group is split and there
+//! are no A-nets, the B-net of `x_j` is the column net `n_j`, and the
+//! C-net of `y_i` is the row net `m_i`: both models price every
+//! partition alike.
 
 use fgh_core::models::{FineGrainModel, SpgemmModel};
 use fgh_hypergraph::{cutsize_connectivity, Partition};
@@ -48,23 +50,23 @@ proptest! {
         let (fh, sh) = (fg.hypergraph(), sg.hypergraph());
         prop_assert_eq!(fg.num_dummy_vertices(), 0);
 
-        // The same vertices: one unit-weight task per nonzero, in CSR order.
+        // The same vertices: one unit-weight task group per nonzero, in
+        // CSR order.
+        prop_assert_eq!(sh.num_vertices(), nnz);
         prop_assert_eq!(sh.num_vertices(), fh.num_vertices());
         prop_assert_eq!(sh.vertex_weights(), fh.vertex_weights());
 
-        // nnz singleton A-nets, then n B-nets, then n C-nets.
-        prop_assert_eq!(sh.num_nets(), nnz + 2 * n);
-        for e in 0..nnz {
-            prop_assert_eq!(sh.pins(e), &[e][..]);
-        }
+        // No A-nets; n unit-cost B-nets, then n C-nets.
+        prop_assert_eq!(sh.num_nets(), 2 * n);
+        prop_assert!(sh.net_costs().iter().all(|&c| c == 1));
         for j in 0..n {
-            prop_assert_eq!(sh.pins(nnz + j), fh.pins(fg.col_net(j)), "B-net {}", j);
+            prop_assert_eq!(sh.pins(j), fh.pins(fg.col_net(j)), "B-net {}", j);
         }
         for i in 0..n {
-            prop_assert_eq!(sh.pins(nnz + n + i), fh.pins(fg.row_net(i)), "C-net {}", i);
+            prop_assert_eq!(sh.pins(n + i), fh.pins(fg.row_net(i)), "C-net {}", i);
         }
 
-        // Singletons are never cut, so the connectivity−1 cutsizes agree.
+        // So the connectivity−1 cutsizes agree.
         let mut rng = SmallRng::seed_from_u64(partition_seed);
         let parts: Vec<u32> = (0..fh.num_vertices()).map(|_| rng.gen_range(0..k)).collect();
         let p = Partition::new(k, parts).unwrap();

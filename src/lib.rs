@@ -37,6 +37,16 @@
 //! assert_eq!(y, a.spmv(&x).unwrap());
 //! ```
 
+// The README's and the tutorial's Rust examples, compiled and run as
+// doctests so they cannot go stale.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeExamples;
+
+#[cfg(doctest)]
+#[doc = include_str!("../docs/TUTORIAL.md")]
+struct TutorialExamples;
+
 pub use fgh_core as core;
 pub use fgh_graph as graph;
 pub use fgh_hypergraph as hypergraph;
