@@ -123,9 +123,12 @@ pub enum Model {
     /// independent per-stripe column groupings — the intermediate point of
     /// the jagged/checkerboard/fine-grain 2D taxonomy.
     Jagged2D,
-    /// Fine-grain SpGEMM decomposition (`C = A · B`): one vertex per
-    /// multiply task `a_ik · b_kj`, nets modeling A-row reuse, B-column
-    /// reuse, and the C fold. The only model for
+    /// Fine-grain SpGEMM decomposition (`C = A · B`): one vertex per used
+    /// nonzero `a_ik`, holding the multiply tasks `a_ik · b_kj` that read
+    /// it and weighted by their count (a group over four times the mean
+    /// weight is split into chunks tied by an A-net), with B-nets for the
+    /// expand of `B` and C-nets for the fold of `C` (see
+    /// [`crate::models::SpgemmModel`]). The only model for
     /// [`crate::Workload::Spgemm`] inputs — SpMV entry points reject it.
     SpgemmFineGrain,
 }

@@ -43,7 +43,7 @@
 //! [`crate::status::DegradedReason::CODES`]) are strings when `status`
 //! is `"degraded"` and `null` otherwise; `trace` is either `null` or a
 //! span forest in the `fgh-trace/1` format
-//! ([`fgh_trace::Trace::to_json`], validated by
+//! ([`fgh_trace::Trace::to_value`], validated by
 //! [`fgh_trace::validate_trace_value`]). All integer members are
 //! non-negative and f64-exact. `engine.phase_ns` breaks the partitioner
 //! wall time down by multilevel phase; the three counters are `0` only
@@ -71,7 +71,7 @@ use std::collections::BTreeMap;
 
 use fgh_partition::EngineStats;
 use fgh_sparse::{CsrMatrix, IndexType, IndexWidth};
-use fgh_trace::json::{parse, Value};
+use fgh_trace::json::Value;
 use fgh_trace::validate_trace_value;
 
 use crate::api::{DecomposeConfig, DecompositionOutcome, Outcome, WorkloadKind};
@@ -119,12 +119,7 @@ fn engine_obj(e: &EngineStats) -> Value {
 }
 
 fn trace_obj(trace: Option<&fgh_trace::Trace>) -> Value {
-    match trace {
-        // The span tree already has a tested serializer; round-tripping
-        // through it keeps exactly one source of truth for that format.
-        Some(t) => parse(&t.to_json()).unwrap_or(Value::Null),
-        None => Value::Null,
-    }
+    trace.map_or(Value::Null, fgh_trace::Trace::to_value)
 }
 
 /// The members both workloads' documents share, read from the request
@@ -479,6 +474,7 @@ mod tests {
     use crate::api::{DecomposeIndex, Model};
     use crate::workload::{decompose_workload, Workload, WorkloadOutcome};
     use fgh_sparse::gen::{self, ValueMode};
+    use fgh_trace::json::parse;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 

@@ -114,8 +114,8 @@ impl<I: IndexType> Hypergraph<I> {
     /// Builds a hypergraph from an already-flat pin CSR: net `n` owns
     /// `pins[pin_ptr[n] .. pin_ptr[n + 1]]`. Pins must be sorted and
     /// duplicate-free within each net; this is the allocation-lean
-    /// constructor contraction uses (no per-net `Vec`). Weight/cost vector
-    /// lengths and pin bounds are validated.
+    /// constructor contraction uses (no per-net `Vec`). The offsets,
+    /// weight/cost vector lengths and pin bounds are validated.
     pub fn from_flat_nets(
         num_vertices: I,
         pin_ptr: Vec<usize>,
@@ -123,7 +123,19 @@ impl<I: IndexType> Hypergraph<I> {
         vertex_weights: Vec<u32>,
         net_costs: Vec<u32>,
     ) -> Result<Self> {
-        assert!(!pin_ptr.is_empty(), "pin_ptr needs a leading 0 entry");
+        let malformed_at = if pin_ptr.first() != Some(&0) {
+            Some(0)
+        } else if let Some(n) = pin_ptr.windows(2).position(|w| w[1] < w[0]) {
+            Some(n + 1)
+        } else {
+            (pin_ptr.last() != Some(&pins.len())).then(|| pin_ptr.len() - 1)
+        };
+        if let Some(at) = malformed_at {
+            return Err(HypergraphError::MalformedPinPtr {
+                at,
+                pins: pins.len(),
+            });
+        }
         let num_nets = pin_ptr.len() - 1;
         if vertex_weights.len() != num_vertices.index() {
             return Err(HypergraphError::WeightLengthMismatch {
@@ -604,6 +616,24 @@ mod tests {
         assert!(
             Hypergraph::<u32>::from_flat_nets(2, vec![0, 1], vec![0], vec![1, 1], vec![]).is_err()
         );
+    }
+
+    #[test]
+    fn from_flat_nets_rejects_malformed_pin_offsets() {
+        let flat = |pin_ptr: Vec<usize>, pins: Vec<u32>| {
+            let nets = pin_ptr.len().saturating_sub(1);
+            Hypergraph::<u32>::from_flat_nets(2, pin_ptr, pins, vec![1, 1], vec![1; nets])
+        };
+        let malformed = |at, pins| Err(HypergraphError::MalformedPinPtr { at, pins });
+        // No leading 0 entry at all, and one that is not 0.
+        assert_eq!(flat(vec![], vec![]), malformed(0, 0));
+        assert_eq!(flat(vec![1, 2], vec![0, 1]), malformed(0, 2));
+        // Decreasing offsets.
+        assert_eq!(flat(vec![0, 2, 1], vec![0, 1]), malformed(2, 2));
+        // A pin past the last offset, and an offset past the last pin.
+        assert_eq!(flat(vec![0, 1], vec![0, 7]), malformed(1, 2));
+        assert_eq!(flat(vec![0, 3], vec![0, 1]), malformed(1, 2));
+        assert!(flat(vec![0, 1, 2], vec![0, 1]).is_ok());
     }
 
     #[test]

@@ -49,6 +49,10 @@ pub enum HypergraphError {
     },
     /// A net contains the same pin twice.
     DuplicatePin { net: u64, pin: u64 },
+    /// A flat pin CSR's offsets must run from 0 to the pin count without
+    /// decreasing; entry `at` of `pin_ptr` (or the missing entry 0)
+    /// breaks that.
+    MalformedPinPtr { at: usize, pins: usize },
     /// Vertex weight vector length does not match the vertex count.
     WeightLengthMismatch { expected: usize, got: usize },
     /// Net cost vector length does not match the net count.
@@ -79,6 +83,11 @@ impl std::fmt::Display for HypergraphError {
             HypergraphError::DuplicatePin { net, pin } => {
                 write!(f, "net {net} contains pin {pin} more than once")
             }
+            HypergraphError::MalformedPinPtr { at, pins } => write!(
+                f,
+                "pin offset {at} breaks the CSR: offsets must run from 0 to {pins} \
+                 without decreasing"
+            ),
             HypergraphError::WeightLengthMismatch { expected, got } => {
                 write!(
                     f,

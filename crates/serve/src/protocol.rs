@@ -25,8 +25,9 @@
 //! (`matrix_mm`). `{"op":"ping"}` health-checks; `{"op":"stats"}`
 //! returns live counters.
 //!
-//! A request may carry `"workload": "spgemm"` to partition the
-//! fine-grain SpGEMM task hypergraph of `C = A · B` instead of SpMV; the
+//! A request may carry `"workload": "spgemm"` to partition the SpGEMM
+//! hypergraph of `C = A · B` (one vertex per used `A` nonzero, weighted
+//! by the multiply tasks that read it) instead of SpMV; the
 //! second operand arrives as `matrix_b`/`b_scale`/`b_gen_seed` (catalog)
 //! or `matrix_b_mm` (inline), and defaults to `A` itself (`A·A`) when
 //! absent. SpGEMM jobs bypass the plan cache.

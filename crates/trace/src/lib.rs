@@ -10,7 +10,8 @@
 //! tracer's in-memory [`CollectingSink`], which afterwards assembles them
 //! into a deterministic [`Trace`] tree that renders as a human-readable
 //! tree ([`Trace::render`]) or exports as machine-readable JSON
-//! ([`Trace::to_json`], schema documented in DESIGN.md §5.5).
+//! ([`Trace::to_value`] / [`Trace::to_json`], schema documented in
+//! DESIGN.md §5.5).
 //!
 //! ## Overhead model
 //!

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::{self, Value};
+use crate::json::Value;
 use crate::{CounterRecord, SpanRecord, NO_PARENT};
 
 /// One node of an assembled trace tree.
@@ -161,25 +161,21 @@ impl Trace {
         out
     }
 
-    /// Exports the forest as a JSON array of span objects (schema
-    /// `fgh-trace/1`, see DESIGN.md §5.5):
+    /// The forest as a JSON array of span objects (schema `fgh-trace/1`,
+    /// see DESIGN.md §5.5), members in name order:
     ///
     /// ```json
-    /// [{"name": "decompose", "index": null, "start_ns": 0,
-    ///   "duration_ns": 512345, "counters": {"fm_moves": 88},
-    ///   "children": [ … ]}]
+    /// [{"children": [ … ], "counters": {"fm_moves": 88},
+    ///   "duration_ns": 512345, "index": null, "name": "decompose",
+    ///   "start_ns": 0}]
     /// ```
+    pub fn to_value(&self) -> Value {
+        Value::Arr(self.roots.iter().map(node_value).collect())
+    }
+
+    /// [`Trace::to_value`] serialized to a compact JSON string.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push('[');
-        for (i, r) in self.roots.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            node_json(r, &mut out);
-        }
-        out.push(']');
-        out
+        self.to_value().to_json()
     }
 }
 
@@ -243,36 +239,22 @@ pub fn human_duration(ns: u64) -> String {
     }
 }
 
-fn node_json(n: &TraceNode, out: &mut String) {
-    out.push_str("{\"name\":");
-    json::write_escaped(n.name, out);
-    match n.index {
-        Some(i) => out.push_str(&format!(",\"index\":{i}")),
-        None => out.push_str(",\"index\":null"),
-    }
-    out.push_str(&format!(
-        ",\"start_ns\":{},\"duration_ns\":{},\"counters\":{{",
-        n.start_ns, n.duration_ns
-    ));
-    for (i, (k, v)) in n.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::write_escaped(k, out);
-        out.push_str(&format!(":{v}"));
-    }
-    out.push_str("},\"children\":[");
-    for (i, c) in n.children.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        node_json(c, out);
-    }
-    out.push_str("]}");
+fn node_value(n: &TraceNode) -> Value {
+    let num = |v: u64| Value::Num(v as f64);
+    let counters = n.counters.iter().map(|&(k, v)| (k.to_string(), num(v)));
+    let mut span = BTreeMap::new();
+    span.insert("name".to_string(), Value::Str(n.name.to_string()));
+    span.insert("index".to_string(), n.index.map_or(Value::Null, num));
+    span.insert("start_ns".to_string(), num(n.start_ns));
+    span.insert("duration_ns".to_string(), num(n.duration_ns));
+    span.insert("counters".to_string(), Value::Obj(counters.collect()));
+    let children = n.children.iter().map(node_value).collect();
+    span.insert("children".to_string(), Value::Arr(children));
+    Value::Obj(span)
 }
 
 /// Validates a parsed JSON value against the `fgh-trace/1` span-tree
-/// schema ([`Trace::to_json`]'s output format): an array of span objects,
+/// schema ([`Trace::to_value`]'s output): an array of span objects,
 /// each with exactly the members `name` (string), `index` (integer or
 /// null), `start_ns`/`duration_ns` (non-negative integers), `counters`
 /// (object mapping names to non-negative integers), and `children` (an
