@@ -139,7 +139,7 @@ fn write_number(n: f64, out: &mut String) {
 }
 
 /// Appends `s` to `out` as a JSON string literal (quotes included).
-pub fn write_escaped(s: &str, out: &mut String) {
+fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
