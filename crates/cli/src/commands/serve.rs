@@ -148,8 +148,8 @@ fn load_config(o: &Opts) -> Result<LoadConfig, String> {
 
 fn print_report(r: &LoadReport) {
     println!(
-        "load:              {} jobs, {} full, {} degraded",
-        r.jobs, r.ok_full, r.ok_degraded
+        "load:              {} jobs, {} full, {} degraded, {} repeats",
+        r.jobs, r.ok_full, r.ok_degraded, r.repeats_sent
     );
     println!(
         "injected:          {} malformed frames, {} disconnects, {} panics, {} bad requests",
@@ -220,6 +220,15 @@ fn self_test(o: &Opts) -> CmdResult {
     }
     if report.panics_sent > 0 && snapshot.worker_panics == 0 {
         failures.push("panics were injected but none was contained".to_string());
+    }
+    if report.repeats_sent > 0 && snapshot.cache_byte_cap > 0 && snapshot.cache_hits == 0 {
+        failures.push("answered requests were repeated but no plan-cache hit was served".into());
+    }
+    if snapshot.cache_integrity_failures > 0 {
+        failures.push(format!(
+            "{} plan-cache hits failed their integrity check on honest traffic",
+            snapshot.cache_integrity_failures
+        ));
     }
     if failures.is_empty() {
         println!("self-test:         PASS");

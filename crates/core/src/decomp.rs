@@ -118,22 +118,28 @@ impl Decomposition {
 
     /// Validates shape and ownership ranges against a matrix.
     pub fn validate<I: IndexType>(&self, a: &CsrMatrix<I>) -> Result<()> {
+        // A rectangular matrix fails the order check, which follows the
+        // K check.
+        if self.k != 0 && !a.is_square() {
+            return Err(self.order_mismatch(a.nrows(), a.ncols()));
+        }
+        self.validate_shape(a.nrows().as_u64(), a.nnz())
+    }
+
+    /// Validates shape and ownership ranges against a square matrix known
+    /// only by its order and nonzero count — [`validate`](Self::validate)
+    /// without the matrix.
+    pub fn validate_shape(&self, order: u64, nnz: usize) -> Result<()> {
         if self.k == 0 {
             return Err(ModelError::Invalid("K must be >= 1".into()));
         }
-        if self.n != a.nrows().as_u64() || !a.is_square() {
-            return Err(ModelError::Invalid(format!(
-                "decomposition order {} does not match matrix {}x{}",
-                self.n,
-                a.nrows(),
-                a.ncols()
-            )));
+        if self.n != order {
+            return Err(self.order_mismatch(order, order));
         }
-        if self.nonzero_owner.len() != a.nnz() {
+        if self.nonzero_owner.len() != nnz {
             return Err(ModelError::Invalid(format!(
-                "{} nonzero owners for {} nonzeros",
+                "{} nonzero owners for {nnz} nonzeros",
                 self.nonzero_owner.len(),
-                a.nnz()
             )));
         }
         if self.vec_owner.len() as u64 != self.n {
@@ -156,6 +162,17 @@ impl Decomposition {
             )));
         }
         Ok(())
+    }
+
+    fn order_mismatch(
+        &self,
+        nrows: impl std::fmt::Display,
+        ncols: impl std::fmt::Display,
+    ) -> ModelError {
+        ModelError::Invalid(format!(
+            "decomposition order {} does not match matrix {nrows}x{ncols}",
+            self.n
+        ))
     }
 
     /// Number of nonzeros (scalar multiplies) per processor — the
@@ -220,6 +237,59 @@ mod tests {
         assert!(Decomposition::rowwise(&a, 2, vec![0, 1, 5]).is_err());
         assert!(Decomposition::general(&a, 2, vec![0; 4], vec![0; 3]).is_err());
         assert!(Decomposition::general(&a, 0, vec![0; 5], vec![0; 3]).is_err());
+    }
+
+    #[test]
+    fn validate_shape_rejects_each_malformed_shape() {
+        let a = sample();
+        let rect: CsrMatrix =
+            CsrMatrix::from_coo(CooMatrix::from_triplets(2, 3, vec![(0, 0, 1.0)]).unwrap());
+        let good = Decomposition::rowwise(&a, 2, vec![0, 1, 0]).unwrap();
+        good.validate_shape(3, 5).unwrap();
+        let with = |f: fn(&mut Decomposition)| {
+            let mut d = good.clone();
+            f(&mut d);
+            d
+        };
+        // Each case with the message `validate` has always given for it.
+        let cases = [
+            (with(|d| d.k = 0), &a, "K must be >= 1"),
+            (with(|d| d.k = 0), &rect, "K must be >= 1"),
+            (
+                good.clone(),
+                &rect,
+                "decomposition order 3 does not match matrix 2x3",
+            ),
+            (
+                with(|d| d.n = 4),
+                &a,
+                "decomposition order 4 does not match matrix 3x3",
+            ),
+            (
+                with(|d| d.nonzero_owner.truncate(4)),
+                &a,
+                "4 nonzero owners for 5 nonzeros",
+            ),
+            (
+                with(|d| d.vec_owner.truncate(2)),
+                &a,
+                "2 vector owners for order 3",
+            ),
+            (
+                with(|d| d.nonzero_owner[4] = 2),
+                &a,
+                "nonzero owner 2 >= K = 2",
+            ),
+            (with(|d| d.vec_owner[0] = 7), &a, "vector owner 7 >= K = 2"),
+        ];
+        for (d, m, want) in cases {
+            let want = format!("invalid decomposition: {want}");
+            assert_eq!(d.validate(m).unwrap_err().to_string(), want);
+            if m.is_square() {
+                let shape = d.validate_shape(m.nrows().as_u64(), m.nnz());
+                assert_eq!(shape.unwrap_err().to_string(), want);
+            }
+        }
     }
 
     #[test]

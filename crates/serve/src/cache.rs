@@ -1,40 +1,44 @@
 //! Content-addressed plan cache with LRU eviction under a byte cap.
 //!
-//! The key is a 64-bit FNV-1a hash over the matrix *content identity*
-//! (catalog name + scale + generator seed, or the inline Matrix Market
-//! bytes) and every decomposition-relevant parameter (model, K, ε,
-//! partitioner seed, runs). Identical requests — the common case for a
-//! service fronting a dashboard that refreshes — skip partitioning
-//! entirely.
+//! The key is a 128-bit digest of the request's identity: its exact
+//! matrix source (the inline Matrix Market bytes, or the lowercased
+//! catalog name, scale and generator seed) and every parameter that
+//! shapes the plan (model, K, ε bits, partitioner seed, runs).
+//! [`PlanCache::digest`] computes it as two domain-separated SipHash
+//! values under keys the cache draws once, at construction, from std's
+//! `RandomState`, so a client that cannot see those keys cannot aim two
+//! different requests at one entry. Identical requests — the common case
+//! for a service fronting a dashboard that refreshes — skip partitioning
+//! entirely, and answer without building the matrix: the matrix text is
+//! neither parsed nor stored.
 //!
-//! A hit is never trusted blindly: the worker revalidates the cached
-//! [`Decomposition`] against the freshly built matrix
-//! (`decomposition.validate(&a)`), and a failed revalidation evicts the
-//! entry, counts an integrity failure, and recomputes — a corrupted
-//! cache degrades to a slower service, never to wrong answers.
+//! A hit is still not trusted blindly: each entry records the order and
+//! nonzero count of the matrix its plan was computed for, and the worker
+//! checks the stored [`Decomposition`] against them and against the
+//! request's K with the matrix-free `Decomposition::validate_shape`. A
+//! failed check evicts the entry, counts an integrity failure, and
+//! recomputes — a corrupted cache degrades to a slower service, never to
+//! wrong answers.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::Arc;
 
 use fgh_core::Decomposition;
 use fgh_invariant::{lock_order, OrderedMutex, OrderedMutexGuard};
 
-/// 64-bit FNV-1a over a byte stream — tiny, deterministic, and
-/// dependency-free; collision resistance is adequate for a cache whose
-/// hits are revalidated anyway.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// A cached plan plus the summary numbers the response repeats.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CachedPlan {
-    /// The decoded decomposition (revalidated on every hit).
+    /// The decoded decomposition, checked on every hit against `order`,
+    /// `nnz` and the request's K.
     pub decomposition: Decomposition,
+    /// Order of the matrix the plan was computed for, recorded when the
+    /// plan was stored.
+    pub order: u64,
+    /// Nonzero count of that matrix, recorded when the plan was stored.
+    pub nnz: usize,
     /// The partitioner's objective value.
     pub objective: u64,
     /// Total communication volume in words.
@@ -58,13 +62,13 @@ impl CachedPlan {
 }
 
 struct Entry {
-    plan: CachedPlan,
+    plan: Arc<CachedPlan>,
     bytes: usize,
     last_used: u64,
 }
 
 struct Inner {
-    map: HashMap<u64, Entry>,
+    map: HashMap<u128, Entry>,
     clock: u64,
     bytes: usize,
     hits: u64,
@@ -77,6 +81,8 @@ struct Inner {
 /// irrelevant next to partitioning cost.
 pub struct PlanCache {
     byte_cap: usize,
+    /// The SipHash keys of [`digest`](Self::digest), drawn once.
+    keys: RandomState,
     inner: OrderedMutex<Inner>,
 }
 
@@ -86,6 +92,7 @@ impl PlanCache {
     pub fn new(byte_cap: usize) -> Self {
         PlanCache {
             byte_cap,
+            keys: RandomState::new(),
             inner: OrderedMutex::new(
                 "PlanCache",
                 lock_order::PLAN_CACHE,
@@ -114,15 +121,29 @@ impl PlanCache {
         self.byte_cap
     }
 
+    /// The 128-bit key of a request `identity`: two SipHash values under
+    /// this cache's keys, one per domain byte, so the halves are
+    /// independent. Stable for the cache's lifetime only.
+    pub fn digest<T: Hash + ?Sized>(&self, identity: &T) -> u128 {
+        let half = |domain: u8| {
+            let mut h = self.keys.build_hasher();
+            h.write_u8(domain);
+            identity.hash(&mut h);
+            u128::from(h.finish())
+        };
+        (half(0) << 64) | half(1)
+    }
+
     /// Looks up a plan, bumping its recency. Counts a hit or a miss.
-    pub fn get(&self, key: u64) -> Option<CachedPlan> {
+    /// A hit shares the stored plan; nothing is copied under the lock.
+    pub fn get(&self, key: u128) -> Option<Arc<CachedPlan>> {
         let mut g = self.lock();
         g.clock += 1;
         let clock = g.clock;
         match g.map.get_mut(&key) {
             Some(e) => {
                 e.last_used = clock;
-                let plan = e.plan.clone();
+                let plan = Arc::clone(&e.plan);
                 g.hits += 1;
                 Some(plan)
             }
@@ -133,10 +154,10 @@ impl PlanCache {
         }
     }
 
-    /// Records that a hit failed revalidation: evicts the entry and
-    /// counts an integrity failure (the hit already counted; the caller
-    /// proceeds as a miss).
-    pub fn quarantine(&self, key: u64) {
+    /// Records that a hit failed its integrity check: evicts the entry
+    /// and counts an integrity failure (the hit already counted; the
+    /// caller proceeds as a miss).
+    pub fn quarantine(&self, key: u128) {
         let mut g = self.lock();
         if let Some(e) = g.map.remove(&key) {
             g.bytes -= e.bytes;
@@ -146,7 +167,7 @@ impl PlanCache {
 
     /// Inserts a plan, evicting least-recently-used entries until the
     /// byte cap holds. A plan larger than the whole cap is not cached.
-    pub fn put(&self, key: u64, plan: CachedPlan) {
+    pub fn put(&self, key: u128, plan: Arc<CachedPlan>) {
         let bytes = plan.approx_bytes();
         if bytes > self.byte_cap {
             return;
@@ -195,19 +216,21 @@ mod tests {
     use super::*;
     use fgh_sparse::{CooMatrix, CsrMatrix};
 
-    fn plan(n: u32) -> CachedPlan {
+    fn plan(n: u32) -> Arc<CachedPlan> {
         let a: CsrMatrix = CsrMatrix::from_coo(
             CooMatrix::from_triplets(n, n, (0..n).map(|i| (i, i, 1.0))).unwrap(),
         );
         let d = Decomposition::rowwise(&a, 2, (0..n).map(|i| i % 2).collect()).unwrap();
-        CachedPlan {
+        Arc::new(CachedPlan {
             decomposition: d,
+            order: u64::from(n),
+            nnz: n as usize,
             objective: 0,
             volume: 0,
             imbalance: 0.0,
             degraded_code: None,
             degraded_reason: None,
-        }
+        })
     }
 
     #[test]
@@ -221,9 +244,17 @@ mod tests {
     }
 
     #[test]
+    fn hits_share_the_stored_plan() {
+        let c = PlanCache::new(1 << 20);
+        let stored = plan(4);
+        c.put(7, Arc::clone(&stored));
+        let (a, b) = (c.get(7).unwrap(), c.get(7).unwrap());
+        assert!(Arc::ptr_eq(&a, &stored) && Arc::ptr_eq(&b, &stored));
+    }
+
+    #[test]
     fn byte_cap_evicts_lru() {
-        let one = plan(8);
-        let per_entry = one.approx_bytes();
+        let per_entry = plan(8).approx_bytes();
         // Room for exactly two entries.
         let c = PlanCache::new(per_entry * 2);
         c.put(1, plan(8));
@@ -257,9 +288,27 @@ mod tests {
     }
 
     #[test]
-    fn fnv_is_deterministic_and_spreads() {
-        assert_eq!(fnv1a(b"abc"), fnv1a(b"abc"));
-        assert_ne!(fnv1a(b"abc"), fnv1a(b"abd"));
-        assert_ne!(fnv1a(b""), fnv1a(b"\0"));
+    fn digest_is_keyed_and_separates_identities() {
+        let (c, other) = (PlanCache::new(0), PlanCache::new(0));
+        let id = ("inline", "1 1 1\n1 1 1.0\n", 4u32);
+        assert_eq!(c.digest(&id), c.digest(&id), "stable within one cache");
+        assert_ne!(
+            c.digest(&id),
+            other.digest(&id),
+            "each cache draws its keys"
+        );
+        assert_ne!(
+            c.digest(&id),
+            c.digest(&("inline", "1 1 1\n1 1 2.0\n", 4u32))
+        );
+        assert_ne!(
+            c.digest(&id),
+            c.digest(&("inline", "1 1 1\n1 1 1.0\n", 5u32))
+        );
+        // Field boundaries are part of the identity.
+        assert_ne!(c.digest(&("ab", "c")), c.digest(&("a", "bc")));
+        // The two 64-bit halves are independent hashes, not one repeated.
+        let d = c.digest(&id);
+        assert_ne!(d >> 64, d & u128::from(u64::MAX));
     }
 }

@@ -9,7 +9,7 @@
 //! or `ok:false` with a code from [`codes::ALL`]). The daemon passes when
 //! every byte it sent back was typed and nothing crashed.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::time::Duration;
 
@@ -175,6 +175,10 @@ pub struct LoadReport {
     pub bad_requests_sent: u64,
     /// `batch` frames sent (each carrying several decompose bodies).
     pub batches_sent: u64,
+    /// Honest requests a client thread sent after an identical one had
+    /// been answered in full: with a plan cache that has room, each is a
+    /// hit.
+    pub repeats_sent: u64,
     /// Connections the daemon refused outright.
     pub connect_failures: u64,
     /// Every response that violated the protocol contract (the pass
@@ -201,6 +205,7 @@ impl LoadReport {
         self.panics_sent += other.panics_sent;
         self.bad_requests_sent += other.bad_requests_sent;
         self.batches_sent += other.batches_sent;
+        self.repeats_sent += other.repeats_sent;
         self.connect_failures += other.connect_failures;
         self.violations.extend(other.violations);
     }
@@ -339,14 +344,20 @@ fn is_overloaded(v: &Value) -> bool {
 
 /// Issues a queued request, honoring `overloaded` sheds with bounded
 /// retries — the well-behaved-client reaction to backpressure. Every
-/// response (sheds included) is recorded.
-fn request_with_retry(client: &mut ServeClient, v: &Value, report: &mut LoadReport, label: &str) {
+/// response (sheds included) is recorded; the first that is not a shed is
+/// returned.
+fn request_with_retry(
+    client: &mut ServeClient,
+    v: &Value,
+    report: &mut LoadReport,
+    label: &str,
+) -> Option<Value> {
     for _ in 0..40 {
         match client.request(v) {
             Ok(r) => {
                 report.record_response(&r);
                 if !is_overloaded(&r) {
-                    return;
+                    return Some(r);
                 }
                 let backoff = r
                     .get("error")
@@ -358,16 +369,25 @@ fn request_with_retry(client: &mut ServeClient, v: &Value, report: &mut LoadRepo
             }
             Err(e) => {
                 report.violations.push(format!("{label}: {e}"));
-                return;
+                return None;
             }
         }
     }
     report
         .violations
         .push(format!("{label}: still overloaded after 40 retries"));
+    None
 }
 
-fn run_one(addr: &str, cfg: &LoadConfig, i: usize, report: &mut LoadReport) {
+/// Runs job `i` of the mix. `answered` holds the (K, seed) pairs of the
+/// honest requests this client thread already had answered in full.
+fn run_one(
+    addr: &str,
+    cfg: &LoadConfig,
+    i: usize,
+    report: &mut LoadReport,
+    answered: &mut BTreeSet<(u32, u64)>,
+) {
     let mut client = match ServeClient::connect_tcp(addr) {
         Ok(c) => c,
         Err(_) => {
@@ -489,7 +509,8 @@ fn run_one(addr: &str, cfg: &LoadConfig, i: usize, report: &mut LoadReport) {
             let k = [2u32, 4, 8][i % 3];
             // Seeds cycle so identical requests repeat and the plan
             // cache gets real hits.
-            let mut v = decompose_request(&cfg.matrix, cfg.scale, k, (i % 4) as u64);
+            let seed = (i % 4) as u64;
+            let mut v = decompose_request(&cfg.matrix, cfg.scale, k, seed);
             if cfg.inject && i.is_multiple_of(5) {
                 if let Value::Obj(doc) = &mut v {
                     // A small stall builds real queue depth so admission
@@ -497,7 +518,13 @@ fn run_one(addr: &str, cfg: &LoadConfig, i: usize, report: &mut LoadReport) {
                     doc.insert("inject".into(), Value::Str("sleep_ms:40".into()));
                 }
             }
-            request_with_retry(&mut client, &v, report, &format!("honest job {i}"));
+            if answered.contains(&(k, seed)) {
+                report.repeats_sent += 1;
+            }
+            let r = request_with_retry(&mut client, &v, report, &format!("honest job {i}"));
+            if r.is_some_and(|r| r.get("status").and_then(Value::as_str) == Some("full")) {
+                answered.insert((k, seed));
+            }
         }
     }
 }
@@ -513,9 +540,10 @@ pub fn run_load(addr: &str, cfg: &LoadConfig) -> LoadReport {
             let cfg = cfg.clone();
             std::thread::spawn(move || {
                 let mut report = LoadReport::default();
+                let mut answered = BTreeSet::new();
                 let mut i = tid;
                 while i < cfg.jobs {
-                    run_one(&addr, &cfg, i, &mut report);
+                    run_one(&addr, &cfg, i, &mut report, &mut answered);
                     i += cfg.concurrency;
                 }
                 report

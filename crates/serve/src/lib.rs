@@ -32,10 +32,12 @@
 //!   [`server::ServerHandle::shutdown`]) stops admission, drains queued
 //!   and in-flight jobs under a deadline, and flushes a final
 //!   [`metrics::ServeSnapshot`] report (`fgh-serve-metrics/1`).
-//! * **Plan cache** ([`cache`]): content-hash keyed, LRU under a byte
-//!   cap, and every hit is *re-validated* against the freshly built
-//!   matrix before being served — a corrupt entry is quarantined, not
-//!   returned.
+//! * **Plan cache** ([`cache`]): keyed by a 128-bit SipHash digest of
+//!   the request's matrix source and parameters under keys drawn per
+//!   daemon, LRU under a byte cap. A hit answers without building the
+//!   matrix, and its plan is first checked, matrix-free, against the
+//!   order and nonzero count recorded with it and the request's K — a
+//!   corrupt entry is quarantined, not returned.
 //!
 //! The crate also ships the load generator ([`client::run_load`]) that
 //! CI's smoke job uses to prove all of the above under concurrent

@@ -116,7 +116,9 @@ pub struct ServeSnapshot {
     pub cache_misses: u64,
     /// Plan-cache LRU evictions.
     pub cache_evictions: u64,
-    /// Cache hits whose revalidation failed (entry discarded, recomputed).
+    /// Cache hits whose plan failed the matrix-free check against the
+    /// order and nonzero count recorded with it and the request's K
+    /// (entry discarded, recomputed).
     pub cache_integrity_failures: u64,
     /// Bytes currently held by the cache.
     pub cache_bytes: u64,

@@ -31,7 +31,7 @@ use fgh_sparse::io::parse_matrix_market_bytes_any;
 use fgh_sparse::{catalog, AnyCsrMatrix, IndexWidth};
 use fgh_trace::json::Value;
 
-use crate::cache::{fnv1a, CachedPlan, PlanCache};
+use crate::cache::{CachedPlan, PlanCache};
 use crate::metrics::ServeCounters;
 use crate::protocol::{codes, error_response, DecomposeRequest, MatrixSource};
 
@@ -97,28 +97,25 @@ fn num(n: u64) -> Value {
     Value::Num(n as f64)
 }
 
-/// Stable content-identity + parameters hash — the plan-cache key.
-fn cache_key(req: &DecomposeRequest) -> u64 {
-    let mut descriptor = String::new();
+/// The plan-cache key: the digest of the request's exact matrix source
+/// (the inline bytes, or the lowercased catalog name, scale and generator
+/// seed) and of every parameter that shapes the plan.
+fn cache_key(cache: &PlanCache, req: &DecomposeRequest) -> u128 {
+    let params = (&req.model, req.k, req.epsilon.to_bits(), req.seed, req.runs);
     match &req.source {
         MatrixSource::Catalog {
             name,
             scale,
             gen_seed,
-        } => {
-            descriptor.push_str("catalog:");
-            descriptor.push_str(&name.to_ascii_lowercase());
-            descriptor.push_str(&format!(":{scale}:{gen_seed}"));
-        }
-        MatrixSource::Inline(mm) => {
-            descriptor.push_str(&format!("inline:{:016x}", fnv1a(mm.as_bytes())));
-        }
+        } => cache.digest(&(
+            "catalog",
+            name.to_ascii_lowercase(),
+            scale,
+            gen_seed,
+            params,
+        )),
+        MatrixSource::Inline(mm) => cache.digest(&("inline", mm.as_str(), params)),
     }
-    descriptor.push_str(&format!(
-        "|model={}|k={}|eps={}|seed={}|runs={}",
-        req.model, req.k, req.epsilon, req.seed, req.runs
-    ));
-    fnv1a(descriptor.as_bytes())
 }
 
 /// Builds the matrix a request names. Errors are client-attributable.
@@ -183,14 +180,18 @@ fn success_response(
     Value::Obj(doc)
 }
 
-fn plan_from_outcome(out: &DecompositionOutcome) -> CachedPlan {
+/// The plan of a fresh outcome on `a`, recording `a`'s order and nonzero
+/// count for the integrity check of later hits.
+fn plan_from_outcome(a: &AnyCsrMatrix, out: DecompositionOutcome) -> CachedPlan {
     CachedPlan {
-        decomposition: out.decomposition.clone(),
+        order: a.nrows(),
+        nnz: a.nnz(),
         objective: out.objective,
         volume: out.stats.total_volume(),
         imbalance: out.stats.load_imbalance_percent(),
         degraded_code: out.status.code(),
         degraded_reason: out.status.reason().map(ToString::to_string),
+        decomposition: out.decomposition,
     }
 }
 
@@ -269,25 +270,14 @@ pub fn execute_job(
         return execute_workload(pool, policy, counters, req, cancel, false);
     }
 
-    let a = match build_matrix(&req.source) {
-        Ok(a) => a,
-        Err(e) => return error_response(codes::BAD_REQUEST, &e, None),
-    };
-    let cfg = match job_config(policy, req, cancel) {
-        Ok(cfg) => cfg,
-        Err(response) => return response,
-    };
-
-    let key = cache_key(req);
+    // A hit answers without building the matrix. Its integrity check is
+    // matrix-free: the stored plan must still fit the order and nonzero
+    // count recorded with it and have the request's K parts. A corrupted
+    // entry is quarantined and the job recomputes.
+    let key = cache_key(cache, req);
     if let Some(plan) = cache.get(key) {
-        // Integrity revalidation: a cached plan must still be a valid
-        // decomposition of the freshly built matrix. A corrupted or
-        // colliding entry is quarantined and the job recomputes.
-        let valid = match &a {
-            AnyCsrMatrix::U32(m) => plan.decomposition.validate(m).is_ok(),
-            AnyCsrMatrix::U64(m) => plan.decomposition.validate(m).is_ok(),
-        };
-        if valid {
+        let d = &plan.decomposition;
+        if d.k == req.k && d.validate_shape(plan.order, plan.nnz).is_ok() {
             if plan.degraded_code.is_some() {
                 ServeCounters::bump(&counters.degraded);
             }
@@ -296,17 +286,26 @@ pub fn execute_job(
         cache.quarantine(key);
     }
 
+    let a = match build_matrix(&req.source) {
+        Ok(a) => a,
+        Err(e) => return error_response(codes::BAD_REQUEST, &e, None),
+    };
+    let cfg = match job_config(policy, req, cancel) {
+        Ok(cfg) => cfg,
+        Err(response) => return response,
+    };
     match decompose_workload_any_in(WorkloadAny::Spmv(&a), &cfg, pool)
         .and_then(WorkloadOutcome::into_spmv)
     {
         Ok(out) => {
             count_outcome(counters, &out);
-            let plan = plan_from_outcome(&out);
             // Only full outcomes are worth caching: a degraded partial
             // (budget, cancellation) is not the answer the next caller
             // with the same parameters wants.
-            if !out.status.is_degraded() {
-                cache.put(key, plan.clone());
+            let full = !out.status.is_degraded();
+            let plan = Arc::new(plan_from_outcome(&a, out));
+            if full {
+                cache.put(key, Arc::clone(&plan));
             }
             success_response(req, &plan, false, start.elapsed())
         }
@@ -639,17 +638,203 @@ mod tests {
 
     #[test]
     fn decompose_then_cache_hit() {
-        let (pool, cache, counters) = fixture();
-        let token = CancelToken::new();
-        let r1 = execute_job(&pool, POLICY, &cache, &counters, false, &request(4), &token);
-        assert_eq!(r1.get("ok"), Some(&Value::Bool(true)));
-        assert_eq!(r1.get("cache").unwrap().as_str(), Some("miss"));
-        let r2 = execute_job(&pool, POLICY, &cache, &counters, false, &request(4), &token);
-        assert_eq!(r2.get("cache").unwrap().as_str(), Some("hit"));
-        assert_eq!(r1.get("volume"), r2.get("volume"));
-        // Different K is a different key.
-        let r3 = execute_job(&pool, POLICY, &cache, &counters, false, &request(2), &token);
-        assert_eq!(r3.get("cache").unwrap().as_str(), Some("miss"));
+        let (pool, cache, _) = fixture();
+        for base in [request(4), inline(MM)] {
+            let first = run(&pool, &cache, &base);
+            assert_eq!(first.get("ok"), Some(&Value::Bool(true)));
+            assert_eq!(cache_outcome(&first), "miss");
+            let again = run(&pool, &cache, &base);
+            assert_eq!(cache_outcome(&again), "hit");
+            for member in ["objective", "volume", "nnz", "imbalance", "k", "status"] {
+                assert_eq!(first.get(member), again.get(member), "{member}");
+            }
+        }
+        // One changed byte of matrix_mm, or one changed parameter, misses.
+        for changed in one_change_each(&inline(MM)) {
+            let r = run(&pool, &cache, &changed);
+            assert_eq!(cache_outcome(&r), "miss", "{changed:?}: {}", r.to_json());
+        }
+    }
+
+    /// A 6x6 matrix: a diagonal plus a cycle of off-diagonal entries.
+    const MM: &str = "%%MatrixMarket matrix coordinate real general\n6 6 12\n\
+        1 1 1.0\n2 2 1.0\n3 3 1.0\n4 4 1.0\n5 5 1.0\n6 6 1.0\n\
+        1 2 1.0\n2 3 1.0\n3 4 1.0\n4 5 1.0\n5 6 1.0\n6 1 1.0\n";
+
+    fn inline(mm: &str) -> DecomposeRequest {
+        DecomposeRequest {
+            source: MatrixSource::Inline(mm.into()),
+            ..request(2)
+        }
+    }
+
+    fn run(pool: &Arc<ArenaPool>, cache: &PlanCache, req: &DecomposeRequest) -> Value {
+        let counters = ServeCounters::default();
+        execute_job(
+            pool,
+            POLICY,
+            cache,
+            &counters,
+            false,
+            req,
+            &CancelToken::new(),
+        )
+    }
+
+    fn cache_outcome(r: &Value) -> &str {
+        r.get("cache").and_then(Value::as_str).unwrap_or("none")
+    }
+
+    /// Each request that differs from `base` in exactly one member of the
+    /// cache identity.
+    fn one_change_each(base: &DecomposeRequest) -> Vec<DecomposeRequest> {
+        let sources = match &base.source {
+            MatrixSource::Inline(mm) => {
+                vec![MatrixSource::Inline(mm.replacen("6 1 1.0", "6 1 2.0", 1))]
+            }
+            MatrixSource::Catalog {
+                name,
+                scale,
+                gen_seed,
+            } => {
+                let (scale, gen_seed) = (*scale, *gen_seed);
+                vec![
+                    MatrixSource::Catalog {
+                        name: format!("{name}x"),
+                        scale,
+                        gen_seed,
+                    },
+                    MatrixSource::Catalog {
+                        name: name.clone(),
+                        scale: scale + 1,
+                        gen_seed,
+                    },
+                    MatrixSource::Catalog {
+                        name: name.clone(),
+                        scale,
+                        gen_seed: gen_seed + 1,
+                    },
+                ]
+            }
+        };
+        let mut out: Vec<_> = sources
+            .into_iter()
+            .map(|source| DecomposeRequest {
+                source,
+                ..base.clone()
+            })
+            .collect();
+        let params: [fn(&mut DecomposeRequest); 5] = [
+            |r| r.model = "hypergraph-1d-colnet".into(),
+            |r| r.k += 1,
+            |r| r.epsilon = 0.05,
+            |r| r.seed += 1,
+            |r| r.runs += 1,
+        ];
+        for change in params {
+            let mut r = base.clone();
+            change(&mut r);
+            out.push(r);
+        }
+        out
+    }
+
+    #[test]
+    fn every_identity_member_is_in_the_key() {
+        let cache = PlanCache::new(0);
+        for base in [inline(MM), request(4)] {
+            let key = cache_key(&cache, &base);
+            assert_eq!(key, cache_key(&cache, &base.clone()));
+            for changed in one_change_each(&base) {
+                assert_ne!(key, cache_key(&cache, &changed), "{changed:?}");
+            }
+            // The budgets, owner arrays and injection are not.
+            let mut extras = base.clone();
+            extras.budget_ms = Some(5);
+            extras.budget_bytes = Some(1 << 30);
+            extras.include_owners = true;
+            extras.inject = Some("sleep_ms:1".into());
+            assert_eq!(key, cache_key(&cache, &extras));
+        }
+    }
+
+    #[test]
+    fn catalog_names_hit_case_insensitively() {
+        let (pool, cache, _) = fixture();
+        assert_eq!(cache_outcome(&run(&pool, &cache, &request(4))), "miss");
+        let mut upper = request(4);
+        upper.source = MatrixSource::Catalog {
+            name: "BCSPWR10".into(),
+            scale: 48,
+            gen_seed: 7,
+        };
+        assert_eq!(cache_outcome(&run(&pool, &cache, &upper)), "hit");
+    }
+
+    #[test]
+    fn hit_path_never_builds_the_matrix() {
+        let (pool, cache, _) = fixture();
+        // The plan a good request stores, seeded under the keys of
+        // requests whose matrix cannot be built.
+        run(&pool, &cache, &inline(MM));
+        let plan = cache.get(cache_key(&cache, &inline(MM))).unwrap();
+        let unknown = DecomposeRequest {
+            source: MatrixSource::Catalog {
+                name: "no-such-matrix".into(),
+                scale: 1,
+                gen_seed: 1,
+            },
+            ..request(2)
+        };
+        for req in [inline("not matrix market"), unknown] {
+            let bad = run(&pool, &cache, &req);
+            assert_eq!(
+                bad.get("error").unwrap().get("code").unwrap().as_str(),
+                Some(codes::BAD_REQUEST)
+            );
+            cache.put(cache_key(&cache, &req), Arc::clone(&plan));
+            let r = run(&pool, &cache, &req);
+            assert_eq!(cache_outcome(&r), "hit", "{}", r.to_json());
+            assert_eq!(r.get("volume").unwrap().as_u64(), Some(plan.volume));
+        }
+        // Each failed build counted one miss before its bad-request.
+        let (hits, misses, ..) = cache.stats();
+        assert_eq!((hits, misses), (3, 3));
+    }
+
+    #[test]
+    fn corrupt_entries_are_quarantined_and_recomputed() {
+        let corruptions: [fn(&mut fgh_core::Decomposition); 3] = [
+            |d| d.nonzero_owner[0] = d.k,
+            |d| d.nonzero_owner.truncate(d.nonzero_owner.len() - 1),
+            // Owners in range, but for another K than the request's.
+            |d| d.k += 1,
+        ];
+        for corrupt in corruptions {
+            let (pool, cache, _) = fixture();
+            let req = inline(MM);
+            let fresh = run(&pool, &cache, &req);
+            let key = cache_key(&cache, &req);
+            let stored = cache.get(key).unwrap();
+            let mut decomposition = stored.decomposition.clone();
+            corrupt(&mut decomposition);
+            cache.put(
+                key,
+                Arc::new(CachedPlan {
+                    decomposition,
+                    degraded_reason: None,
+                    ..*stored
+                }),
+            );
+            let r = run(&pool, &cache, &req);
+            assert_eq!(cache_outcome(&r), "miss", "{}", r.to_json());
+            for member in ["objective", "volume", "nnz"] {
+                assert_eq!(r.get(member), fresh.get(member), "{member}");
+            }
+            let (.., integrity_failures, _) = cache.stats();
+            assert_eq!(integrity_failures, 1);
+            assert_eq!(cache_outcome(&run(&pool, &cache, &req)), "hit");
+        }
     }
 
     #[test]

@@ -139,29 +139,40 @@ fn write_number(n: f64, out: &mut String) {
 }
 
 /// Appends `s` to `out` as a JSON string literal (quotes included).
+/// Every byte that needs an escape is ASCII, so the runs between them
+/// start and end on char boundaries and are copied whole.
 fn write_escaped(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            // lint: checked-cast — char is a Unicode scalar, always < 2^21.
-            c if (c as u32) < 0x20 => {
-                // lint: checked-cast — char is a Unicode scalar, always < 2^21.
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
 /// Parses a JSON document. Returns a message with a byte offset on error.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -178,6 +189,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    /// The document; plain runs of strings and numbers are sliced from it.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -298,16 +311,12 @@ impl Parser<'_> {
         let mut out = String::new();
         loop {
             let start = self.pos;
-            // Fast path: run of plain UTF-8 bytes.
+            // Fast path: a run of plain bytes. It ends at an ASCII byte
+            // or the end of input, so it slices on char boundaries.
             while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
                 self.pos += 1;
             }
-            if self.pos > start {
-                match std::str::from_utf8(&self.bytes[start..self.pos]) {
-                    Ok(s) => out.push_str(s),
-                    Err(_) => return Err(format!("invalid UTF-8 near byte {start}")),
-                }
-            }
+            out.push_str(&self.text[start..self.pos]);
             match self.bump() {
                 Some(b'"') => return Ok(out),
                 Some(b'\\') => match self.bump() {
@@ -375,8 +384,8 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("invalid number at byte {start}"))?;
+        // Only ASCII bytes were consumed, so the slice is on char boundaries.
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| format!("invalid number {text:?} at byte {start}"))
@@ -398,14 +407,58 @@ mod tests {
         );
     }
 
+    /// The per-char escaper `write_escaped` replaced: its oracle.
+    fn write_escaped_per_char(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
     #[test]
     fn escape_round_trips() {
-        let nasty = "a\"b\\c\nd\te\u{0001}π — ok";
-        let mut doc = String::from("[");
-        write_escaped(nasty, &mut doc);
-        doc.push(']');
-        let v = parse(&doc).unwrap();
-        assert_eq!(v.as_arr().unwrap()[0].as_str(), Some(nasty));
+        let mut pieces: Vec<String> = (0u8..0x20).map(|b| char::from(b).to_string()).collect();
+        pieces.extend(
+            [
+                "\"",
+                "\\",
+                "\u{7f}",
+                "é",
+                "π",
+                "—",
+                "😀",
+                "plain",
+                "",
+                "\\\"",
+                "\\u0041",
+                "a\"b\\c\nd\te\u{0001}π — ok",
+            ]
+            .map(String::from),
+        );
+        // Every piece, every ordered pair of pieces, and all of them.
+        let mut inputs = pieces.clone();
+        for a in &pieces {
+            inputs.extend(pieces.iter().map(|b| format!("{a}{b}")));
+        }
+        inputs.push(pieces.concat());
+        for s in &inputs {
+            let (mut runs, mut per_char) = (String::new(), String::new());
+            write_escaped(s, &mut runs);
+            write_escaped_per_char(s, &mut per_char);
+            // Byte-identical to the per-char escaper, and parse inverts it.
+            assert_eq!(runs, per_char, "{s:?}");
+            let doc = Value::Str(s.clone()).to_json();
+            assert_eq!(parse(&doc), Ok(Value::Str(s.clone())), "{doc}");
+        }
     }
 
     #[test]
