@@ -65,7 +65,7 @@ fn phase_breakdown(hg: &Hypergraph, threads: usize) -> Vec<(&'static str, u64)> 
     let root = tracer.span("sweep");
     let pool = Arc::new(ArenaPool::new());
     let results = run_seeds(&cfg, SEEDS, &pool, &root.handle(), |driver| {
-        partition_hypergraph_with(driver, hg, K, None)
+        partition_hypergraph_with(driver, hg, K)
     });
     drop(root);
     for r in results {

@@ -73,17 +73,13 @@ fn bench_arena(c: &mut Criterion) {
     group.bench_function("pooled", |b| {
         let mut driver = MultilevelDriver::new(PartitionConfig::with_seed(7));
         b.iter(|| {
-            black_box(
-                partition_hypergraph_with(&mut driver, black_box(hg), 16, None).expect("partition"),
-            )
+            black_box(partition_hypergraph_with(&mut driver, black_box(hg), 16).expect("partition"))
         })
     });
     group.bench_function("cold", |b| {
         b.iter(|| {
             let mut driver = MultilevelDriver::new(PartitionConfig::with_seed(7));
-            black_box(
-                partition_hypergraph_with(&mut driver, black_box(hg), 16, None).expect("partition"),
-            )
+            black_box(partition_hypergraph_with(&mut driver, black_box(hg), 16).expect("partition"))
         })
     });
     group.finish();

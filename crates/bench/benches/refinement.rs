@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fgh_core::models::FineGrainModel;
 use fgh_hypergraph::Partition;
-use fgh_partition::coarsen::{coarsen_once, FREE};
+use fgh_partition::coarsen::coarsen_once;
 use fgh_partition::kway::kway_refine;
 use fgh_partition::refine::BisectionState;
 use fgh_partition::CoarseningScheme;
@@ -21,7 +21,6 @@ fn model() -> FineGrainModel {
 fn bench_coarsening(c: &mut Criterion) {
     let m = model();
     let hg = m.hypergraph();
-    let fixed = vec![FREE; hg.num_vertices() as usize];
     let mut group = c.benchmark_group("coarsening");
     for scheme in [
         CoarseningScheme::Hcm,
@@ -36,7 +35,6 @@ fn bench_coarsening(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(coarsen_once(
                         black_box(hg),
-                        &fixed,
                         scheme,
                         64,
                         hg.total_vertex_weight(),
@@ -53,7 +51,6 @@ fn bench_fm(c: &mut Criterion) {
     let m = model();
     let hg = m.hypergraph();
     let n = hg.num_vertices();
-    let fixed = vec![FREE; n as usize];
     let sides: Vec<u8> = (0..n).map(|v| (v % 2) as u8).collect();
     let half = hg.total_vertex_weight() as f64 / 2.0;
 
@@ -62,7 +59,7 @@ fn bench_fm(c: &mut Criterion) {
     group.bench_function("full", |b| {
         let mut rng = SmallRng::seed_from_u64(2);
         b.iter(|| {
-            let mut st = BisectionState::new(hg, sides.clone(), &fixed, [half, half], 0.03);
+            let mut st = BisectionState::new(hg, sides.clone(), [half, half], 0.03);
             black_box(st.fm_pass(&mut rng, 0))
         })
     });
@@ -74,12 +71,11 @@ fn bench_kway(c: &mut Criterion) {
     let hg = m.hypergraph();
     let n = hg.num_vertices();
     let parts: Vec<u32> = (0..n).map(|v| v % 8).collect();
-    let fixed = vec![u32::MAX; n as usize];
     c.bench_function("kway_refine_pass", |b| {
         let mut rng = SmallRng::seed_from_u64(3);
         b.iter(|| {
             let mut p = Partition::new(8, parts.clone()).expect("valid");
-            black_box(kway_refine(hg, &mut p, &fixed, 0.05, 1, &mut rng))
+            black_box(kway_refine(hg, &mut p, 0.05, 1, &mut rng))
         })
     });
 }

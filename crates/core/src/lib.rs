@@ -32,9 +32,6 @@
 //! creates one [`ArenaPool`] and passes it to every call of
 //! [`decompose_workload_in`] or [`decompose_workload_any_in`]; the pool
 //! is `Sync`, so many threads may share it.
-//! [`reduction`] generalizes the model to arbitrary input/output
-//! reduction problems with optional pre-assigned elements (the paper's
-//! §3 remark).
 
 // Robustness contract: library (non-test) code must not panic; provably
 // infallible sites carry a narrowly scoped `allow` with a justification.
@@ -44,7 +41,6 @@ pub mod api;
 pub mod decomp;
 pub mod metrics;
 pub mod models;
-pub mod reduction;
 pub mod report;
 pub mod status;
 pub mod workload;

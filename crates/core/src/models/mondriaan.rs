@@ -179,8 +179,7 @@ fn bisect_direction(
     rng: &mut SmallRng,
 ) -> (Vec<u8>, u64) {
     let (hg, nz_group) = directional_hypergraph(coords, ids, by_rows);
-    let fixed = vec![-1i8; hg.num_vertices() as usize];
-    let (sides, cut) = driver.bisect(&hg, &fixed, targets, eps, rng);
+    let (sides, cut) = driver.bisect(&hg, targets, eps, rng);
     let nz_sides: Vec<u8> = nz_group.iter().map(|&g| sides[g as usize]).collect();
     (nz_sides, cut)
 }

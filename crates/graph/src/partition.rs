@@ -266,8 +266,7 @@ pub fn partition_graph_with<I: ArenaIndex>(
     if k == 0 {
         return Err(HypergraphError::InvalidK.into());
     }
-    let fixed = vec![u32::MAX; Substrate::num_vertices(g)];
-    let out = driver.partition_recursive(g, k, &fixed);
+    let out = driver.partition_recursive(g, k);
     let edge_cut = g.edge_cut(&out.parts);
     // Cut edges are dropped on extraction, so per-bisection cuts compose
     // exactly (the graph analogue of the eq. 3 invariant) — unless a
@@ -346,8 +345,6 @@ mod tests {
     use fgh_partition::refine::BisectionState;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-
-    const FREE: i8 = -1;
 
     /// The subgraph induced by `side[v] == which` with its new→old map,
     /// built one side at a time: the oracle for `extract_both`.
@@ -475,19 +472,17 @@ mod tests {
     #[test]
     fn graph_state_cut_matches_edge_cut() {
         let g = two_cliques(10);
-        let fixed = vec![FREE; 20];
         let side: Vec<u8> = (0..20).map(|v| (v % 2) as u8).collect();
         let parts: Vec<u32> = side.iter().map(|&s| s as u32).collect();
-        let st = BisectionState::new(&g, side, &fixed, [10.0, 10.0], 0.1);
+        let st = BisectionState::new(&g, side, [10.0, 10.0], 0.1);
         assert_eq!(st.cut(), g.edge_cut(&parts));
     }
 
     #[test]
     fn graph_gain_matches_recompute() {
         let g = random_graph(30, 60, 2);
-        let fixed = vec![FREE; 30];
         let side: Vec<u8> = (0..30).map(|v| (v % 2) as u8).collect();
-        let st = BisectionState::new(&g, side, &fixed, [15.0, 15.0], 0.2);
+        let st = BisectionState::new(&g, side, [15.0, 15.0], 0.2);
         for v in 0..30u32 {
             let mut st2 = st.clone();
             let before = st2.cut() as i64;
@@ -500,9 +495,8 @@ mod tests {
     #[test]
     fn graph_fm_finds_the_bridge() {
         let g = two_cliques(20);
-        let fixed = vec![FREE; 40];
         let side: Vec<u8> = (0..40).map(|v| (v % 2) as u8).collect();
-        let mut st = BisectionState::new(&g, side, &fixed, [20.0, 20.0], 0.05);
+        let mut st = BisectionState::new(&g, side, [20.0, 20.0], 0.05);
         st.refine(&mut SmallRng::seed_from_u64(3), 8, 0);
         assert_eq!(st.cut(), 1, "FM should isolate the single bridge edge");
         assert_eq!(st.balance_penalty(), 0);

@@ -100,7 +100,6 @@ macro_rules! pooled_buckets {
 #[derive(Debug, Default)]
 pub struct LevelArena {
     u8s: Vec<Vec<u8>>,
-    i8s: Vec<Vec<i8>>,
     u32s: Vec<Vec<u32>>,
     u64s: Vec<Vec<u64>>,
     buckets: Vec<GainBuckets>,
@@ -130,7 +129,6 @@ impl LevelArena {
                 .sum()
         }
         vecs(&self.u8s)
-            + vecs(&self.i8s)
             + vecs(&self.u32s)
             + vecs(&self.u64s)
             + self
@@ -146,7 +144,6 @@ impl LevelArena {
     }
 
     pooled!(take_u8, give_u8, u8s, u8);
-    pooled!(take_i8, give_i8, i8s, i8);
     pooled!(take_u32, give_u32, u32s, u32);
     pooled!(take_u64, give_u64, u64s, u64);
 
@@ -380,10 +377,10 @@ mod tests {
     #[test]
     fn take_fill_value_respected() {
         let mut a = LevelArena::new();
-        let v = a.take_i8(5, -1);
-        assert!(v.iter().all(|&x| x == -1));
-        a.give_i8(v);
-        let v = a.take_i8(2, 3);
+        let v = a.take_u32(5, u32::MAX);
+        assert!(v.iter().all(|&x| x == u32::MAX));
+        a.give_u32(v);
+        let v = a.take_u32(2, 3);
         assert_eq!(v, vec![3, 3]);
     }
 }

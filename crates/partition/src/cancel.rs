@@ -11,7 +11,7 @@
 //! checkpoint interval and still returns a valid (degraded) partial.
 //!
 //! The wall-clock deadline itself is built on the same latch: the
-//! engine-internal [`SharedDeadline`] is a `CancelToken` that trips itself
+//! engine-internal `SharedDeadline` is a `CancelToken` that trips itself
 //! the first time any thread observes the clock past the deadline, so all
 //! forked workers agree the budget is gone without further clock reads.
 

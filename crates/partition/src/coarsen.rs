@@ -19,27 +19,18 @@ use crate::config::CoarseningScheme;
 use crate::engine::Substrate;
 use crate::level::Level;
 
-/// Free (not fixed to any side) marker in fixed-side vectors.
-pub const FREE: i8 = -1;
-
-/// Result of one coarsening level of a hypergraph (the historical name;
-/// the engine uses [`Level`] over any substrate).
-pub type CoarseLevel = Level<Hypergraph>;
-
 /// Performs one level of coarsening. Returns `None` when clustering fails
 /// to shrink the structure meaningfully (reduction below 5%), signalling
 /// the driver to stop.
 pub fn coarsen_once(
     hg: &Hypergraph,
-    fixed: &[i8],
     scheme: CoarseningScheme,
     max_net_size: usize,
     weight_cap: u64,
     rng: &mut impl Rng,
-) -> Option<CoarseLevel> {
+) -> Option<Level<Hypergraph>> {
     coarsen_once_in(
         hg,
-        fixed,
         scheme,
         max_net_size,
         weight_cap,
@@ -50,12 +41,10 @@ pub fn coarsen_once(
 
 /// Substrate-generic, arena-backed coarsening level (the engine's entry
 /// point). Scratch buffers and the fine→coarse map are drawn from `arena`;
-/// the returned [`Level`]'s `map`/`fixed` should be given back to it once
+/// the returned [`Level`]'s `map` should be given back to it once
 /// projected through.
-// lint: checked-index — v < n == fixed.len() == cluster_of.len(); cluster ids are < num_clusters == coarse_fixed.len()
 pub(crate) fn coarsen_once_in<S: Substrate>(
     sub: &S,
-    fixed: &[i8],
     scheme: CoarseningScheme,
     max_net_size: usize,
     weight_cap: u64,
@@ -63,45 +52,28 @@ pub(crate) fn coarsen_once_in<S: Substrate>(
     arena: &mut LevelArena,
 ) -> Option<Level<S>> {
     let n = sub.num_vertices();
-    debug_assert_eq!(fixed.len(), n);
-
     let (cluster_of, num_clusters) =
-        cluster_vertices(sub, fixed, scheme, max_net_size, weight_cap, rng, arena);
+        cluster_vertices(sub, scheme, max_net_size, weight_cap, rng, arena);
     if num_clusters as f64 > 0.95 * n as f64 {
         S::Ix::give_ids(arena, cluster_of);
         return None;
     }
-
-    // Project fixed sides onto clusters (clustering never merges
-    // incompatible fixed vertices, so the projection is well-defined).
-    let mut coarse_fixed = arena.take_i8(num_clusters, FREE);
-    for v in 0..n {
-        if fixed[v] != FREE {
-            let c = cluster_of[v].index();
-            debug_assert!(coarse_fixed[c] == FREE || coarse_fixed[c] == fixed[v]);
-            coarse_fixed[c] = fixed[v];
-        }
-    }
-
     let coarse = sub.contract(&cluster_of, num_clusters, arena);
     Some(Level {
         coarse,
         map: cluster_of,
-        fixed: coarse_fixed,
     })
 }
 
 /// Visits vertices in random order; each vertex joins the
 /// heaviest-connectivity cluster among its already-processed neighbors
-/// (subject to the weight cap and fixed-side compatibility) or starts its
-/// own. Under HCM a cluster accepts at most one extra vertex. Returns the
-/// per-vertex cluster id (an arena buffer, at the substrate's index
-/// width — `S::Ix::MAX` is the "unclustered" sentinel during the pass)
-/// and the cluster count.
+/// (subject to the weight cap) or starts its own. Under HCM a cluster
+/// accepts at most one extra vertex. Returns the per-vertex cluster id
+/// (an arena buffer, at the substrate's index width — `S::Ix::MAX` is
+/// the "unclustered" sentinel during the pass) and the cluster count.
 // lint: checked-index — u and neighbors are < n == cluster_of.len(); cluster ids index the per-cluster vecs, which grow with each new cluster, and score is pre-sized to n (cluster ids are < n)
 fn cluster_vertices<S: Substrate>(
     sub: &S,
-    fixed: &[i8],
     scheme: CoarseningScheme,
     max_net_size: usize,
     weight_cap: u64,
@@ -118,7 +90,6 @@ fn cluster_vertices<S: Substrate>(
     // Cluster sizes only gate HCM admission (size < 2), so u32 values
     // suffice at any index width.
     let mut cluster_size = arena.take_u32(0, 0);
-    let mut cluster_fixed = arena.take_i8(0, 0);
 
     // Scratch connectivity scores keyed by cluster id. Cluster ids are
     // bounded by n, so sizing once up front removes the grow-check from
@@ -128,7 +99,6 @@ fn cluster_vertices<S: Substrate>(
 
     for &u in order.iter() {
         let uw = sub.vertex_weight(u) as u64;
-        let uf = fixed[u.index()];
 
         // Score already-formed clusters reachable through u's incidences.
         touched.clear();
@@ -149,10 +119,6 @@ fn cluster_vertices<S: Substrate>(
             let ci = c.index();
             let s = score[ci];
             score[ci] = 0;
-            let cf = cluster_fixed[ci];
-            if uf != FREE && cf != FREE && uf != cf {
-                continue;
-            }
             if cluster_weight[ci] + uw > weight_cap {
                 continue;
             }
@@ -177,16 +143,12 @@ fn cluster_vertices<S: Substrate>(
                 cluster_of[u.index()] = c;
                 cluster_weight[ci] += uw;
                 cluster_size[ci] += 1;
-                if cluster_fixed[ci] == FREE {
-                    cluster_fixed[ci] = uf;
-                }
             }
             None => {
                 let c = cluster_weight.len();
                 cluster_of[u.index()] = S::Ix::from_index(c);
                 cluster_weight.push(uw);
                 cluster_size.push(1);
-                cluster_fixed.push(uf);
                 if score.len() <= c {
                     score.push(0);
                 }
@@ -198,7 +160,6 @@ fn cluster_vertices<S: Substrate>(
     S::Ix::give_ids(arena, order);
     arena.give_u64(cluster_weight);
     arena.give_u32(cluster_size);
-    arena.give_i8(cluster_fixed);
     arena.give_u64(score);
     S::Ix::give_ids(arena, touched);
     (cluster_of, num_clusters)
@@ -215,10 +176,6 @@ mod tests {
         SmallRng::seed_from_u64(1)
     }
 
-    fn free(n: u32) -> Vec<i8> {
-        vec![FREE; n as usize]
-    }
-
     /// Direct contraction through the [`Substrate`] impl.
     fn contract(hg: &Hypergraph, cluster_of: &[u32], num_clusters: usize) -> Hypergraph {
         Substrate::contract(hg, cluster_of, num_clusters, &mut LevelArena::new())
@@ -228,15 +185,8 @@ mod tests {
     fn coarsening_shrinks_and_preserves_weight() {
         let hg = two_clusters(50);
         let total = hg.total_vertex_weight();
-        let lvl = coarsen_once(
-            &hg,
-            &free(100),
-            CoarseningScheme::Hcc,
-            64,
-            total,
-            &mut rng(),
-        )
-        .expect("should shrink");
+        let lvl =
+            coarsen_once(&hg, CoarseningScheme::Hcc, 64, total, &mut rng()).expect("should shrink");
         assert!(lvl.coarse.num_vertices() < hg.num_vertices());
         assert_eq!(lvl.coarse.total_vertex_weight(), total);
         lvl.coarse.validate().unwrap();
@@ -251,7 +201,6 @@ mod tests {
         let hg = random_hypergraph(200, 300, 5, 7);
         let lvl = coarsen_once(
             &hg,
-            &free(200),
             CoarseningScheme::Hcm,
             64,
             hg.total_vertex_weight(),
@@ -272,37 +221,9 @@ mod tests {
     fn weight_cap_respected() {
         let hg = two_clusters(40);
         let cap = 3u64;
-        let lvl = coarsen_once(&hg, &free(80), CoarseningScheme::Hcc, 64, cap, &mut rng())
-            .expect("should shrink");
+        let lvl =
+            coarsen_once(&hg, CoarseningScheme::Hcc, 64, cap, &mut rng()).expect("should shrink");
         assert!(lvl.coarse.vertex_weights().iter().all(|&w| w as u64 <= cap));
-    }
-
-    #[test]
-    fn incompatible_fixed_sides_never_merge() {
-        let hg = two_clusters(20);
-        let mut fixed = free(40);
-        // Fix alternating vertices to opposite sides.
-        for (v, f) in fixed.iter_mut().enumerate() {
-            *f = (v % 2) as i8;
-        }
-        if let Some(lvl) = coarsen_once(
-            &hg,
-            &fixed,
-            CoarseningScheme::Hcc,
-            64,
-            hg.total_vertex_weight(),
-            &mut rng(),
-        ) {
-            // Each coarse vertex must contain fine vertices of one side only.
-            let mut side: Vec<i8> = vec![FREE; lvl.coarse.num_vertices() as usize];
-            for (v, &c) in lvl.map.iter().enumerate() {
-                let f = fixed[v];
-                assert!(side[c as usize] == FREE || side[c as usize] == f);
-                side[c as usize] = f;
-            }
-            // And the coarse fixed vector reflects it.
-            assert_eq!(side, lvl.fixed);
-        }
     }
 
     #[test]
@@ -352,7 +273,6 @@ mod tests {
         let hg = Hypergraph::from_nets(10, &[]).unwrap();
         assert!(coarsen_once(
             &hg,
-            &free(10),
             CoarseningScheme::Hcc,
             64,
             hg.total_vertex_weight(),
@@ -366,7 +286,6 @@ mod tests {
         let hg = random_hypergraph(300, 500, 6, 11);
         let a = coarsen_once(
             &hg,
-            &free(300),
             CoarseningScheme::Hcc,
             64,
             hg.total_vertex_weight(),
@@ -375,7 +294,6 @@ mod tests {
         .unwrap();
         let b = coarsen_once(
             &hg,
-            &free(300),
             CoarseningScheme::Hcc,
             64,
             hg.total_vertex_weight(),

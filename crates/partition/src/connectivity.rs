@@ -17,7 +17,7 @@
 //!   `counts`), so a lookup is a bounded scan of one cache line with no
 //!   pointer chase and no allocation.
 //! * **Spill path** — a net whose λ outgrows the inline slot moves to a
-//!   [`SpillRow`]: dense per-part counts (O(1) lookup), a presence bitset
+//!   `SpillRow`: dense per-part counts (O(1) lookup), a presence bitset
 //!   (one-load membership tests for the common `count(n, q) == 0` probe),
 //!   and the explicit `order`/`pos` pair that preserves the naive row
 //!   order exactly.

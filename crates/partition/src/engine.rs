@@ -37,7 +37,7 @@ use fgh_trace::{Span, SpanHandle};
 
 use crate::arena::{ArenaIndex, ArenaPool, LevelArena};
 use crate::cancel::{CancelToken, SharedDeadline};
-use crate::coarsen::{coarsen_once_in, FREE};
+use crate::coarsen::coarsen_once_in;
 use crate::config::{InitialScheme, PartitionConfig, FM_EARLY_EXIT, MAX_NET_SIZE_FOR_MATCHING};
 use crate::initial::initial_best_in;
 use crate::level::{EngineStats, Level, StageTimer};
@@ -369,30 +369,28 @@ impl MultilevelDriver {
     }
 
     /// Bisects `sub` into sides 0/1 with ideal side weights `targets` and
-    /// per-bisection imbalance `epsilon`; `fixed[v]` pins vertices to a
-    /// side ([`FREE`] = movable). Returns the side assignment and the cut.
+    /// per-bisection imbalance `epsilon`. Returns the side assignment and
+    /// the cut.
     pub fn bisect<S: Substrate>(
         &mut self,
         sub: &S,
-        fixed: &[i8],
         targets: [f64; 2],
         epsilon: f64,
         rng: &mut impl Rng,
     ) -> (Vec<u8>, u64) {
         // No per-vertex coordinates at this entry point: the geometric
         // initial scheme falls back to GHG (see `initial_best_in`).
-        self.bisect_with_coords(sub, fixed, targets, epsilon, rng, None)
+        self.bisect_with_coords(sub, targets, epsilon, rng, None)
     }
 
-    /// [`Engine::bisect`] with optional per-vertex coordinates (indexed
-    /// by `sub`'s local vertex ids) for the geometric initial scheme.
-    /// The recursion builds these from [`PartitionConfig::coords`] via
-    /// its original-id maps; coordinates are projected level by level
+    /// [`MultilevelDriver::bisect`] with optional per-vertex coordinates
+    /// (indexed by `sub`'s local vertex ids) for the geometric initial
+    /// scheme. The recursion builds these from [`PartitionConfig::coords`]
+    /// via its original-id maps; coordinates are projected level by level
     /// through coarsening so the coarsest substrate sees centroids.
     fn bisect_with_coords<S: Substrate>(
         &mut self,
         sub: &S,
-        fixed: &[i8],
         targets: [f64; 2],
         epsilon: f64,
         rng: &mut impl Rng,
@@ -417,10 +415,7 @@ impl MultilevelDriver {
 
         let mut levels: Vec<Level<S>> = Vec::new();
         loop {
-            let (cur, cur_fixed): (&S, &[i8]) = match levels.last() {
-                Some(l) => (&l.coarse, &l.fixed),
-                None => (sub, fixed),
-            };
+            let cur: &S = levels.last().map_or(sub, |l| &l.coarse);
             if cur.num_vertices() <= self.cfg.coarsen_to as usize {
                 break;
             }
@@ -454,7 +449,6 @@ impl MultilevelDriver {
             let timer = StageTimer::start();
             let next = coarsen_once_in(
                 cur,
-                cur_fixed,
                 self.cfg.coarsening,
                 MAX_NET_SIZE_FOR_MATCHING,
                 weight_cap,
@@ -478,10 +472,7 @@ impl MultilevelDriver {
         }
 
         // --- Initial partitioning at the coarsest level ---
-        let (coarsest, coarsest_fixed): (&S, &[i8]) = match levels.last() {
-            Some(l) => (&l.coarse, &l.fixed),
-            None => (sub, fixed),
-        };
+        let coarsest: &S = levels.last().map_or(sub, |l| &l.coarse);
         // Project coordinates down the level stack by weighted centroid
         // so the geometric scheme sees the contracted geometry. Only runs
         // when the recursion attached coordinates, i.e. the geometric
@@ -513,7 +504,6 @@ impl MultilevelDriver {
             };
             initial_best_in(
                 coarsest,
-                coarsest_fixed,
                 targets,
                 epsilon,
                 &quick,
@@ -525,7 +515,6 @@ impl MultilevelDriver {
         } else {
             initial_best_in(
                 coarsest,
-                coarsest_fixed,
                 targets,
                 epsilon,
                 &self.cfg,
@@ -544,11 +533,7 @@ impl MultilevelDriver {
         // --- Uncoarsening: project and refine at every level ---
         let timer = StageTimer::start();
         for li in (0..levels.len()).rev() {
-            let (fine, fine_fixed): (&S, &[i8]) = if li == 0 {
-                (sub, fixed)
-            } else {
-                (&levels[li - 1].coarse, &levels[li - 1].fixed)
-            };
+            let fine: &S = if li == 0 { sub } else { &levels[li - 1].coarse };
             let map = &levels[li].map;
             let nf = fine.num_vertices();
             let mut fine_sides = self.arena.take_u8(nf, 0);
@@ -569,7 +554,6 @@ impl MultilevelDriver {
             let mut st = BisectionState::new_in(
                 fine,
                 std::mem::take(&mut sides),
-                fine_fixed,
                 targets,
                 epsilon,
                 &mut self.arena,
@@ -589,28 +573,26 @@ impl MultilevelDriver {
         // Recycle per-level scratch before computing the final cut.
         for l in levels {
             S::Ix::give_ids(&mut self.arena, l.map);
-            self.arena.give_i8(l.fixed);
         }
-        let st = BisectionState::new_in(sub, sides, fixed, targets, epsilon, &mut self.arena);
+        let st = BisectionState::new_in(sub, sides, targets, epsilon, &mut self.arena);
         let cut = st.cut();
         (st.into_sides_in(&mut self.arena), cut)
     }
 
-    /// Recursive-bisection K-way partitioning. `fixed[v]` pins vertex `v`
-    /// to an absolute part (`u32::MAX` = free); it must have one entry per
-    /// vertex and in-range parts (callers validate). Net splitting /
-    /// edge dropping on extraction follows the config.
+    /// Recursive-bisection K-way partitioning. Net splitting / edge
+    /// dropping on extraction follows the config.
     ///
     /// Under a parallel [`crate::Parallelism`] setting this builds a
     /// fork-join pool and runs independent subtrees concurrently; results
-    /// are bit-identical to a serial run (see [`node_seed`]). When the
-    /// caller is already inside a pool (a multi-seed fan-out), no nested
-    /// pool is built — subtree forks draw from the outer pool's threads.
+    /// are bit-identical to a serial run, because each node of the
+    /// recursion seeds its RNG from the run seed and its own part range,
+    /// not from traversal order. When the caller is already inside a pool
+    /// (a multi-seed fan-out), no nested pool is built — subtree forks
+    /// draw from the outer pool's threads.
     pub fn partition_recursive<S: Substrate + Send + Sync>(
         &mut self,
         sub: &S,
         k: u32,
-        fixed: &[u32],
     ) -> RecursiveOutcome {
         paranoid_check(sub, "recursive.input");
         let n = sub.num_vertices();
@@ -621,11 +603,19 @@ impl MultilevelDriver {
         let armed_here = self.arm_budget();
         if k > 1 && n > 0 {
             let eps = self.cfg.per_level_epsilon(k);
+            // The geometric scheme reads each vertex's coordinates by
+            // original id. A too-short array (caller error) degrades to
+            // the GHG fallback rather than panicking mid-recursion.
+            let coords = match (self.cfg.initial, &self.cfg.coords) {
+                (InitialScheme::Geometric, Some(c)) if c.len() >= n => Some(Arc::clone(c)),
+                _ => None,
+            };
             let mut ids = S::Ix::take_ids(&mut self.arena, 0, S::Ix::ZERO);
             ids.extend((0..n).map(S::Ix::from_index));
             let mut leaves: Vec<(u32, Vec<S::Ix>)> = Vec::new();
             in_thread_pool(self.threads, || {
-                self.recurse(sub, ids, fixed, k, 0, eps, &mut leaves, &mut cut_sum)
+                let coords = coords.as_deref().map(Vec::as_slice);
+                self.recurse(sub, ids, coords, k, 0, eps, &mut leaves, &mut cut_sum)
             });
             for (part, leaf_ids) in leaves {
                 for &orig in &leaf_ids {
@@ -642,16 +632,17 @@ impl MultilevelDriver {
 
     /// Recursive worker. `sub` is a sub-structure of the original (nets
     /// already split); `ids[v]` maps its vertices back to original ids;
-    /// `fixed` is indexed by *original* vertex id with absolute parts.
-    /// Finished `(part, original-ids)` leaves accumulate into `leaves`
-    /// (each branch owns its own sink, so forked subtrees never write
-    /// into shared output).
+    /// `coords`, present only for the geometric scheme, is indexed by
+    /// *original* vertex id and covers every one of them. Finished
+    /// `(part, original-ids)` leaves accumulate into `leaves` (each branch
+    /// owns its own sink, so forked subtrees never write into shared
+    /// output).
     #[allow(clippy::too_many_arguments)]
     fn recurse<S: Substrate + Send + Sync>(
         &mut self,
         sub: &S,
         ids: Vec<S::Ix>,
-        fixed: &[u32],
+        coords: Option<&[(f32, f32)]>,
         k: u32,
         part_lo: u32,
         eps: f64,
@@ -668,51 +659,24 @@ impl MultilevelDriver {
         let targets = [total * k0 as f64 / k as f64, total * k1 as f64 / k as f64];
         let mut rng = SmallRng::seed_from_u64(node_seed(self.cfg.seed, part_lo, k));
 
-        // Translate absolute fixed parts into bisection sides.
-        let mut fixed_sides = self.arena.take_i8(0, 0);
-        fixed_sides.extend(ids.iter().map(|&orig| {
-            let p = fixed[orig.index()];
-            if p == u32::MAX {
-                FREE
-            } else if p < part_lo + k0 {
-                debug_assert!(p >= part_lo);
-                0
-            } else {
-                1
-            }
-        }));
-
-        // When the geometric scheme is active, translate the caller's
-        // original-id coordinate array into this node's local vertex
-        // space. A too-short array (caller error) degrades to the GHG
-        // fallback rather than panicking mid-recursion.
-        let local_coords: Option<Vec<(f32, f32)>> = match (self.cfg.initial, &self.cfg.coords) {
-            (InitialScheme::Geometric, Some(c)) if c.len() >= fixed.len() => {
-                Some(ids.iter().map(|&orig| c[orig.index()]).collect())
-            }
-            _ => None,
-        };
+        // Translate the original-id coordinates into this node's local
+        // vertex space.
+        let local_coords: Option<Vec<(f32, f32)>> =
+            coords.map(|c| ids.iter().map(|&orig| c[orig.index()]).collect());
 
         // Phase spans of this bisection nest under a `bisect[part_lo]`
         // span; `part_lo` is the node's identity, so serial and parallel
         // traversals produce the same tree.
         let bspan = self.trace_child("bisect", Some(part_lo as u64));
         let saved_scope = std::mem::replace(&mut self.span, bspan.handle());
-        let (sides, cut) = self.bisect_with_coords(
-            sub,
-            &fixed_sides,
-            targets,
-            eps,
-            &mut rng,
-            local_coords.as_deref(),
-        );
+        let (sides, cut) =
+            self.bisect_with_coords(sub, targets, eps, &mut rng, local_coords.as_deref());
         self.span = saved_scope;
         if bspan.is_enabled() {
             bspan.counter("vertices", sub.num_vertices() as u64);
             bspan.counter("cut", cut);
         }
         drop(bspan);
-        self.arena.give_i8(fixed_sides);
         *cut_sum += cut;
 
         // Extract both halves in one pass (net splitting per config).
@@ -744,7 +708,7 @@ impl MultilevelDriver {
             // only a branch that ran on another thread counts as a fork.
             let caller = std::thread::current().id();
             let ((), (mut right_leaves, right_cut, worker, forked)) = rayon::join(
-                || self.recurse(&child0, ids0, fixed, k0, part_lo, eps, leaves, cut_sum),
+                || self.recurse(&child0, ids0, coords, k0, part_lo, eps, leaves, cut_sum),
                 move || {
                     let forked = std::thread::current().id() != caller;
                     let _domain = dspan;
@@ -753,7 +717,7 @@ impl MultilevelDriver {
                     worker.recurse(
                         &child1,
                         ids1,
-                        fixed,
+                        coords,
                         k1,
                         part_lo + k0,
                         eps,
@@ -768,8 +732,17 @@ impl MultilevelDriver {
             leaves.append(&mut right_leaves);
             *cut_sum += right_cut;
         } else {
-            self.recurse(&child0, ids0, fixed, k0, part_lo, eps, leaves, cut_sum);
-            self.recurse(&child1, ids1, fixed, k1, part_lo + k0, eps, leaves, cut_sum);
+            self.recurse(&child0, ids0, coords, k0, part_lo, eps, leaves, cut_sum);
+            self.recurse(
+                &child1,
+                ids1,
+                coords,
+                k1,
+                part_lo + k0,
+                eps,
+                leaves,
+                cut_sum,
+            );
         }
     }
 }
@@ -1183,14 +1156,13 @@ mod tests {
     #[test]
     fn driver_bisect_matches_quality_of_direct_path() {
         let hg = two_clusters(200);
-        let fixed = vec![FREE; 400];
         let cfg = PartitionConfig {
             coarsen_to: 40,
             ..PartitionConfig::with_seed(5)
         };
         let mut driver = MultilevelDriver::new(cfg);
         let mut rng = SmallRng::seed_from_u64(5);
-        let (sides, cut) = driver.bisect(&hg, &fixed, [200.0, 200.0], 0.03, &mut rng);
+        let (sides, cut) = driver.bisect(&hg, [200.0, 200.0], 0.03, &mut rng);
         assert_eq!(cut, 1, "should discover the single-bridge cut");
         let w1 = sides.iter().filter(|&&s| s == 1).count();
         assert!((194..=206).contains(&w1), "balance violated: {w1}/400");
@@ -1201,23 +1173,12 @@ mod tests {
     /// One multilevel bisection on a fresh driver.
     fn bisect(
         hg: &Hypergraph,
-        fixed: &[i8],
         targets: [f64; 2],
         epsilon: f64,
         cfg: PartitionConfig,
         seed: u64,
     ) -> (Vec<u8>, u64) {
-        MultilevelDriver::new(cfg).bisect(
-            hg,
-            fixed,
-            targets,
-            epsilon,
-            &mut SmallRng::seed_from_u64(seed),
-        )
-    }
-
-    fn free(n: u32) -> Vec<i8> {
-        vec![FREE; n as usize]
+        MultilevelDriver::new(cfg).bisect(hg, targets, epsilon, &mut SmallRng::seed_from_u64(seed))
     }
 
     #[test]
@@ -1227,7 +1188,7 @@ mod tests {
             coarsen_to: 40,
             ..Default::default()
         };
-        let (sides, cut) = bisect(&hg, &free(400), [200.0, 200.0], 0.03, cfg, 5);
+        let (sides, cut) = bisect(&hg, [200.0, 200.0], 0.03, cfg, 5);
         assert_eq!(cut, 1, "should discover the single-bridge cut");
         let w1 = sides.iter().filter(|&&s| s == 1).count();
         assert!((194..=206).contains(&w1), "balance violated: {w1}/400");
@@ -1238,7 +1199,7 @@ mod tests {
         for seed in 0..3u64 {
             let hg = random_hypergraph(500, 800, 6, seed);
             let cfg = PartitionConfig::default();
-            let (sides, _) = bisect(&hg, &free(500), [250.0, 250.0], 0.05, cfg, seed);
+            let (sides, _) = bisect(&hg, [250.0, 250.0], 0.05, cfg, seed);
             let w1 = sides.iter().filter(|&&s| s == 1).count() as f64;
             assert!(
                 w1 <= 250.0 * 1.05 + 1.0 && (500.0 - w1) <= 250.0 * 1.05 + 1.0,
@@ -1252,7 +1213,7 @@ mod tests {
     fn degenerate_targets() {
         let hg = two_clusters(10);
         let cfg = PartitionConfig::default();
-        let (sides, cut) = bisect(&hg, &free(20), [20.0, 0.0], 0.03, cfg, 1);
+        let (sides, cut) = bisect(&hg, [20.0, 0.0], 0.03, cfg, 1);
         assert!(sides.iter().all(|&s| s == 0));
         assert_eq!(cut, 0);
     }
@@ -1262,30 +1223,17 @@ mod tests {
         // 3:1 split request.
         let hg = two_clusters(100);
         let cfg = PartitionConfig::default();
-        let (sides, _) = bisect(&hg, &free(200), [150.0, 50.0], 0.05, cfg, 2);
+        let (sides, _) = bisect(&hg, [150.0, 50.0], 0.05, cfg, 2);
         let w1 = sides.iter().filter(|&&s| s == 1).count() as f64;
         assert!(w1 <= 50.0 * 1.05 + 1.0, "side 1 too heavy: {w1}");
         assert!(w1 >= 30.0, "side 1 suspiciously light: {w1}");
     }
 
     #[test]
-    fn fixed_vertices_survive_multilevel() {
-        let hg = two_clusters(100);
-        let mut fx = free(200);
-        fx[0] = 1;
-        fx[150] = 0;
-        let cfg = PartitionConfig::default();
-        let (sides, _) = bisect(&hg, &fx, [100.0, 100.0], 0.05, cfg, 3);
-        assert_eq!(sides[0], 1, "fixed vertex 0 moved");
-        assert_eq!(sides[150], 0, "fixed vertex 150 moved");
-    }
-
-    #[test]
     fn arena_reuses_buffers_across_levels() {
         let hg = random_hypergraph(600, 900, 6, 3);
         let mut driver = MultilevelDriver::new(PartitionConfig::with_seed(2));
-        let fixed = vec![u32::MAX; 600];
-        driver.partition_recursive(&hg, 8, &fixed);
+        driver.partition_recursive(&hg, 8);
         let a = driver.arena_stats();
         assert!(a.reused > a.fresh, "pool should serve most takes: {a:?}");
     }
@@ -1293,7 +1241,6 @@ mod tests {
     #[test]
     fn cut_sum_equals_connectivity_with_net_splitting() {
         let hg = random_hypergraph(300, 500, 6, 7);
-        let fixed = vec![u32::MAX; 300];
         for k in [2u32, 4, 8] {
             let cfg = PartitionConfig {
                 kway_refine: false,
@@ -1302,7 +1249,7 @@ mod tests {
                 ..PartitionConfig::with_seed(k as u64)
             };
             let mut driver = MultilevelDriver::new(cfg);
-            let out = driver.partition_recursive(&hg, k, &fixed);
+            let out = driver.partition_recursive(&hg, k);
             let p = Partition::new(k, out.parts).unwrap();
             assert_eq!(
                 cutsize_connectivity(&hg, &p),
@@ -1315,10 +1262,9 @@ mod tests {
     #[test]
     fn recursive_driver_is_deterministic() {
         let hg = random_hypergraph(250, 400, 5, 9);
-        let fixed = vec![u32::MAX; 250];
         let run = || {
             let mut d = MultilevelDriver::new(PartitionConfig::with_seed(11));
-            d.partition_recursive(&hg, 4, &fixed)
+            d.partition_recursive(&hg, 4)
         };
         let (a, b) = (run(), run());
         assert_eq!(a.parts, b.parts);
@@ -1333,13 +1279,12 @@ mod tests {
         // for the whole multilevel stack.
         let hg32 = random_hypergraph(300, 500, 6, 7);
         let hg64 = widen(&hg32);
-        let fixed = vec![u32::MAX; 300];
         for k in [2u32, 4, 8] {
             let cfg = PartitionConfig::with_seed(k as u64 + 40);
             let mut d32 = MultilevelDriver::new(cfg.clone());
             let mut d64 = MultilevelDriver::new(cfg);
-            let out32 = d32.partition_recursive(&hg32, k, &fixed);
-            let out64 = d64.partition_recursive(&hg64, k, &fixed);
+            let out32 = d32.partition_recursive(&hg32, k);
+            let out64 = d64.partition_recursive(&hg64, k);
             assert_eq!(out32.parts, out64.parts, "width divergence at k = {k}");
             assert_eq!(out32.cut_sum, out64.cut_sum, "cut divergence at k = {k}");
         }
@@ -1348,7 +1293,6 @@ mod tests {
     #[test]
     fn byte_budget_truncates_but_stays_valid() {
         let hg = random_hypergraph(400, 600, 6, 5);
-        let fixed = vec![u32::MAX; 400];
         // A 1-byte cap trips the checkpoint before any level is built:
         // flat FM on the input structure, never an abort.
         let cfg = PartitionConfig {
@@ -1356,7 +1300,7 @@ mod tests {
             ..PartitionConfig::with_seed(3)
         };
         let mut d = MultilevelDriver::new(cfg);
-        let out = d.partition_recursive(&hg, 4, &fixed);
+        let out = d.partition_recursive(&hg, 4);
         assert_eq!(out.parts.len(), 400);
         assert!(out.parts.iter().all(|&p| p < 4), "parts must stay in range");
         let st = d.stats();
@@ -1370,9 +1314,9 @@ mod tests {
             ..PartitionConfig::with_seed(3)
         };
         let mut roomy = MultilevelDriver::new(cfg_roomy);
-        let out_roomy = roomy.partition_recursive(&hg, 4, &fixed);
+        let out_roomy = roomy.partition_recursive(&hg, 4);
         let mut unlimited = MultilevelDriver::new(PartitionConfig::with_seed(3));
-        let out_unlimited = unlimited.partition_recursive(&hg, 4, &fixed);
+        let out_unlimited = unlimited.partition_recursive(&hg, 4);
         assert_eq!(out_roomy.parts, out_unlimited.parts);
         assert_eq!(roomy.stats().byte_truncations, 0);
     }
@@ -1401,16 +1345,15 @@ mod tests {
     fn parallel_recursion_matches_serial_bit_for_bit() {
         use crate::config::Parallelism;
         let hg = random_hypergraph(500, 800, 6, 13);
-        let fixed = vec![u32::MAX; 500];
         let mut serial_driver = MultilevelDriver::new(PartitionConfig::with_seed(7));
-        let serial = serial_driver.partition_recursive(&hg, 16, &fixed);
+        let serial = serial_driver.partition_recursive(&hg, 16);
         for threads in [2usize, 4] {
             let cfg = PartitionConfig {
                 parallelism: Parallelism::Threads(threads),
                 ..PartitionConfig::with_seed(7)
             };
             let mut d = MultilevelDriver::new(cfg);
-            let par = d.partition_recursive(&hg, 16, &fixed);
+            let par = d.partition_recursive(&hg, 16);
             assert_eq!(par.parts, serial.parts, "threads={threads}");
             assert_eq!(par.cut_sum, serial.cut_sum, "threads={threads}");
             assert!(
@@ -1425,14 +1368,13 @@ mod tests {
     fn parallel_forks_count_branches_run_on_another_thread() {
         use crate::config::Parallelism;
         let hg = random_hypergraph(500, 800, 6, 13);
-        let fixed = vec![u32::MAX; 500];
         let forks = |parallelism| {
             let cfg = PartitionConfig {
                 parallelism,
                 ..PartitionConfig::with_seed(7)
             };
             let mut d = MultilevelDriver::new(cfg);
-            d.partition_recursive(&hg, 16, &fixed);
+            d.partition_recursive(&hg, 16);
             d.stats().parallel_forks
         };
         assert_eq!(forks(Parallelism::Serial), 0);
@@ -1447,30 +1389,5 @@ mod tests {
         // slot it needs is freed only after the other side's k = 8 join.
         let two = forks(Parallelism::Threads(2));
         assert!((1..7).contains(&two), "Threads(2) forks: {two}");
-    }
-
-    #[test]
-    fn parallel_fixed_vertices_match_serial() {
-        use crate::config::Parallelism;
-        let hg = random_hypergraph(300, 500, 5, 17);
-        let mut fixed = vec![u32::MAX; 300];
-        for v in 0..24 {
-            fixed[v * 12] = (v % 8) as u32;
-        }
-        let run = |parallelism| {
-            let cfg = PartitionConfig {
-                parallelism,
-                ..PartitionConfig::with_seed(21)
-            };
-            MultilevelDriver::new(cfg).partition_recursive(&hg, 8, &fixed)
-        };
-        let serial = run(Parallelism::Serial);
-        let par = run(Parallelism::Threads(4));
-        assert_eq!(serial.parts, par.parts);
-        for (v, &p) in fixed.iter().enumerate() {
-            if p != u32::MAX {
-                assert_eq!(par.parts[v], p, "fixed vertex {v} moved");
-            }
-        }
     }
 }

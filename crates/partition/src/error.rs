@@ -4,16 +4,16 @@ pub use fgh_hypergraph::HypergraphError;
 
 /// Error type for K-way partitioning runs.
 ///
-/// Most failures are structural (invalid `k`, malformed fixed-vertex
-/// vectors) and surface as wrapped [`HypergraphError`]s; [`Worker`]
-/// converts a panic caught from a multi-seed worker thread into a value
-/// the caller can handle instead of an abort.
+/// Most failures are structural (invalid `k`, malformed partitions) and
+/// surface as wrapped [`HypergraphError`]s; [`Worker`] converts a panic
+/// caught from a multi-seed worker thread into a value the caller can
+/// handle instead of an abort.
 ///
 /// [`Worker`]: PartitionError::Worker
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PartitionError {
     /// A structural error from the hypergraph layer (invalid `k`,
-    /// fixed-vector length/part mismatches, malformed partitions).
+    /// malformed partitions).
     Hypergraph(HypergraphError),
     /// A worker thread of a multi-seed run panicked; the payload is the
     /// panic message when one was recoverable.

@@ -8,7 +8,7 @@
 //! coarsening level by weighted centroid, so the coarsest substrate
 //! still sees the geometry of the nonzeros it aggregates.
 //!
-//! The sweep itself is deterministic: free vertices are ordered by their
+//! The sweep itself is deterministic: vertices are ordered by their
 //! coordinate along the longest axis (ties broken by vertex id via the
 //! stable sort), and side 0 is filled from the low end up to its weight
 //! target — a weighted-median cut. Randomness enters only through the
@@ -20,27 +20,25 @@ use fgh_sparse::IndexType;
 
 use crate::engine::Substrate;
 
-/// The geometric seeder: a longest-axis weighted-median sweep over the
-/// `free` vertices (all on side 0), placing every one past the cut on
-/// side 1. `coords[v]` is the position of *local* vertex `v` (already
-/// projected to this substrate's level); `fixed_w` is the fixed
-/// vertices' weight per side.
-// lint: checked-index — coords and side have length num_vertices and free holds vertex ids < num_vertices (engine contract); targets and fixed_w are [_; 2] indexed by constant 0
+/// The geometric seeder: a longest-axis weighted-median sweep over
+/// `verts` (every vertex, all on side 0), placing every one past the cut
+/// on side 1. `coords[v]` is the position of *local* vertex `v` (already
+/// projected to this substrate's level).
+// lint: checked-index — coords and side have length num_vertices and verts holds vertex ids < num_vertices (engine contract); targets is [_; 2] indexed by constant 0
 pub(crate) fn sweep<S: Substrate>(
     sub: &S,
     side: &mut [u8],
-    free: &mut [S::Ix],
-    fixed_w: [u64; 2],
+    verts: &mut [S::Ix],
     coords: &[(f32, f32)],
     targets: [f64; 2],
 ) {
-    // Longest axis of the free vertices' bounding box. A degenerate box
+    // Longest axis of the vertices' bounding box. A degenerate box
     // (single row/column, or all vertices coincident) still orders
     // deterministically: the sweep key collapses to equal values and the
     // stable sort leaves vertices in id order.
     let mut lo = (f32::INFINITY, f32::INFINITY);
     let mut hi = (f32::NEG_INFINITY, f32::NEG_INFINITY);
-    for &v in free.iter() {
+    for &v in verts.iter() {
         let (x, y) = coords[v.index()];
         lo = (lo.0.min(x), lo.1.min(y));
         hi = (hi.0.max(x), hi.1.max(y));
@@ -56,14 +54,13 @@ pub(crate) fn sweep<S: Substrate>(
     };
     // Stable sort: equal coordinates keep ascending-id order, so the cut
     // position is deterministic without a secondary key.
-    free.sort_by(|&a, &b| key(a).total_cmp(&key(b)));
+    verts.sort_by(|&a, &b| key(a).total_cmp(&key(b)));
 
     // Weighted-median sweep: fill side 0 from the low end of the axis
     // until it reaches its target, everything past the cut goes to 1.
-    // Fixed-0 vertices count toward side 0's fill regardless of position.
     let target0 = targets[0].floor().max(0.0) as u64;
-    let mut w0 = fixed_w[0];
-    for &v in free.iter() {
+    let mut w0 = 0u64;
+    for &v in verts.iter() {
         if w0 < target0 {
             w0 += sub.vertex_weight(v) as u64;
         } else {
@@ -111,7 +108,6 @@ pub(crate) fn project_centroids<S: Substrate>(
 mod tests {
     use super::*;
     use crate::arena::LevelArena;
-    use crate::coarsen::FREE;
     use crate::config::{InitialScheme, PartitionConfig};
     use crate::initial::initial_best_in;
     use crate::level::EngineStats;
@@ -120,12 +116,7 @@ mod tests {
     use rand::SeedableRng;
 
     /// One geometric try with no FM: the raw sweep.
-    fn raw_sweep(
-        hg: &Hypergraph,
-        coords: &[(f32, f32)],
-        fixed: &[i8],
-        targets: [f64; 2],
-    ) -> Vec<u8> {
+    fn raw_sweep(hg: &Hypergraph, coords: &[(f32, f32)], targets: [f64; 2]) -> Vec<u8> {
         let cfg = PartitionConfig {
             initial: InitialScheme::Geometric,
             initial_tries: 1,
@@ -134,7 +125,6 @@ mod tests {
         };
         initial_best_in(
             hg,
-            fixed,
             targets,
             0.0,
             &cfg,
@@ -162,7 +152,7 @@ mod tests {
                 }
             })
             .collect();
-        let side = raw_sweep(&hg, &coords, &[FREE; 8], [4.0, 4.0]);
+        let side = raw_sweep(&hg, &coords, [4.0, 4.0]);
         assert_eq!(side, vec![0, 0, 0, 0, 1, 1, 1, 1]);
     }
 
@@ -172,20 +162,8 @@ mod tests {
     fn degenerate_coincident_coords_balance() {
         let hg = Hypergraph::<u32>::from_nets(6, &[vec![0, 1], vec![2, 3]]).unwrap();
         let coords = vec![(7.0, 7.0); 6];
-        let side = raw_sweep(&hg, &coords, &[FREE; 6], [3.0, 3.0]);
+        let side = raw_sweep(&hg, &coords, [3.0, 3.0]);
         assert_eq!(side, vec![0, 0, 0, 1, 1, 1]);
-    }
-
-    /// Fixed vertices keep their side no matter where they sit.
-    #[test]
-    fn sweep_respects_fixed() {
-        let hg = Hypergraph::<u32>::from_nets(4, &[vec![0, 1, 2, 3]]).unwrap();
-        let coords: Vec<(f32, f32)> = (0..4).map(|v| (v as f32, 0.0)).collect();
-        // Vertex 0 (lowest x) pinned to side 1; vertex 3 (highest) to 0.
-        let fixed = vec![1, FREE, FREE, 0];
-        let side = raw_sweep(&hg, &coords, &fixed, [2.0, 2.0]);
-        assert_eq!(side[0], 1);
-        assert_eq!(side[3], 0);
     }
 
     #[test]

@@ -9,7 +9,6 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::arena::{ArenaIndex, LevelArena};
-use crate::coarsen::FREE;
 use crate::config::{InitialScheme, PartitionConfig};
 use crate::engine::Substrate;
 use crate::level::EngineStats;
@@ -22,15 +21,13 @@ use crate::refine::BisectionState;
 /// the coarsest substrate before calling this. Geometric without
 /// coordinates falls back to GHG.
 ///
-/// Every try starts from the fixed vertices on their sides and every free
-/// vertex on side 0, and the scheme's seeder moves free vertices across.
-/// The try then builds one [`BisectionState`], FM-polishes it, and scores
-/// it as it stands. The best (balance penalty, cut) wins, the earliest
-/// try on ties.
+/// Every try starts with every vertex on side 0, and the scheme's seeder
+/// moves vertices across. The try then builds one [`BisectionState`],
+/// FM-polishes it, and scores it as it stands. The best (balance penalty,
+/// cut) wins, the earliest try on ties.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn initial_best_in<S: Substrate>(
     sub: &S,
-    fixed: &[i8],
     targets: [f64; 2],
     epsilon: f64,
     cfg: &PartitionConfig,
@@ -43,41 +40,33 @@ pub(crate) fn initial_best_in<S: Substrate>(
     let mut best: Option<((u64, u64), Vec<u8>)> = None;
     for _ in 0..cfg.initial_tries.max(1) {
         let mut side = arena.take_u8(n, 0);
-        let mut free = S::Ix::take_ids(arena, 0, S::Ix::ZERO);
-        // Weight of the fixed vertices on each side.
-        let mut fixed_w = [0u64; 2];
-        for v in 0..n {
-            let vi = S::Ix::from_index(v);
-            if fixed[v] == FREE {
-                free.push(vi);
-            } else {
-                side[v] = u8::from(fixed[v] == 1);
-                fixed_w[usize::from(side[v])] += sub.vertex_weight(vi) as u64;
-            }
-        }
+        // The seeders reorder the vertex list, so each try starts from id
+        // order.
+        let mut verts = S::Ix::take_ids(arena, 0, S::Ix::ZERO);
+        verts.extend((0..n).map(S::Ix::from_index));
         // Growth picks vertices by gain, so it runs on the try's state;
-        // the other seeders place free vertices before the state exists.
+        // the other seeders place vertices before the state exists.
         let placed = match (cfg.initial, coords) {
             (InitialScheme::Random, _) => {
-                random_fill(sub, &mut side, &mut free, fixed_w, targets, rng);
+                random_fill(sub, &mut side, &mut verts, targets, rng);
                 true
             }
             (InitialScheme::BinPacking, _) => {
-                bin_pack(sub, &mut side, &mut free, fixed_w, targets, rng);
+                bin_pack(sub, &mut side, &mut verts, targets, rng);
                 true
             }
             (InitialScheme::Geometric, Some(coords)) => {
-                crate::geometric::sweep(sub, &mut side, &mut free, fixed_w, coords, targets);
+                crate::geometric::sweep(sub, &mut side, &mut verts, coords, targets);
                 true
             }
             // GHG, and the geometric scheme without coordinates.
             (InitialScheme::Ghg | InitialScheme::Geometric, _) => false,
         };
-        let mut st = BisectionState::new_in(sub, side, fixed, targets, epsilon, arena);
+        let mut st = BisectionState::new_in(sub, side, targets, epsilon, arena);
         if !placed {
-            grow(sub, &mut st, &mut free, targets, rng, arena);
+            grow(sub, &mut st, &mut verts, targets, rng, arena);
         }
-        S::Ix::give_ids(arena, free);
+        S::Ix::give_ids(arena, verts);
         st.refine_in(rng, cfg.fm_passes, 0, arena, stats, &SpanHandle::noop());
         let key = (st.balance_penalty(), st.cut());
         let sides = st.into_sides_in(arena);
@@ -95,20 +84,19 @@ pub(crate) fn initial_best_in<S: Substrate>(
     best.map_or_else(|| arena.take_u8(n, 0), |(_, sides)| sides)
 }
 
-/// Random fill: shuffle the free vertices and move them to side 1 until
-/// it reaches its target weight.
+/// Random fill: shuffle the vertices and move them to side 1 until it
+/// reaches its target weight.
 fn random_fill<S: Substrate>(
     sub: &S,
     side: &mut [u8],
-    free: &mut [S::Ix],
-    fixed_w: [u64; 2],
+    verts: &mut [S::Ix],
     targets: [f64; 2],
     rng: &mut impl Rng,
 ) {
-    free.shuffle(rng);
+    verts.shuffle(rng);
     let target1 = targets[1].floor().max(0.0) as u64;
-    let mut w1 = fixed_w[1];
-    for &v in free.iter() {
+    let mut w1 = 0u64;
+    for &v in verts.iter() {
         if w1 >= target1 {
             break;
         }
@@ -117,33 +105,33 @@ fn random_fill<S: Substrate>(
     }
 }
 
-/// Weight-only greedy bin packing: heaviest free vertices first, each onto
-/// the side with the larger remaining gap to its target (ties randomized
-/// by a shuffled pre-pass), connectivity ignored.
+/// Weight-only greedy bin packing: heaviest vertices first, each onto the
+/// side with the larger remaining gap to its target (ties randomized by a
+/// shuffled pre-pass), connectivity ignored.
 fn bin_pack<S: Substrate>(
     sub: &S,
     side: &mut [u8],
-    free: &mut [S::Ix],
-    mut w: [u64; 2],
+    verts: &mut [S::Ix],
     targets: [f64; 2],
     rng: &mut impl Rng,
 ) {
-    free.shuffle(rng);
-    free.sort_by_key(|&v| std::cmp::Reverse(sub.vertex_weight(v)));
-    for &v in free.iter() {
+    verts.shuffle(rng);
+    verts.sort_by_key(|&v| std::cmp::Reverse(sub.vertex_weight(v)));
+    let mut w = [0u64; 2];
+    for &v in verts.iter() {
         let s = usize::from(targets[1] - w[1] as f64 > targets[0] - w[0] as f64);
         side[v.index()] = s as u8; // lint: checked-cast — s is 0 or 1
         w[s] += sub.vertex_weight(v) as u64;
     }
 }
 
-/// Greedy growing: pull max-gain free vertices across to side 1 until it
+/// Greedy growing: pull max-gain vertices across to side 1 until it
 /// reaches its target weight. Gains make the growth cluster-shaped:
 /// vertices adjacent to side 1 have higher gain.
 fn grow<S: Substrate>(
     sub: &S,
     st: &mut BisectionState<'_, S>,
-    free: &mut [S::Ix],
+    verts: &mut [S::Ix],
     targets: [f64; 2],
     rng: &mut impl Rng,
     arena: &mut LevelArena,
@@ -154,8 +142,8 @@ fn grow<S: Substrate>(
     }
     let mut buckets = S::Ix::take_buckets(arena, sub.num_vertices(), sub.max_gain_bound());
     // Random seed bias: shuffle so ties (isolated vertices) vary.
-    free.shuffle(rng);
-    for &v in free.iter() {
+    verts.shuffle(rng);
+    for &v in verts.iter() {
         buckets.insert(v, st.gain(v));
     }
     while st.weights()[1] < target1 {
@@ -176,15 +164,10 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn free(n: u32) -> Vec<i8> {
-        vec![FREE; n as usize]
-    }
-
     /// Greedy hypergraph growing, best of `tries`, each try refined by
     /// up to `fm_passes` FM passes.
     fn ghg(
         hg: &Hypergraph,
-        fixed: &[i8],
         targets: [f64; 2],
         epsilon: f64,
         tries: usize,
@@ -199,7 +182,6 @@ mod tests {
         };
         initial_best_in(
             hg,
-            fixed,
             targets,
             epsilon,
             &cfg,
@@ -213,33 +195,20 @@ mod tests {
     #[test]
     fn ghg_produces_balanced_bisection() {
         let hg = two_clusters(20);
-        let fixed = free(40);
-        let sides = ghg(&hg, &fixed, [20.0, 20.0], 0.05, 4, 4, 2);
+        let sides = ghg(&hg, [20.0, 20.0], 0.05, 4, 4, 2);
         let w1: usize = sides.iter().filter(|&&s| s == 1).count();
         assert!((15..=25).contains(&w1), "side 1 holds {w1} of 40");
-        let st = BisectionState::new(&hg, sides, &fixed, [20.0, 20.0], 0.05);
+        let st = BisectionState::new(&hg, sides, [20.0, 20.0], 0.05);
         assert_eq!(st.balance_penalty(), 0);
         // The two-cluster structure should be found.
         assert_eq!(st.cut(), 1);
     }
 
     #[test]
-    fn ghg_respects_fixed() {
-        let hg = two_clusters(10);
-        let mut fixed = free(20);
-        fixed[0] = 1;
-        fixed[15] = 0;
-        let sides = ghg(&hg, &fixed, [10.0, 10.0], 0.2, 4, 4, 9);
-        assert_eq!(sides[0], 1);
-        assert_eq!(sides[15], 0);
-    }
-
-    #[test]
     fn ghg_on_netless_hypergraph() {
         // No nets: any balanced split works; GHG must still terminate.
         let hg = Hypergraph::from_nets(10, &[]).unwrap();
-        let fixed = free(10);
-        let sides = ghg(&hg, &fixed, [5.0, 5.0], 0.0, 2, 2, 4);
+        let sides = ghg(&hg, [5.0, 5.0], 0.0, 2, 2, 4);
         let c1 = sides.iter().filter(|&&s| s == 1).count();
         assert_eq!(c1, 5);
     }
@@ -247,8 +216,7 @@ mod tests {
     #[test]
     fn ghg_single_vertex() {
         let hg = Hypergraph::from_nets(1, &[]).unwrap();
-        let fixed = free(1);
-        let sides = ghg(&hg, &fixed, [1.0, 0.0], 0.0, 1, 1, 4);
+        let sides = ghg(&hg, [1.0, 0.0], 0.0, 1, 1, 4);
         assert_eq!(sides, vec![0]);
     }
 }

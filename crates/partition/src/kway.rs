@@ -18,14 +18,12 @@ use crate::connectivity::NetConnectivity;
 use crate::error::PartitionError;
 
 /// Runs up to `passes` greedy K-way refinement sweeps over `partition`
-/// in place. `fixed[v] != u32::MAX` pins vertex `v`. Returns the total
-/// connectivity−1 gain achieved (non-negative), or
-/// [`PartitionError::Internal`] when the part-count bookkeeping is found
-/// corrupt mid-sweep.
+/// in place. Returns the total connectivity−1 gain achieved
+/// (non-negative), or [`PartitionError::Internal`] when the part-count
+/// bookkeeping is found corrupt mid-sweep.
 pub fn kway_refine<I: IndexType>(
     hg: &Hypergraph<I>,
     partition: &mut Partition,
-    fixed: &[u32],
     epsilon: f64,
     passes: usize,
     rng: &mut impl Rng,
@@ -40,10 +38,7 @@ pub fn kway_refine<I: IndexType>(
     let cap = ((total as f64 / k as f64) * (1.0 + epsilon)).floor() as u64;
 
     let mut total_gain = 0u64;
-    let mut order: Vec<I> = (0..hg.num_vertices().index())
-        .map(I::from_index)
-        .filter(|&v| fixed[v.index()] == u32::MAX) // lint: checked-index — v < num_vertices == fixed.len() (caller contract)
-        .collect();
+    let mut order: Vec<I> = (0..hg.num_vertices().index()).map(I::from_index).collect();
     // Per-vertex scratch, reused across vertices: the candidate parts in
     // first-seen order, and `touch[q]` = summed cost of the vertex's nets
     // that already have a pin in part `q` (UNSEEN until `q` is met).
@@ -139,16 +134,8 @@ mod tests {
             let parts: Vec<u32> = (0..200).map(|v| v % 4).collect();
             let mut p = Partition::new(4, parts).unwrap();
             let before = cutsize_connectivity(&hg, &p);
-            let fixed = vec![u32::MAX; 200];
-            let gain = kway_refine(
-                &hg,
-                &mut p,
-                &fixed,
-                0.05,
-                4,
-                &mut SmallRng::seed_from_u64(seed),
-            )
-            .unwrap();
+            let gain =
+                kway_refine(&hg, &mut p, 0.05, 4, &mut SmallRng::seed_from_u64(seed)).unwrap();
             let after = cutsize_connectivity(&hg, &p);
             assert_eq!(
                 before - after,
@@ -165,31 +152,8 @@ mod tests {
         let hg = random_hypergraph(120, 200, 4, 2);
         let parts: Vec<u32> = (0..120).map(|v| v % 3).collect();
         let mut p = Partition::new(3, parts).unwrap();
-        let fixed = vec![u32::MAX; 120];
-        kway_refine(
-            &hg,
-            &mut p,
-            &fixed,
-            0.05,
-            4,
-            &mut SmallRng::seed_from_u64(1),
-        )
-        .unwrap();
+        kway_refine(&hg, &mut p, 0.05, 4, &mut SmallRng::seed_from_u64(1)).unwrap();
         assert!(p.imbalance_percent(&hg) <= 5.0 + 1e-9);
-    }
-
-    #[test]
-    fn refine_respects_fixed() {
-        let hg = random_hypergraph(60, 100, 4, 3);
-        let parts: Vec<u32> = (0..60).map(|v| v % 2).collect();
-        let mut p = Partition::new(2, parts.clone()).unwrap();
-        let fixed: Vec<u32> = (0..60)
-            .map(|v| if v < 10 { parts[v as usize] } else { u32::MAX })
-            .collect();
-        kway_refine(&hg, &mut p, &fixed, 0.1, 3, &mut SmallRng::seed_from_u64(5)).unwrap();
-        for v in 0..10u32 {
-            assert_eq!(p.part(v), parts[v as usize], "fixed vertex {v} moved");
-        }
     }
 
     #[test]
@@ -202,25 +166,8 @@ mod tests {
         let parts: Vec<u32> = (0..150).map(|v| v % 4).collect();
         let mut p32 = Partition::new(4, parts.clone()).unwrap();
         let mut p64 = Partition::new(4, parts).unwrap();
-        let fixed = vec![u32::MAX; 150];
-        let g32 = kway_refine(
-            &hg,
-            &mut p32,
-            &fixed,
-            0.05,
-            3,
-            &mut SmallRng::seed_from_u64(6),
-        )
-        .unwrap();
-        let g64 = kway_refine(
-            &hg64,
-            &mut p64,
-            &fixed,
-            0.05,
-            3,
-            &mut SmallRng::seed_from_u64(6),
-        )
-        .unwrap();
+        let g32 = kway_refine(&hg, &mut p32, 0.05, 3, &mut SmallRng::seed_from_u64(6)).unwrap();
+        let g64 = kway_refine(&hg64, &mut p64, 0.05, 3, &mut SmallRng::seed_from_u64(6)).unwrap();
         assert_eq!(g32, g64);
         assert_eq!(p32.parts(), p64.parts());
     }
@@ -229,17 +176,8 @@ mod tests {
     fn k1_noop() {
         let hg = random_hypergraph(20, 30, 4, 1);
         let mut p = Partition::trivial(20);
-        let fixed = vec![u32::MAX; 20];
         assert_eq!(
-            kway_refine(
-                &hg,
-                &mut p,
-                &fixed,
-                0.05,
-                2,
-                &mut SmallRng::seed_from_u64(1)
-            )
-            .unwrap(),
+            kway_refine(&hg, &mut p, 0.05, 2, &mut SmallRng::seed_from_u64(1)).unwrap(),
             0
         );
     }

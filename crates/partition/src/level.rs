@@ -4,7 +4,7 @@ use crate::engine::Substrate;
 
 /// One coarsening level of a multilevel run over any
 /// [`crate::engine::Substrate`]: the contracted structure plus the
-/// fine→coarse projection map and the coarse fixed-side vector.
+/// fine→coarse projection map.
 ///
 /// The map entries are coarse vertex ids, so they carry the substrate's
 /// index width `S::Ix` — at `u64` width a map over `n` fine vertices is
@@ -16,17 +16,13 @@ pub struct Level<S: Substrate> {
     pub coarse: S,
     /// Fine-vertex → coarse-vertex map.
     pub map: Vec<S::Ix>,
-    /// Per-coarse-vertex fixed side (`FREE`, `0`, or `1`).
-    pub fixed: Vec<i8>,
 }
 
 impl<S: Substrate> Level<S> {
     /// Heap bytes held by this level: the contracted substrate plus the
-    /// projection map and fixed vector.
+    /// projection map.
     pub fn heap_bytes(&self) -> usize {
-        self.coarse.heap_bytes()
-            + self.map.capacity() * std::mem::size_of::<S::Ix>()
-            + self.fixed.capacity()
+        self.coarse.heap_bytes() + self.map.capacity() * std::mem::size_of::<S::Ix>()
     }
 }
 

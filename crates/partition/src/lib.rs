@@ -17,10 +17,6 @@
 //!   which makes the per-bisection cut-net objective compose to the
 //!   K-way connectivity−1 objective (eq. 3 of the paper) — the metric that
 //!   equals SpMV communication volume under the fine-grain model.
-//! * **Fixed vertices**: vertices may be pre-assigned to parts (the paper's
-//!   §3 remark about reduction problems with pre-assigned inputs/outputs);
-//!   they are respected through coarsening, initial partitioning and
-//!   refinement.
 //!
 //! Entry points: [`partition_hypergraph`] for one run,
 //! [`partition_hypergraph_best`] for the paper's multi-seed protocol

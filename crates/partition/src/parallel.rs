@@ -35,7 +35,7 @@ pub fn partition_hypergraph_seeds<I: ArenaIndex>(
 ) -> Vec<Result<PartitionResult, PartitionError>> {
     let pool = Arc::new(ArenaPool::new());
     run_seeds(cfg, runs, &pool, &SpanHandle::noop(), |driver| {
-        partition_hypergraph_with(driver, hg, k, None)
+        partition_hypergraph_with(driver, hg, k)
     })
 }
 

@@ -64,7 +64,7 @@ pub fn partition_hypergraph<I: ArenaIndex>(
     k: u32,
     cfg: &PartitionConfig,
 ) -> Result<PartitionResult, PartitionError> {
-    partition_hypergraph_with(&mut MultilevelDriver::new(cfg.clone()), hg, k, None)
+    partition_hypergraph_with(&mut MultilevelDriver::new(cfg.clone()), hg, k)
 }
 
 /// [`partition_hypergraph`] recording under a trace scope: the multilevel
@@ -80,7 +80,7 @@ pub fn partition_hypergraph_traced<I: ArenaIndex>(
 ) -> Result<PartitionResult, PartitionError> {
     let mut driver = MultilevelDriver::new(cfg.clone());
     driver.set_trace_parent(parent.clone());
-    let r = partition_hypergraph_with(&mut driver, hg, k, None);
+    let r = partition_hypergraph_with(&mut driver, hg, k);
     if let Ok(res) = &r {
         crate::parallel::record_run_counters(parent, &res.stats, driver.arena_stats());
     }
@@ -88,58 +88,31 @@ pub fn partition_hypergraph_traced<I: ArenaIndex>(
 }
 
 /// [`partition_hypergraph`] on a caller-supplied [`MultilevelDriver`]
-/// (whose config it runs under), with optional pre-assigned vertices:
-/// `fixed[v] = part` pins vertex `v`, `fixed[v] = u32::MAX` leaves it
-/// free. The driver's arena and instrumentation persist across calls, so
-/// repeated partitioning reuses all scratch buffers.
+/// (whose config it runs under). The driver's arena and instrumentation
+/// persist across calls, so repeated partitioning reuses all scratch
+/// buffers.
 pub fn partition_hypergraph_with<I: ArenaIndex>(
     driver: &mut MultilevelDriver,
     hg: &Hypergraph<I>,
     k: u32,
-    fixed: Option<&[u32]>,
 ) -> Result<PartitionResult, PartitionError> {
     if k == 0 {
         return Err(HypergraphError::InvalidK.into());
     }
-    if let Some(f) = fixed {
-        if f.len() != hg.num_vertices().index() {
-            return Err(HypergraphError::PartitionLengthMismatch {
-                expected: hg.num_vertices().index(),
-                got: f.len(),
-            }
-            .into());
-        }
-        for (v, &p) in f.iter().enumerate() {
-            if p != u32::MAX && p >= k {
-                return Err(HypergraphError::PartOutOfBounds {
-                    vertex: v as u64,
-                    part: p,
-                    k,
-                }
-                .into());
-            }
-        }
-    }
-
-    let n = hg.num_vertices().index();
-    let fixed_vec: Vec<u32> = match fixed {
-        Some(f) => f.to_vec(),
-        None => vec![u32::MAX; n],
-    };
     // Arm the wall budget here so the window also covers the K-way
     // post-refinement below (partition_recursive arms only if unarmed).
     let armed_here = driver.arm_budget();
-    let outcome = driver.partition_recursive(hg, k, &fixed_vec);
+    let outcome = driver.partition_recursive(hg, k);
     let cfg = driver.cfg().clone();
 
     let mut partition = Partition::new(k, outcome.parts).map_err(PartitionError::from)?;
     if (cfg.kway_refine || cfg.vcycles > 0) && k > 2 && !driver.interrupted() {
         if cfg.kway_refine {
             let mut rng = SmallRng::seed_from_u64(cfg.seed.wrapping_add(0x9e3779b97f4a7c15));
-            kway_refine(hg, &mut partition, &fixed_vec, cfg.epsilon, 2, &mut rng)?;
+            kway_refine(hg, &mut partition, cfg.epsilon, 2, &mut rng)?;
         }
         if cfg.vcycles > 0 && !driver.interrupted() {
-            crate::vcycle::vcycle_refine(hg, &mut partition, &fixed_vec, &cfg, cfg.vcycles)?;
+            crate::vcycle::vcycle_refine(hg, &mut partition, &cfg, cfg.vcycles)?;
         }
     }
     if armed_here {
@@ -195,7 +168,7 @@ pub fn partition_hypergraph_best_traced_in<I: ArenaIndex>(
     parent: &SpanHandle,
 ) -> Result<PartitionResult, PartitionError> {
     let results = crate::parallel::run_seeds(cfg, runs, pool, parent, |driver| {
-        partition_hypergraph_with(driver, hg, k, None)
+        partition_hypergraph_with(driver, hg, k)
     });
     crate::parallel::best_of_seeds(results, cfg.epsilon, |r| (r.imbalance_percent, r.cutsize))
 }
@@ -271,30 +244,6 @@ mod tests {
         let hg = Hypergraph::from_nets(3u32, &[vec![0, 1, 2]]).unwrap();
         let r = partition_hypergraph(&hg, 8, &PartitionConfig::default()).unwrap();
         assert_eq!(r.partition.len(), 3);
-    }
-
-    #[test]
-    fn fixed_vertices_respected_through_recursion() {
-        let hg = random_hypergraph(200, 300, 5, 3);
-        let mut fixed = vec![u32::MAX; 200];
-        fixed[0] = 3;
-        fixed[10] = 0;
-        fixed[20] = 2;
-        let mut driver = MultilevelDriver::new(PartitionConfig::with_seed(2));
-        let r = partition_hypergraph_with(&mut driver, &hg, 4, Some(&fixed)).unwrap();
-        assert_eq!(r.partition.part(0), 3);
-        assert_eq!(r.partition.part(10), 0);
-        assert_eq!(r.partition.part(20), 2);
-    }
-
-    #[test]
-    fn fixed_validation() {
-        let hg = two_clusters(4);
-        let mut driver = MultilevelDriver::new(PartitionConfig::default());
-        let bad = vec![9u32; 8];
-        assert!(partition_hypergraph_with(&mut driver, &hg, 4, Some(&bad)).is_err());
-        let short = vec![u32::MAX; 3];
-        assert!(partition_hypergraph_with(&mut driver, &hg, 4, Some(&short)).is_err());
     }
 
     #[test]
@@ -427,9 +376,9 @@ mod tests {
     fn shared_driver_reuses_arena_across_calls() {
         let hg = random_hypergraph(300, 450, 5, 6);
         let mut driver = MultilevelDriver::new(PartitionConfig::with_seed(8));
-        let a = partition_hypergraph_with(&mut driver, &hg, 4, None).unwrap();
+        let a = partition_hypergraph_with(&mut driver, &hg, 4).unwrap();
         let miss_after_first = driver.arena_stats().fresh;
-        let b = partition_hypergraph_with(&mut driver, &hg, 4, None).unwrap();
+        let b = partition_hypergraph_with(&mut driver, &hg, 4).unwrap();
         assert_eq!(
             a.partition.parts(),
             b.partition.parts(),

@@ -21,7 +21,6 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::arena::{ArenaIndex, LevelArena};
-use crate::coarsen::FREE;
 use crate::engine::Substrate;
 use crate::gain::GainBuckets;
 use crate::level::EngineStats;
@@ -33,8 +32,6 @@ pub struct BisectionState<'a, S: Substrate = Hypergraph> {
     sub: &'a S,
     /// Side (0/1) of each vertex.
     side: Vec<u8>,
-    /// Fixed side per vertex (`FREE` = movable).
-    fixed: &'a [i8],
     /// Substrate-specific cut bookkeeping (per-net side pin counts for
     /// hypergraphs, nothing for graphs).
     cs: S::CutState,
@@ -60,30 +57,22 @@ impl<'a, S: Substrate> BisectionState<'a, S> {
     /// `targets` are the ideal side weights (they sum to the total vertex
     /// weight for proportional K-way splits); `epsilon` is the per-level
     /// allowance, so `cap[s] = targets[s] * (1 + epsilon)`.
-    pub fn new(
-        sub: &'a S,
-        side: Vec<u8>,
-        fixed: &'a [i8],
-        targets: [f64; 2],
-        epsilon: f64,
-    ) -> Self {
-        Self::new_in(sub, side, fixed, targets, epsilon, &mut LevelArena::new())
+    pub fn new(sub: &'a S, side: Vec<u8>, targets: [f64; 2], epsilon: f64) -> Self {
+        Self::new_in(sub, side, targets, epsilon, &mut LevelArena::new())
     }
 
     /// Arena-backed variant of [`BisectionState::new`]: cut bookkeeping
     /// buffers are drawn from `arena` (return them with
     /// [`BisectionState::into_sides_in`]).
-    // lint: checked-index — side/fixed lengths are asserted == num_vertices; weight/cap are [u64; 2] indexed by 0/1 sides
+    // lint: checked-index — side length is asserted == num_vertices; weight/cap are [u64; 2] indexed by 0/1 sides
     pub fn new_in(
         sub: &'a S,
         side: Vec<u8>,
-        fixed: &'a [i8],
         targets: [f64; 2],
         epsilon: f64,
         arena: &mut LevelArena,
     ) -> Self {
         assert_eq!(side.len(), sub.num_vertices());
-        assert_eq!(fixed.len(), side.len());
         let mut weight = [0u64; 2];
         for (v, &s) in side.iter().enumerate() {
             weight[s as usize] += sub.vertex_weight(S::Ix::from_index(v)) as u64;
@@ -97,7 +86,6 @@ impl<'a, S: Substrate> BisectionState<'a, S> {
         BisectionState {
             sub,
             side,
-            fixed,
             cs,
             weight,
             cap,
@@ -225,7 +213,7 @@ impl<'a, S: Substrate> BisectionState<'a, S> {
     /// Arena-backed FM pass used by the engine: the bucket structure and
     /// order/move buffers come from `arena`; pass/move counters accumulate
     /// into `stats`.
-    // lint: checked-index — v ranges over 0..num_vertices == fixed.len(); best_len <= moves.len()
+    // lint: checked-index — best_len <= moves.len()
     pub(crate) fn fm_pass_in(
         &mut self,
         rng: &mut impl Rng,
@@ -237,13 +225,9 @@ impl<'a, S: Substrate> BisectionState<'a, S> {
         let bound = self.cached_gain_bound();
         let mut buckets = S::Ix::take_buckets(arena, n, bound);
 
-        // Insert free vertices in random order (ties broken by insertion).
+        // Insert vertices in random order (ties broken by insertion).
         let mut order = S::Ix::take_ids(arena, 0, S::Ix::ZERO);
-        order.extend(
-            (0..n)
-                .map(S::Ix::from_index)
-                .filter(|&v| self.fixed[v.index()] == FREE),
-        );
+        order.extend((0..n).map(S::Ix::from_index));
         order.shuffle(rng);
         for &v in order.iter() {
             buckets.insert(v, self.gain(v));
@@ -362,17 +346,12 @@ mod tests {
         SmallRng::seed_from_u64(3)
     }
 
-    fn free(n: u32) -> Vec<i8> {
-        vec![FREE; n as usize]
-    }
-
     #[test]
     fn state_cut_matches_metric() {
         let hg = two_clusters(10);
-        let fixed = free(20);
         // Deliberately bad split: even/odd.
         let side: Vec<u8> = (0..20).map(|v| (v % 2) as u8).collect();
-        let st = BisectionState::new(&hg, side.clone(), &fixed, [10.0, 10.0], 0.1);
+        let st = BisectionState::new(&hg, side.clone(), [10.0, 10.0], 0.1);
         let p = Partition::new(2, side.iter().map(|&s| s as u32).collect()).unwrap();
         assert_eq!(st.cut(), cutsize_cutnet(&hg, &p));
     }
@@ -380,9 +359,8 @@ mod tests {
     #[test]
     fn gain_matches_recompute() {
         let hg = two_clusters(8);
-        let fixed = free(16);
         let side: Vec<u8> = (0..16).map(|v| (v % 2) as u8).collect();
-        let st = BisectionState::new(&hg, side, &fixed, [8.0, 8.0], 0.2);
+        let st = BisectionState::new(&hg, side, [8.0, 8.0], 0.2);
         for v in 0..16u32 {
             // Recompute gain by brute force: cut before minus cut after.
             let mut st2 = st.clone();
@@ -396,9 +374,8 @@ mod tests {
     #[test]
     fn apply_move_roundtrip() {
         let hg = two_clusters(8);
-        let fixed = free(16);
         let side: Vec<u8> = (0..16).map(|v| u8::from(v >= 8)).collect();
-        let st0 = BisectionState::new(&hg, side, &fixed, [8.0, 8.0], 0.2);
+        let st0 = BisectionState::new(&hg, side, [8.0, 8.0], 0.2);
         let mut st = st0.clone();
         st.apply_move(3, None);
         st.apply_move(3, None);
@@ -410,10 +387,9 @@ mod tests {
     #[test]
     fn fm_finds_the_bridge_cut() {
         let hg = two_clusters(20);
-        let fixed = free(40);
         // Start from a random-ish split with the right weights.
         let side: Vec<u8> = (0..40).map(|v| (v % 2) as u8).collect();
-        let mut st = BisectionState::new(&hg, side, &fixed, [20.0, 20.0], 0.05);
+        let mut st = BisectionState::new(&hg, side, [20.0, 20.0], 0.05);
         st.refine(&mut rng(), 8, 0);
         assert_eq!(st.cut(), 1, "optimal bisection cuts only the bridge net");
         assert_eq!(st.balance_penalty(), 0);
@@ -423,9 +399,8 @@ mod tests {
     fn fm_never_worsens() {
         for seed in 0..5u64 {
             let hg = crate::testutil::random_hypergraph(60, 90, 6, seed);
-            let fixed = free(60);
             let side: Vec<u8> = (0..60).map(|v| u8::from(v >= 30)).collect();
-            let mut st = BisectionState::new(&hg, side, &fixed, [30.0, 30.0], 0.1);
+            let mut st = BisectionState::new(&hg, side, [30.0, 30.0], 0.1);
             let before = (st.balance_penalty(), st.cut());
             st.refine(&mut SmallRng::seed_from_u64(seed), 6, 0);
             let after = (st.balance_penalty(), st.cut());
@@ -434,27 +409,11 @@ mod tests {
     }
 
     #[test]
-    fn fixed_vertices_never_move() {
-        let hg = two_clusters(10);
-        let mut fixed = free(20);
-        fixed[0] = 1; // pinned to the "wrong" side
-        fixed[19] = 0;
-        let mut side: Vec<u8> = (0..20).map(|v| u8::from(v >= 10)).collect();
-        side[0] = 1;
-        side[19] = 0;
-        let mut st = BisectionState::new(&hg, side, &fixed, [10.0, 10.0], 0.2);
-        st.refine(&mut rng(), 6, 0);
-        assert_eq!(st.sides()[0], 1);
-        assert_eq!(st.sides()[19], 0);
-    }
-
-    #[test]
     fn rebalances_overweight_side() {
         let hg = two_clusters(16);
-        let fixed = free(32);
         // Everything on side 0: grossly imbalanced.
         let side = vec![0u8; 32];
-        let mut st = BisectionState::new(&hg, side, &fixed, [16.0, 16.0], 0.1);
+        let mut st = BisectionState::new(&hg, side, [16.0, 16.0], 0.1);
         st.refine(&mut rng(), 8, 0);
         assert_eq!(st.balance_penalty(), 0, "FM must restore balance");
     }
@@ -468,9 +427,8 @@ mod tests {
             vec![1, 1, 1],
         )
         .unwrap();
-        let fixed = free(4);
         let side = vec![0u8, 1, 0, 1];
-        let mut st = BisectionState::new(&hg, side, &fixed, [1.0, 1.0], 0.0);
+        let mut st = BisectionState::new(&hg, side, [1.0, 1.0], 0.0);
         st.refine(&mut rng(), 6, 0);
         // Best achievable: dummies huddle with their net mates, cut = 1.
         assert_eq!(st.cut(), 1);
@@ -484,10 +442,9 @@ mod tests {
             .map(|n| hg.pins(n).iter().map(|&p| p as u64).collect())
             .collect();
         let hg64 = Hypergraph::<u64>::from_nets(24u64, &nets).unwrap();
-        let fixed = free(24);
         let side: Vec<u8> = (0..24).map(|v| (v % 2) as u8).collect();
-        let mut a = BisectionState::new(&hg, side.clone(), &fixed, [12.0, 12.0], 0.1);
-        let mut b = BisectionState::new(&hg64, side, &fixed, [12.0, 12.0], 0.1);
+        let mut a = BisectionState::new(&hg, side.clone(), [12.0, 12.0], 0.1);
+        let mut b = BisectionState::new(&hg64, side, [12.0, 12.0], 0.1);
         a.refine(&mut rng(), 8, 0);
         b.refine(&mut rng(), 8, 0);
         assert_eq!(a.cut(), b.cut());
@@ -497,13 +454,11 @@ mod tests {
     #[test]
     fn arena_backed_state_matches_plain() {
         let hg = two_clusters(12);
-        let fixed = free(24);
         let side: Vec<u8> = (0..24).map(|v| (v % 2) as u8).collect();
         let mut arena = LevelArena::new();
         let mut stats = EngineStats::default();
-        let mut a =
-            BisectionState::new_in(&hg, side.clone(), &fixed, [12.0, 12.0], 0.1, &mut arena);
-        let mut b = BisectionState::new(&hg, side, &fixed, [12.0, 12.0], 0.1);
+        let mut a = BisectionState::new_in(&hg, side.clone(), [12.0, 12.0], 0.1, &mut arena);
+        let mut b = BisectionState::new(&hg, side, [12.0, 12.0], 0.1);
         a.refine_in(
             &mut rng(),
             8,

@@ -20,7 +20,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 use crate::arena::{ArenaIndex, LevelArena};
-use crate::coarsen::{coarsen_once_in, FREE};
+use crate::coarsen::coarsen_once_in;
 use crate::config::{CoarseningScheme, PartitionConfig, MAX_NET_SIZE_FOR_MATCHING};
 use crate::engine::Substrate;
 use crate::error::PartitionError;
@@ -34,7 +34,6 @@ use crate::level::Level;
 pub fn vcycle_refine<I: ArenaIndex>(
     hg: &Hypergraph<I>,
     partition: &mut Partition,
-    fixed: &[u32],
     cfg: &PartitionConfig,
     cycles: usize,
 ) -> Result<u64, PartitionError> {
@@ -47,7 +46,7 @@ pub fn vcycle_refine<I: ArenaIndex>(
     let mut current = start;
 
     for _ in 0..cycles {
-        let improved = one_cycle(hg, partition, fixed, cfg, &mut rng)?;
+        let improved = one_cycle(hg, partition, cfg, &mut rng)?;
         let now = cutsize_connectivity(hg, partition);
         debug_assert!(now <= current, "V-cycle must never worsen");
         if !improved || now == current {
@@ -62,7 +61,6 @@ pub fn vcycle_refine<I: ArenaIndex>(
 fn one_cycle<I: ArenaIndex>(
     hg: &Hypergraph<I>,
     partition: &mut Partition,
-    fixed: &[u32],
     cfg: &PartitionConfig,
     rng: &mut SmallRng,
 ) -> Result<bool, PartitionError> {
@@ -95,7 +93,7 @@ fn one_cycle<I: ArenaIndex>(
     }
     if levels.is_empty() {
         // No coarsening possible: fall back to one flat K-way pass.
-        let gain = kway_refine(hg, partition, fixed, cfg.epsilon, 1, rng)?;
+        let gain = kway_refine(hg, partition, cfg.epsilon, 1, rng)?;
         return Ok(gain > 0);
     }
 
@@ -113,9 +111,7 @@ fn one_cycle<I: ArenaIndex>(
                 "V-cycle level {li}: projected parts out of range: {e}"
             ))
         })?;
-        // Coarse fixed vertices: a cluster is pinned if any member is.
-        let level_fixed = project_fixed(hg, &levels, li, fixed);
-        let gain = kway_refine(level_hg, &mut p, &level_fixed, cfg.epsilon, 2, rng)?;
+        let gain = kway_refine(level_hg, &mut p, cfg.epsilon, 2, rng)?;
         improved_any |= gain > 0;
         // Project to the next finer level (or the original hypergraph).
         let map = &levels[li].0.map;
@@ -129,7 +125,7 @@ fn one_cycle<I: ArenaIndex>(
         }
     }
     // Final flat pass on the original hypergraph.
-    let gain = kway_refine(hg, partition, fixed, cfg.epsilon, 1, rng)?;
+    let gain = kway_refine(hg, partition, cfg.epsilon, 1, rng)?;
     Ok(improved_any | (gain > 0))
 }
 
@@ -156,8 +152,7 @@ fn coarsen_respecting<I: ArenaIndex>(
         if sub.num_vertices() == I::ZERO {
             continue;
         }
-        let fixed = vec![FREE; sub.num_vertices().index()];
-        match coarsen_once_in(&sub, &fixed, scheme, max_net, weight_cap, rng, &mut arena) {
+        match coarsen_once_in(&sub, scheme, max_net, weight_cap, rng, &mut arena) {
             Some(level) => {
                 for (lv, &c) in level.map.iter().enumerate() {
                     map[ids[lv].index()] = I::from_index(next_cluster + c.index());
@@ -184,32 +179,7 @@ fn coarsen_respecting<I: ArenaIndex>(
     // dropped cross-part pins; contracting `hg` restores them so cut nets
     // keep their connectivity).
     let coarse = hg.contract(&map, next_cluster, &mut arena);
-    let fixed = vec![FREE; next_cluster];
-    Some((Level { coarse, map, fixed }, coarse_parts))
-}
-
-/// Projects original fixed-vertex pins to a level's clusters.
-fn project_fixed<I: ArenaIndex>(
-    hg: &Hypergraph<I>,
-    levels: &[(Level<Hypergraph<I>>, Vec<u32>)],
-    li: usize,
-    fixed: &[u32],
-) -> Vec<u32> {
-    // Compose maps 0..=li.
-    let mut composed: Vec<I> = levels[0].0.map.clone();
-    for level in &levels[1..=li] {
-        for c in composed.iter_mut() {
-            *c = level.0.map[c.index()];
-        }
-    }
-    let n_coarse = levels[li].0.coarse.num_vertices().index();
-    let mut out = vec![u32::MAX; n_coarse];
-    for v in 0..hg.num_vertices().index() {
-        if fixed[v] != u32::MAX {
-            out[composed[v].index()] = fixed[v];
-        }
-    }
-    out
+    Some((Level { coarse, map }, coarse_parts))
 }
 
 #[cfg(test)]
@@ -230,8 +200,7 @@ mod tests {
             let r = partition_hypergraph(&hg, 8, &cfg).unwrap();
             let before = r.cutsize;
             let mut p = r.partition;
-            let fixed = vec![u32::MAX; 600];
-            let gain = vcycle_refine(&hg, &mut p, &fixed, &cfg, 3).unwrap();
+            let gain = vcycle_refine(&hg, &mut p, &cfg, 3).unwrap();
             let after = cutsize_connectivity(&hg, &p);
             assert_eq!(before - after, gain, "gain accounting");
             assert!(after <= before);
@@ -249,29 +218,12 @@ mod tests {
         let cfg = PartitionConfig::with_seed(9);
         let r = partition_hypergraph(&hg, 4, &cfg).unwrap();
         let mut p = r.partition;
-        let fixed = vec![u32::MAX; 400];
-        vcycle_refine(&hg, &mut p, &fixed, &cfg, 2).unwrap();
+        vcycle_refine(&hg, &mut p, &cfg, 2).unwrap();
         assert!(
             p.imbalance_percent(&hg) <= cfg.epsilon * 100.0 + 1.0,
             "imbalance {}%",
             p.imbalance_percent(&hg)
         );
-    }
-
-    #[test]
-    fn vcycle_respects_fixed() {
-        let hg = random_hypergraph(200, 300, 5, 3);
-        let cfg = PartitionConfig::with_seed(3);
-        let mut fixed = vec![u32::MAX; 200];
-        fixed[0] = 1;
-        fixed[5] = 3;
-        let mut driver = crate::engine::MultilevelDriver::new(cfg.clone());
-        let r =
-            crate::recursive::partition_hypergraph_with(&mut driver, &hg, 4, Some(&fixed)).unwrap();
-        let mut p = r.partition;
-        vcycle_refine(&hg, &mut p, &fixed, &cfg, 2).unwrap();
-        assert_eq!(p.part(0), 1);
-        assert_eq!(p.part(5), 3);
     }
 
     #[test]
@@ -288,9 +240,8 @@ mod tests {
         let r = partition_hypergraph(&hg, 4, &cfg).unwrap();
         let mut p32 = r.partition.clone();
         let mut p64 = r.partition;
-        let fixed = vec![u32::MAX; 300];
-        let g32 = vcycle_refine(&hg, &mut p32, &fixed, &cfg, 2).unwrap();
-        let g64 = vcycle_refine(&hg64, &mut p64, &fixed, &cfg, 2).unwrap();
+        let g32 = vcycle_refine(&hg, &mut p32, &cfg, 2).unwrap();
+        let g64 = vcycle_refine(&hg64, &mut p64, &cfg, 2).unwrap();
         assert_eq!(g32, g64, "width must not change V-cycle behavior");
         assert_eq!(p32.parts(), p64.parts());
     }
@@ -325,9 +276,8 @@ mod tests {
     fn k1_noop() {
         let hg = random_hypergraph(50, 80, 4, 7);
         let mut p = Partition::trivial(50);
-        let fixed = vec![u32::MAX; 50];
         assert_eq!(
-            vcycle_refine(&hg, &mut p, &fixed, &PartitionConfig::default(), 2).unwrap(),
+            vcycle_refine(&hg, &mut p, &PartitionConfig::default(), 2).unwrap(),
             0
         );
     }

@@ -24,7 +24,6 @@ use rand::{Rng, RngCore, SeedableRng};
 fn kway_refine_oracle(
     hg: &Hypergraph<u32>,
     partition: &mut Partition,
-    fixed: &[u32],
     epsilon: f64,
     passes: usize,
     rng: &mut impl Rng,
@@ -39,9 +38,7 @@ fn kway_refine_oracle(
     let cap = ((total as f64 / k as f64) * (1.0 + epsilon)).floor() as u64;
 
     let mut total_gain = 0u64;
-    let mut order: Vec<u32> = (0..hg.num_vertices())
-        .filter(|&v| fixed[v as usize] == u32::MAX)
-        .collect();
+    let mut order: Vec<u32> = (0..hg.num_vertices()).collect();
 
     for _ in 0..passes {
         order.shuffle(rng);
@@ -110,7 +107,6 @@ fn kway_refine_oracle(
 fn assert_kernels_agree(
     hg: &Hypergraph<u32>,
     start: &Partition,
-    fixed: &[u32],
     epsilon: f64,
     passes: usize,
     seed: u64,
@@ -118,8 +114,8 @@ fn assert_kernels_agree(
     let (mut p_new, mut p_old) = (start.clone(), start.clone());
     let mut rng_new = SmallRng::seed_from_u64(seed);
     let mut rng_old = SmallRng::seed_from_u64(seed);
-    let r_new = kway_refine(hg, &mut p_new, fixed, epsilon, passes, &mut rng_new);
-    let r_old = kway_refine_oracle(hg, &mut p_old, fixed, epsilon, passes, &mut rng_old);
+    let r_new = kway_refine(hg, &mut p_new, epsilon, passes, &mut rng_new);
+    let r_old = kway_refine_oracle(hg, &mut p_old, epsilon, passes, &mut rng_old);
     let r_new = r_new.map_err(|e| e.to_string());
     let r_old = r_old.map_err(|e| e.to_string());
     assert_eq!(r_new, r_old, "returned gain or error differs");
@@ -143,8 +139,6 @@ struct Instance {
     costs: Vec<u32>,
     weights: Vec<u32>,
     parts: Vec<u32>,
-    /// Vertex `v` is fixed to its start part when `fix[v] == 0` (~1 in 4).
-    fix: Vec<u8>,
     eps_choice: usize,
     passes: usize,
     seed: u64,
@@ -167,17 +161,15 @@ fn instance() -> impl Strategy<Value = Instance> {
         let costs = pvec(1..=4u32, 56);
         let weights = pvec(1..=4u32, nv as usize);
         let parts = pvec(0..k, nv as usize);
-        let fix = pvec(0..4u8, nv as usize);
         let knobs = (0..EPSILONS.len(), 1..=3usize, 0..u64::MAX);
-        (nets, costs, (weights, parts), (fix, knobs)).prop_map(
-            move |(nets, costs, (weights, parts), (fix, (eps_choice, passes, seed)))| Instance {
+        (nets, costs, (weights, parts), knobs).prop_map(
+            move |(nets, costs, (weights, parts), (eps_choice, passes, seed))| Instance {
                 nv,
                 k,
                 costs: costs[..nets.len()].to_vec(),
                 nets,
                 weights,
                 parts,
-                fix,
                 eps_choice,
                 passes,
                 seed,
@@ -188,8 +180,8 @@ fn instance() -> impl Strategy<Value = Instance> {
 
 proptest! {
     /// Random hypergraphs, K from 2 to 16, weights and costs from 1 to 4,
-    /// fixed vertices, ε down to 0: the single-pass kernel matches the
-    /// per-candidate oracle move for move.
+    /// ε down to 0: the single-pass kernel matches the per-candidate
+    /// oracle move for move.
     #[test]
     fn single_pass_gain_matches_per_candidate_oracle(inst in instance()) {
         let hg = Hypergraph::from_nets_weighted(
@@ -200,16 +192,9 @@ proptest! {
         )
         .unwrap();
         let start = Partition::new(inst.k, inst.parts.clone()).unwrap();
-        let fixed: Vec<u32> = inst
-            .parts
-            .iter()
-            .zip(&inst.fix)
-            .map(|(&p, &f)| if f == 0 { p } else { u32::MAX })
-            .collect();
         assert_kernels_agree(
             &hg,
             &start,
-            &fixed,
             EPSILONS[inst.eps_choice],
             inst.passes,
             inst.seed,
@@ -233,9 +218,8 @@ fn spilled_nets_match_oracle() {
     let hg = Hypergraph::from_nets(nv, &nets).unwrap();
     let start = Partition::new(k, (0..nv).map(|v| v % k).collect()).unwrap();
     assert!(spills(&hg, &start), "instance must start with spilled nets");
-    let fixed = vec![u32::MAX; nv as usize];
     for seed in 0..16 {
-        assert_kernels_agree(&hg, &start, &fixed, 0.1, 3, seed);
+        assert_kernels_agree(&hg, &start, 0.1, 3, seed);
     }
 }
 
@@ -275,17 +259,16 @@ fn ken11_k64_matches_oracle() {
         .generate_scaled(8, 1);
     let hg = fine_grain(&a);
     let nv = hg.num_vertices();
-    let fixed = vec![u32::MAX; nv as usize];
     let cfg = PartitionConfig {
         kway_refine: false,
         vcycles: 0,
         ..PartitionConfig::with_seed(1)
     };
-    let rb = MultilevelDriver::new(cfg.clone()).partition_recursive(&hg, 64, &fixed);
+    let rb = MultilevelDriver::new(cfg.clone()).partition_recursive(&hg, 64);
     let rb = Partition::new(64, rb.parts).unwrap();
     let round_robin = Partition::new(64, (0..nv).map(|v| v % 64).collect()).unwrap();
     assert!(spills(&hg, &round_robin));
-    assert_kernels_agree(&hg, &rb, &fixed, cfg.epsilon, 2, 1);
-    let gain = assert_kernels_agree(&hg, &round_robin, &fixed, cfg.epsilon, 2, 1);
+    assert_kernels_agree(&hg, &rb, cfg.epsilon, 2, 1);
+    let gain = assert_kernels_agree(&hg, &round_robin, cfg.epsilon, 2, 1);
     assert!(gain > 0, "round-robin start must be improvable");
 }

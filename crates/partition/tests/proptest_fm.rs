@@ -5,7 +5,6 @@
 //! full recomputation.
 
 use fgh_hypergraph::{cutsize_cutnet, Hypergraph, Partition};
-use fgh_partition::coarsen::FREE;
 use fgh_partition::gain::GainBuckets;
 use fgh_partition::refine::BisectionState;
 use fgh_partition::{ArenaIndex, Substrate};
@@ -68,9 +67,8 @@ fn cut_of<I: IndexType>(hg: &Hypergraph<I>, sides: &[u8]) -> u64 {
 /// queued must equal a from-scratch recomputation.
 fn drain_checking_gains<I: ArenaIndex>(hg: &Hypergraph<I>, sides: Vec<u8>, seed: u64) {
     let n = sides.len();
-    let fixed = vec![FREE; n];
     let half = hg.total_vertex_weight() as f64 / 2.0;
-    let mut st = BisectionState::new(hg, sides, &fixed, [half, half], 0.2);
+    let mut st = BisectionState::new(hg, sides, [half, half], 0.2);
     let mut buckets = GainBuckets::new(n, Substrate::max_gain_bound(hg));
     let mut queued: Vec<I> = (0..n).map(I::from_index).collect();
     for &v in &queued {
@@ -113,10 +111,9 @@ proptest! {
     /// cut-net cutsize, initially and after arbitrary move sequences.
     #[test]
     fn incremental_cut_matches_metric(hg in hypergraph(), seed in 0u64..500) {
-        let fixed = vec![FREE; hg.num_vertices() as usize];
         let sides = sides_for(&hg, seed);
         let half = hg.total_vertex_weight() as f64 / 2.0;
-        let mut st = BisectionState::new(&hg, sides, &fixed, [half, half], 0.2);
+        let mut st = BisectionState::new(&hg, sides, [half, half], 0.2);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xabcd);
         for _ in 0..10 {
             let v = rand::Rng::gen_range(&mut rng, 0..hg.num_vertices());
@@ -132,10 +129,9 @@ proptest! {
     /// gain(v) is exactly the cut decrease of moving v.
     #[test]
     fn gain_is_cut_delta(hg in hypergraph(), seed in 0u64..500) {
-        let fixed = vec![FREE; hg.num_vertices() as usize];
         let sides = sides_for(&hg, seed);
         let half = hg.total_vertex_weight() as f64 / 2.0;
-        let st = BisectionState::new(&hg, sides, &fixed, [half, half], 0.2);
+        let st = BisectionState::new(&hg, sides, [half, half], 0.2);
         for v in 0..hg.num_vertices() {
             let mut st2 = st.clone();
             let before = st2.cut() as i64;
@@ -147,10 +143,9 @@ proptest! {
     /// Moving a vertex twice restores the exact state.
     #[test]
     fn move_is_involution(hg in hypergraph(), seed in 0u64..500) {
-        let fixed = vec![FREE; hg.num_vertices() as usize];
         let sides = sides_for(&hg, seed);
         let half = hg.total_vertex_weight() as f64 / 2.0;
-        let st0 = BisectionState::new(&hg, sides, &fixed, [half, half], 0.2);
+        let st0 = BisectionState::new(&hg, sides, [half, half], 0.2);
         let mut st = st0.clone();
         let v = hg.num_vertices() / 2;
         st.apply_move(v, None);
@@ -163,10 +158,9 @@ proptest! {
     /// FM refinement never worsens (penalty, cut).
     #[test]
     fn refinement_monotone(hg in hypergraph(), seed in 0u64..200) {
-        let fixed = vec![FREE; hg.num_vertices() as usize];
         let half = hg.total_vertex_weight() as f64 / 2.0;
         let sides = sides_for(&hg, seed);
-        let mut st = BisectionState::new(&hg, sides, &fixed, [half, half], 0.2);
+        let mut st = BisectionState::new(&hg, sides, [half, half], 0.2);
         let before = (st.balance_penalty(), st.cut());
         st.refine(&mut SmallRng::seed_from_u64(seed), 4, 0);
         prop_assert!((st.balance_penalty(), st.cut()) <= before);

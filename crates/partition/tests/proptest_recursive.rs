@@ -34,8 +34,7 @@ proptest! {
                 ..PartitionConfig::with_seed(seed)
             };
             let mut driver = MultilevelDriver::new(cfg);
-            let fixed = vec![u32::MAX; hg.num_vertices() as usize];
-            let out = driver.partition_recursive(&hg, k, &fixed);
+            let out = driver.partition_recursive(&hg, k);
             let p = Partition::new(k, out.parts).expect("parts in range");
             prop_assert_eq!(
                 cutsize_connectivity(&hg, &p),
@@ -60,8 +59,7 @@ proptest! {
             ..PartitionConfig::with_seed(seed)
         };
         let mut driver = MultilevelDriver::new(cfg);
-        let fixed = vec![u32::MAX; hg.num_vertices() as usize];
-        let out = driver.partition_recursive(&hg, 4, &fixed);
+        let out = driver.partition_recursive(&hg, 4);
         let p = Partition::new(4, out.parts).expect("parts in range");
         prop_assert_eq!(p.len(), hg.num_vertices() as usize);
     }

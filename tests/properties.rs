@@ -185,15 +185,13 @@ proptest! {
         seed in 0u64..500,
         k in 2u32..=4,
     ) {
-        use fine_grain_hypergraph::partition::coarsen::{coarsen_once, FREE};
+        use fine_grain_hypergraph::partition::coarsen::coarsen_once;
         use fine_grain_hypergraph::partition::CoarseningScheme;
         let m = FineGrainModel::build(&a).unwrap();
         let hg = m.hypergraph();
-        let fixed = vec![FREE; hg.num_vertices() as usize];
         let mut rng = SmallRng::seed_from_u64(seed);
         if let Some(level) = coarsen_once(
             hg,
-            &fixed,
             CoarseningScheme::Hcc,
             64,
             hg.total_vertex_weight().max(1),
