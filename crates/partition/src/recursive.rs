@@ -333,6 +333,19 @@ mod tests {
                         baseline.partition.parts(),
                         "{coarsening:?}/{initial:?}: coordinate-less run must equal GHG"
                     );
+                    // An array shorter than the vertex count falls back too.
+                    let short = PartitionConfig {
+                        coords: Some(std::sync::Arc::new(vec![(0.0, 0.0); 299])),
+                        ..no_coords
+                    };
+                    assert_eq!(
+                        partition_hypergraph(&hg, 4, &short)
+                            .unwrap()
+                            .partition
+                            .parts(),
+                        baseline.partition.parts(),
+                        "{coarsening:?}/{initial:?}: short coordinates must equal GHG"
+                    );
                 }
             }
         }
