@@ -6,23 +6,30 @@
 //! stand-in keeps rayon's *shape* (`ThreadPoolBuilder::new().num_threads(n)
 //! .build()?.install(|| ...)` with nested `join` calls inside) but
 //! implements it on `std::thread::scope`. A pool is a slot counter: a
-//! pool of `n` threads hands out `n - 1` spare slots, and `join(a, b)`
-//! spawns `b` onto a fresh scoped thread when a slot is free, running it
-//! inline otherwise. Once `a` returns, a joiner still waiting for `b`
-//! lends its slot to the pool and takes it back when `b` returns, so
-//! `b`'s subtree can fork onto the core the joiner leaves idle. At most
-//! `n` threads run at once, with one exception: a joiner that takes back
-//! a slot another branch borrowed runs alongside the borrower until that
-//! branch returns it. The count is then below zero, and only positive
-//! counts are handed out, so no further thread starts meanwhile. Because
-//! every spawn is scoped inside the `join` call itself, closures may
-//! borrow from the caller's stack exactly as with real rayon, and there
-//! is no blocking hand-off that could deadlock — the fallback is always
-//! to run inline on the current thread.
+//! pool of `n` threads starts with `n` slots, and every thread that
+//! enters it through `install` holds one until `install` returns, so a
+//! lone installer leaves `n - 1` spare. `join(a, b)` spawns `b` onto a
+//! fresh scoped thread when a slot is spare, running it inline
+//! otherwise. Once `a` returns, a joiner still waiting for `b` lends its
+//! slot to the pool and takes it back when `b` returns, so `b`'s subtree
+//! can fork onto the core the joiner leaves idle. At most `n` threads run
+//! at once, with two exceptions, and in both the count is below zero:
+//! more threads install than the pool is wide, or a joiner takes back a
+//! slot another branch borrowed and runs alongside the borrower until
+//! that branch returns it. Only positive counts are handed out, so no
+//! further thread starts meanwhile. Because every spawn is scoped inside
+//! the `join` call itself, closures may borrow from the caller's stack
+//! exactly as with real rayon, and there is no blocking hand-off that
+//! could deadlock — the fallback is always to run inline on the current
+//! thread.
 //!
 //! Differences from real rayon, none observable to this workspace:
-//! * `install` runs the closure on the calling thread (real rayon migrates
-//!   it onto a pool thread); the calling thread counts as pool member #0.
+//! * `install` runs the closure on the calling thread, which takes one of
+//!   the pool's slots for the call, as a pool thread would be busy with
+//!   it (real rayon queues the closure onto one of the pool's own
+//!   threads). Threads calling `install` on one pool at once share its
+//!   width: `k` of them on a pool of `n` leave `n - k` slots for their
+//!   joins. A thread already working for the pool takes no second slot.
 //! * Threads are created per `join` rather than parked in the pool. The
 //!   workspace forks at bisection/seed granularity (milliseconds of work),
 //!   so spawn cost is noise.
@@ -41,12 +48,21 @@ use std::sync::Arc;
 #[derive(Debug)]
 struct PoolInner {
     threads: usize,
-    /// Slots free for a new thread. Signed: a joiner taking back a slot it
-    /// lent may find another branch still holding it.
+    /// Slots free for a new thread. Signed: more threads may install than
+    /// the pool is wide, and a joiner taking back a slot it lent may find
+    /// another branch still holding it.
     spare: AtomicIsize,
 }
 
 impl PoolInner {
+    /// Takes a slot whether or not one is spare, for a thread entering
+    /// the pool through `install`: the count may go below zero, and then
+    /// no `join` forks until enough slots come back.
+    fn take(self: &Arc<Self>) -> Token {
+        self.spare.fetch_sub(1, Ordering::Relaxed); // lint: atomic — relaxed: slot count only; no data is published through it
+        Token(Arc::clone(self))
+    }
+
     // lint: atomic — relaxed: the slot count is its own synchronization
     // object; the CAS only needs atomicity, and the spawned thread is
     // synchronized by `thread::scope`'s join edge, not by this counter
@@ -67,8 +83,8 @@ impl PoolInner {
     }
 }
 
-/// RAII spare-thread slot: released back to the pool on drop, so a
-/// panicking branch cannot leak pool capacity.
+/// RAII pool slot: released back to the pool on drop, so a panicking
+/// branch or installer cannot leak pool capacity.
 struct Token(Arc<PoolInner>);
 
 impl Drop for Token {
@@ -139,9 +155,7 @@ impl ThreadPoolBuilder {
         Ok(ThreadPool {
             inner: Arc::new(PoolInner {
                 threads,
-                spare: AtomicIsize::new(
-                    isize::try_from(threads.saturating_sub(1)).unwrap_or(isize::MAX),
-                ),
+                spare: AtomicIsize::new(isize::try_from(threads).unwrap_or(isize::MAX)),
             }),
         })
     }
@@ -155,8 +169,16 @@ pub struct ThreadPool {
 
 impl ThreadPool {
     /// Runs `op` with this pool as the current thread's pool: `join` calls
-    /// made (transitively) inside may spawn onto spare pool threads.
+    /// made (transitively) inside may spawn onto spare pool threads. A
+    /// thread not already working for this pool holds one of its slots
+    /// until `op` returns or unwinds.
     pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
+        let member = CURRENT.with(|c| {
+            c.borrow()
+                .as_ref()
+                .is_some_and(|p| Arc::ptr_eq(p, &self.inner))
+        });
+        let _slot = (!member).then(|| self.inner.take());
         let _guard = enter(Some(Arc::clone(&self.inner)));
         op()
     }
@@ -276,7 +298,7 @@ mod tests {
         // loose; the real invariant (≤ 4 running threads) is enforced by
         // the slot counter this asserts on indirectly.
         assert!(peak.load(Ordering::SeqCst) >= 1);
-        assert_eq!(pool.inner.spare.load(Ordering::SeqCst), 3, "tokens leaked");
+        assert_eq!(pool.inner.spare.load(Ordering::SeqCst), 4, "tokens leaked");
     }
 
     #[test]
@@ -311,7 +333,7 @@ mod tests {
             pool.install(|| join(|| 1, || panic!("branch b failed")))
         }));
         assert!(r.is_err());
-        assert_eq!(pool.inner.spare.load(Ordering::SeqCst), 1, "token leaked");
+        assert_eq!(pool.inner.spare.load(Ordering::SeqCst), 2, "token leaked");
         // The pool stays usable after the panic.
         let (a, b) = pool.join(|| 2, || 3);
         assert_eq!(a + b, 5);
@@ -340,7 +362,7 @@ mod tests {
             },
         );
         assert_ne!(ta, tb, "inner b ran inline instead of on the lent slot");
-        assert_eq!(pool.inner.spare.load(Ordering::SeqCst), 1, "slot leaked");
+        assert_eq!(pool.inner.spare.load(Ordering::SeqCst), 2, "slot leaked");
     }
 
     #[test]
@@ -356,12 +378,44 @@ mod tests {
             )
         }));
         assert!(r.is_err());
-        assert_eq!(pool.inner.spare.load(Ordering::SeqCst), 1, "slot leaked");
+        assert_eq!(pool.inner.spare.load(Ordering::SeqCst), 2, "slot leaked");
         let r = catch_unwind(AssertUnwindSafe(|| {
             pool.join(|| (), || panic!("outer b failed"))
         }));
         assert!(r.is_err());
-        assert_eq!(pool.inner.spare.load(Ordering::SeqCst), 1, "slot leaked");
+        assert_eq!(pool.inner.spare.load(Ordering::SeqCst), 2, "slot leaked");
+    }
+
+    #[test]
+    fn concurrent_installers_share_the_width() {
+        // Two threads inside one width-2 pool hold both of its slots, so
+        // neither join may fork. The barriers keep both inside `install`
+        // until both have joined.
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let (entered, joined) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let tid = || std::thread::current().id();
+        std::thread::scope(|s| {
+            let installers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        pool.install(|| {
+                            entered.wait();
+                            let ids = join(tid, tid);
+                            joined.wait();
+                            (tid(), ids)
+                        })
+                    })
+                })
+                .collect();
+            for h in installers {
+                let (me, ids) = h.join().unwrap();
+                assert_eq!(ids, (me, me), "a join forked past the pool's width");
+            }
+        });
+        assert_eq!(pool.inner.spare.load(Ordering::SeqCst), 2, "slot leaked");
+        // Alone inside, an installer forks again.
+        let (ta, tb) = pool.install(|| join(tid, tid));
+        assert_ne!(ta, tb, "a lone installer's join ran inline");
     }
 
     #[test]

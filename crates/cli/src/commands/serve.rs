@@ -52,11 +52,9 @@ fn serve_config(o: &Opts) -> Result<ServeConfig, String> {
     cfg.cache_bytes = o.parse_or("cache-bytes", 8usize << 20)?;
     cfg.drain = Duration::from_millis(o.parse_or("drain-ms", 10_000u64)?);
     cfg.budget_ceiling = o.budget()?;
-    // Without --threads each job stays serial: the workers are the
-    // daemon's concurrency.
-    if o.has("threads") {
-        cfg.parallelism = o.parallelism()?;
-    }
+    // All cores by default: the jobs share one pool that wide, so a lone
+    // job forks onto the cores idle workers leave free.
+    cfg.parallelism = o.parallelism()?;
     cfg.fault_injection = o.has("fault-injection");
     Ok(cfg)
 }
@@ -86,6 +84,10 @@ fn print_snapshot(s: &ServeSnapshot) {
     println!(
         "workers:           {} configured, {} panics contained, {} respawned",
         s.workers, s.worker_panics, s.worker_respawns
+    );
+    println!(
+        "threads:           {} shared by all jobs, {} subtrees forked onto another core",
+        s.threads, s.parallel_forks
     );
     println!(
         "queue:             capacity {}, peak depth {}",
@@ -273,9 +275,16 @@ mod tests {
     }
 
     #[test]
-    fn serve_config_runs_jobs_serially_unless_threads_is_given() {
+    fn serve_config_shares_all_cores_unless_threads_is_given() {
         let cfg = serve_config(&Opts::parse(&args("--workers 4")).unwrap()).unwrap();
-        assert_eq!(cfg.parallelism, Parallelism::Serial);
+        assert_eq!(cfg.parallelism, Parallelism::Auto);
+        let cfg = serve_config(&Opts::parse(&args("--threads 1")).unwrap()).unwrap();
+        assert_eq!(cfg.parallelism, Parallelism::Threads(1));
+        assert_eq!(
+            cfg.parallelism.resolved(),
+            1,
+            "--threads 1 runs jobs serially"
+        );
         let cfg = serve_config(&Opts::parse(&args("--threads 2")).unwrap()).unwrap();
         assert_eq!(cfg.parallelism, Parallelism::Threads(2));
     }

@@ -105,8 +105,9 @@ fn usage() -> &'static str {
      \n\
      common flags:\n\
      \x20 --threads N       partitioner thread count (default: all cores; serve\n\
-     \x20                   defaults to 1 per job, its --workers being the\n\
-     \x20                   concurrency); results are bit-identical for every N\n\
+     \x20                   shares them among its jobs, each forking onto the\n\
+     \x20                   cores the other workers leave idle, and N = 1 runs\n\
+     \x20                   every job serially); results are bit-identical for every N\n\
      \x20 --initial S       initial scheme: ghg (default) | random | binpacking |\n\
      \x20                   geometric (auto is an alias; needs vertex coordinates,\n\
      \x20                   i.e. the fine-grain model; falls back to ghg)\n\

@@ -15,7 +15,8 @@
 
 use crate::gain::GainBuckets;
 use fgh_sparse::IndexType;
-use std::sync::PoisonError;
+use std::num::NonZeroUsize;
+use std::sync::{OnceLock, PoisonError};
 
 use fgh_invariant::{lock_order, OrderedMutex};
 
@@ -223,9 +224,17 @@ impl Default for ArenaPool {
     }
 }
 
-/// Cap on retained arenas: forks are bounded by thread count, so anything
-/// past a generous multiple is a caller hoarding memory.
-const ARENA_POOL_CAP: usize = 64;
+/// Cap on idle arenas: one per CPU the process may use, read once.
+/// Offered forks are not bounded by the thread count: each one checks an
+/// arena out whether or not its branch runs on another thread, and a
+/// joiner waiting on its fork keeps its own, so one K-way run can park
+/// more arenas than it ever works on at once. A daemon's pool outlives
+/// every job, and each arena kept past this cap would grow to root size
+/// one job at a time.
+fn arena_pool_cap() -> usize {
+    static CAP: OnceLock<usize> = OnceLock::new();
+    *CAP.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
 
 impl ArenaPool {
     /// An empty pool; arenas are created on first checkout.
@@ -244,10 +253,10 @@ impl ArenaPool {
     }
 
     /// Returns an arena to the pool so its buffers survive for the next
-    /// checkout.
+    /// checkout; past the cap of one idle arena per CPU it is dropped.
     pub fn checkin(&self, arena: LevelArena) {
         let mut arenas = self.arenas.lock().unwrap_or_else(PoisonError::into_inner);
-        if arenas.len() < ARENA_POOL_CAP {
+        if arenas.len() < arena_pool_cap() {
             arenas.push(arena);
         }
     }
@@ -354,6 +363,16 @@ mod tests {
                 bucket_grows: 0
             }
         );
+    }
+
+    #[test]
+    fn idle_arenas_stop_at_the_cap() {
+        let pool = ArenaPool::new();
+        let extra: Vec<LevelArena> = (0..arena_pool_cap() + 3).map(|_| pool.checkout()).collect();
+        for a in extra {
+            pool.checkin(a);
+        }
+        assert_eq!(pool.idle(), arena_pool_cap());
     }
 
     #[test]

@@ -587,8 +587,8 @@ impl MultilevelDriver {
     /// are bit-identical to a serial run, because each node of the
     /// recursion seeds its RNG from the run seed and its own part range,
     /// not from traversal order. When the caller is already inside a pool
-    /// (a multi-seed fan-out), no nested pool is built — subtree forks
-    /// draw from the outer pool's threads.
+    /// (a multi-seed fan-out, or a job of `fgh serve`), no nested pool is
+    /// built — subtree forks draw from the outer pool's threads.
     pub fn partition_recursive<S: Substrate + Send + Sync>(
         &mut self,
         sub: &S,

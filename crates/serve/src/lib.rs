@@ -25,9 +25,12 @@
 //!   a panic produces a typed `worker-panic` response, quarantines the
 //!   shared arena pool (swaps in a fresh one), and the worker keeps
 //!   serving. A worker thread lost outright is respawned.
-//! * **Per-job policy** ([`server::ServeConfig`]): every job runs under
-//!   the daemon's budget ceiling and per-job thread policy (serial by
-//!   default, since the worker count is the daemon's concurrency).
+//! * **Shared cores** ([`server::ServeConfig`]): every job runs under
+//!   the daemon's budget ceiling, inside one fork-join pool as wide as
+//!   the daemon's thread budget (all cores by default). A job forks its
+//!   recursion subtrees onto the cores the other workers leave idle, so
+//!   a lone miss decomposes on every core while a full house runs one
+//!   thread per worker; partitions are bit-identical either way.
 //! * **Graceful shutdown** ([`server`]): SIGTERM (or
 //!   [`server::ServerHandle::shutdown`]) stops admission, drains queued
 //!   and in-flight jobs under a deadline, and flushes a final

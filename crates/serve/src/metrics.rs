@@ -18,14 +18,20 @@
 //!     "hits": 10, "misses": 51, "evictions": 2,
 //!     "integrity_failures": 0, "bytes": 123456, "byte_cap": 8388608
 //!   },
-//!   "workers": {"configured": 4, "respawns": 0},
+//!   "workers": {
+//!     "configured": 4, "respawns": 0, "threads": 2, "parallel_forks": 37
+//!   },
 //!   "drain": {"clean": true, "drained_jobs": 3}
 //! }
 //! ```
 //!
 //! Every member is required; all are non-negative integers except the
-//! two booleans-as-written (`drain.clean`). [`validate_serve_metrics_value`]
-//! is the checker CI's smoke job runs against the uploaded artifact.
+//! two booleans-as-written (`drain.clean`). `workers.threads` is the
+//! width of the partitioner pool every job shares, and
+//! `workers.parallel_forks` counts the recursion subtrees completed
+//! decomposes ran on another core: a count, not a time.
+//! [`validate_serve_metrics_value`] is the checker CI's smoke job runs
+//! against the uploaded artifact.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,6 +71,9 @@ pub struct ServeCounters {
     pub degraded: AtomicU64,
     /// Worker threads respawned by the supervisor.
     pub worker_respawns: AtomicU64,
+    /// Recursion subtrees that ran on another core, summed over
+    /// completed decomposes (`EngineStats::parallel_forks`).
+    pub parallel_forks: AtomicU64,
 }
 
 impl ServeCounters {
@@ -72,6 +81,12 @@ impl ServeCounters {
     // lint: atomic — relaxed: monotonic metric counter; readers tolerate staleness
     pub fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Relaxed addition of `n`.
+    // lint: atomic — relaxed: monotonic metric counter; readers tolerate staleness
+    pub fn add(counter: &AtomicU64, n: u64) {
+        counter.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Relaxed read.
@@ -126,6 +141,10 @@ pub struct ServeSnapshot {
     pub cache_byte_cap: u64,
     /// Configured worker count.
     pub workers: u64,
+    /// Width of the partitioner pool all jobs share (1: serial jobs).
+    pub threads: u64,
+    /// See [`ServeCounters`].
+    pub parallel_forks: u64,
     /// Whether shutdown drained every in-flight job inside the deadline.
     pub drain_clean: bool,
     /// Jobs completed during the drain window.
@@ -174,6 +193,8 @@ impl ServeSnapshot {
         let mut workers = BTreeMap::new();
         workers.insert("configured".into(), num(self.workers));
         workers.insert("respawns".into(), num(self.worker_respawns));
+        workers.insert("threads".into(), num(self.threads));
+        workers.insert("parallel_forks".into(), num(self.parallel_forks));
 
         let mut drain = BTreeMap::new();
         drain.insert("clean".into(), Value::Bool(self.drain_clean));
@@ -214,7 +235,7 @@ const CACHE_MEMBERS: [&str; 6] = [
     "bytes",
     "byte_cap",
 ];
-const WORKER_MEMBERS: [&str; 2] = ["configured", "respawns"];
+const WORKER_MEMBERS: [&str; 4] = ["configured", "respawns", "threads", "parallel_forks"];
 
 fn require_counters(v: Option<&Value>, members: &[&str], path: &str) -> Result<(), String> {
     let v = v.ok_or(format!("{path}: missing"))?;
@@ -311,6 +332,8 @@ mod tests {
             cache_bytes: 123456,
             cache_byte_cap: 8 << 20,
             workers: 4,
+            threads: 2,
+            parallel_forks: 37,
             drain_clean: true,
             drained_jobs: 3,
         }
@@ -341,6 +364,12 @@ mod tests {
             (r#""clean":true"#, r#""clean":"yes""#, "drain.clean type"),
             (r#""worker_panics""#, r#""worker_paniks""#, "jobs member"),
             (r#""hits":10"#, r#""hits":-10"#, "negative counter"),
+            (r#""threads":2"#, r#""threadz":2"#, "workers member"),
+            (
+                r#""parallel_forks":37"#,
+                r#""parallel_forks":0.5"#,
+                "fractional counter",
+            ),
         ] {
             let bad = good.replace(needle, replacement);
             assert_ne!(good, bad, "mutation {why} did not apply");

@@ -299,17 +299,27 @@ fn get_u64(v: &Value, key: &str, default: u64) -> Result<u64, String> {
     }
 }
 
+/// Removes `key` from an object, handing over the value it held.
+fn take(v: &mut Value, key: &str) -> Option<Value> {
+    match v {
+        Value::Obj(members) => members.remove(key),
+        _ => None,
+    }
+}
+
 /// Parses one matrix source out of a pair of mutually exclusive keys
 /// (`matrix`/`matrix_mm` for the primary, `matrix_b`/`matrix_b_mm` for
-/// the SpGEMM second operand).
+/// the SpGEMM second operand). Inline text moves out of `v` rather than
+/// being copied, so the daemon holds a shipped matrix once.
 fn parse_source(
-    v: &Value,
+    v: &mut Value,
     name_key: &str,
     inline_key: &str,
     scale_key: &str,
     seed_key: &str,
 ) -> Result<Option<MatrixSource>, String> {
-    match (v.get(name_key), v.get(inline_key)) {
+    let inline = take(v, inline_key);
+    match (v.get(name_key), inline) {
         (Some(_), Some(_)) => Err(format!(
             "{name_key} and {inline_key} are mutually exclusive"
         )),
@@ -322,19 +332,17 @@ fn parse_source(
                 .map_err(|_| format!("{scale_key}: out of range"))?,
             gen_seed: get_u64(v, seed_key, 1)?,
         })),
-        (None, Some(mm)) => Ok(Some(MatrixSource::Inline(
-            mm.as_str()
-                .ok_or(format!("{inline_key}: expected a string"))?
-                .into(),
-        ))),
+        (None, Some(Value::Str(mm))) => Ok(Some(MatrixSource::Inline(mm))),
+        (None, Some(_)) => Err(format!("{inline_key}: expected a string")),
         (None, None) => Ok(None),
     }
 }
 
 /// Parses one decompose body (the fields of a `decompose` request minus
 /// the `op`) — shared between `decompose` and the entries of `batch`.
-pub fn parse_decompose_body(v: &Value) -> Result<DecomposeRequest, String> {
-    let source = parse_source(v, "matrix", "matrix_mm", "scale", "gen_seed")?
+/// Consumes the body so inline matrix text moves into the request.
+pub fn parse_decompose_body(mut v: Value) -> Result<DecomposeRequest, String> {
+    let source = parse_source(&mut v, "matrix", "matrix_mm", "scale", "gen_seed")?
         .ok_or("one of matrix / matrix_mm is required")?;
     let workload = match v.get("workload") {
         None => WorkloadKind::Spmv,
@@ -344,11 +352,11 @@ pub fn parse_decompose_body(v: &Value) -> Result<DecomposeRequest, String> {
             other => return Err(format!("workload: unknown workload {other:?}")),
         },
     };
-    let source_b = parse_source(v, "matrix_b", "matrix_b_mm", "b_scale", "b_gen_seed")?;
+    let source_b = parse_source(&mut v, "matrix_b", "matrix_b_mm", "b_scale", "b_gen_seed")?;
     if workload == WorkloadKind::Spmv && source_b.is_some() {
         return Err("matrix_b is only valid with workload \"spgemm\"".into());
     }
-    let k64 = get_u64(v, "k", 0)?;
+    let k64 = get_u64(&v, "k", 0)?;
     if k64 == 0 {
         return Err("k: required, must be >= 1".into());
     }
@@ -372,7 +380,7 @@ pub fn parse_decompose_body(v: &Value) -> Result<DecomposeRequest, String> {
             WorkloadKind::Spgemm => "spgemm-fine-grain",
         })
         .to_string();
-    let runs = get_u64(v, "runs", 1)?.max(1) as usize; // u64 -> usize is lossless on every supported target
+    let runs = get_u64(&v, "runs", 1)?.max(1) as usize; // u64 -> usize is lossless on every supported target
     let budget_ms = v
         .get("budget_ms")
         .map(|n| n.as_u64().ok_or("budget_ms: expected an integer"))
@@ -394,7 +402,7 @@ pub fn parse_decompose_body(v: &Value) -> Result<DecomposeRequest, String> {
         model,
         k,
         epsilon,
-        seed: get_u64(v, "seed", 1)?,
+        seed: get_u64(&v, "seed", 1)?,
         runs,
         budget_ms,
         budget_bytes,
@@ -404,21 +412,18 @@ pub fn parse_decompose_body(v: &Value) -> Result<DecomposeRequest, String> {
 }
 
 /// Parses and validates a request frame. Errors are
-/// [`codes::BAD_REQUEST`] material, safe to echo to the client.
-pub fn parse_request(v: &Value) -> Result<Request, String> {
-    let op = v
-        .get("op")
-        .and_then(Value::as_str)
-        .ok_or("op: expected a string")?;
-    match op {
-        "ping" => Ok(Request::Ping),
-        "stats" => Ok(Request::Stats),
-        "decompose" => Ok(Request::Decompose(Box::new(parse_decompose_body(v)?))),
-        "batch" => {
-            let entries = v
-                .get("requests")
-                .and_then(Value::as_arr)
-                .ok_or("requests: expected an array")?;
+/// [`codes::BAD_REQUEST`] material, safe to echo to the client. The
+/// frame is consumed: what a request keeps of it (inline matrix text)
+/// moves into the request, and the rest is dropped here.
+pub fn parse_request(mut v: Value) -> Result<Request, String> {
+    match v.get("op").and_then(Value::as_str) {
+        Some("ping") => Ok(Request::Ping),
+        Some("stats") => Ok(Request::Stats),
+        Some("decompose") => Ok(Request::Decompose(Box::new(parse_decompose_body(v)?))),
+        Some("batch") => {
+            let Some(Value::Arr(entries)) = take(&mut v, "requests") else {
+                return Err("requests: expected an array".into());
+            };
             if entries.is_empty() {
                 return Err("requests: must not be empty".into());
             }
@@ -429,13 +434,14 @@ pub fn parse_request(v: &Value) -> Result<Request, String> {
                 ));
             }
             entries
-                .iter()
+                .into_iter()
                 .enumerate()
                 .map(|(i, e)| parse_decompose_body(e).map_err(|m| format!("requests[{i}]: {m}")))
                 .collect::<Result<Vec<_>, _>>()
                 .map(Request::Batch)
         }
-        other => Err(format!("op: unknown operation {other:?}")),
+        Some(other) => Err(format!("op: unknown operation {other:?}")),
+        None => Err("op: expected a string".into()),
     }
 }
 
@@ -534,7 +540,7 @@ mod tests {
             ("matrix", Value::Str("bcspwr10".into())),
             ("k", Value::Num(4.0)),
         ]);
-        match parse_request(&v).unwrap() {
+        match parse_request(v).unwrap() {
             Request::Decompose(d) => {
                 assert_eq!(d.k, 4);
                 assert_eq!(d.model, "fine-grain-2d");
@@ -556,16 +562,16 @@ mod tests {
             ("op", Value::Str("decompose".into())),
             ("matrix", Value::Str("x".into())),
         ]);
-        assert!(parse_request(&v).unwrap_err().contains("k"));
+        assert!(parse_request(v).unwrap_err().contains("k"));
         // No matrix at all.
         let v = obj(&[
             ("op", Value::Str("decompose".into())),
             ("k", Value::Num(2.0)),
         ]);
-        assert!(parse_request(&v).is_err());
+        assert!(parse_request(v).is_err());
         // Unknown op.
         let v = obj(&[("op", Value::Str("fly".into()))]);
-        assert!(parse_request(&v).is_err());
+        assert!(parse_request(v).is_err());
     }
 
     #[test]
@@ -581,7 +587,7 @@ mod tests {
             ("b_gen_seed", Value::Num(9.0)),
             ("k", Value::Num(4.0)),
         ]);
-        match parse_request(&v).unwrap() {
+        match parse_request(v).unwrap() {
             Request::Decompose(d) => {
                 assert_eq!(d.workload, WorkloadKind::Spgemm);
                 assert_eq!(d.model, "spgemm-fine-grain");
@@ -603,7 +609,7 @@ mod tests {
             ("workload", Value::Str("spgemm".into())),
             ("k", Value::Num(2.0)),
         ]);
-        match parse_request(&v).unwrap() {
+        match parse_request(v).unwrap() {
             Request::Decompose(d) => assert_eq!(d.source_b, None),
             other => panic!("expected Decompose, got {other:?}"),
         }
@@ -614,7 +620,7 @@ mod tests {
             ("matrix_b", Value::Str("west0479".into())),
             ("k", Value::Num(2.0)),
         ]);
-        assert!(parse_request(&v).unwrap_err().contains("matrix_b"));
+        assert!(parse_request(v).unwrap_err().contains("matrix_b"));
         // Unknown workloads are rejected at parse time.
         let v = obj(&[
             ("op", Value::Str("decompose".into())),
@@ -622,7 +628,7 @@ mod tests {
             ("workload", Value::Str("fft".into())),
             ("k", Value::Num(2.0)),
         ]);
-        assert!(parse_request(&v).unwrap_err().contains("workload"));
+        assert!(parse_request(v).unwrap_err().contains("workload"));
     }
 
     #[test]
@@ -635,7 +641,7 @@ mod tests {
                 Value::Arr(vec![body("bcspwr10"), body("west0479")]),
             ),
         ]);
-        match parse_request(&v).unwrap() {
+        match parse_request(v).unwrap() {
             Request::Batch(reqs) => {
                 assert_eq!(reqs.len(), 2);
                 assert_eq!(reqs[1].workload, WorkloadKind::Spmv);
@@ -647,7 +653,7 @@ mod tests {
             ("op", Value::Str("batch".into())),
             ("requests", Value::Arr(vec![])),
         ]);
-        assert!(parse_request(&v).unwrap_err().contains("empty"));
+        assert!(parse_request(v).unwrap_err().contains("empty"));
         let v = obj(&[
             ("op", Value::Str("batch".into())),
             (
@@ -655,7 +661,7 @@ mod tests {
                 Value::Arr(vec![body("bcspwr10"); MAX_BATCH_REQUESTS + 1]),
             ),
         ]);
-        assert!(parse_request(&v).unwrap_err().contains("cap"));
+        assert!(parse_request(v).unwrap_err().contains("cap"));
         // One bad body poisons the frame, with its index in the error.
         let v = obj(&[
             ("op", Value::Str("batch".into())),
@@ -664,7 +670,54 @@ mod tests {
                 Value::Arr(vec![body("bcspwr10"), obj(&[("k", Value::Num(2.0))])]),
             ),
         ]);
-        assert!(parse_request(&v).unwrap_err().contains("requests[1]"));
+        assert!(parse_request(v).unwrap_err().contains("requests[1]"));
+    }
+
+    #[test]
+    fn inline_matrices_move_out_of_the_frame() {
+        let mm = |n: u32| {
+            Value::Str(format!(
+                "%%MatrixMarket matrix coordinate real general\n{n} {n} 1\n1 1 1.0\n"
+            ))
+        };
+        let body = || {
+            obj(&[
+                ("matrix_mm", mm(2)),
+                ("matrix_b_mm", mm(3)),
+                ("workload", Value::Str("spgemm".into())),
+                ("k", Value::Num(2.0)),
+            ])
+        };
+        let text = |v: &Value, key: &str| v.get(key).and_then(Value::as_str).unwrap().as_ptr();
+        let inline = |s: &MatrixSource| match s {
+            MatrixSource::Inline(mm) => mm.as_ptr(),
+            other => panic!("expected inline text, got {other:?}"),
+        };
+        let mut single = body();
+        if let Value::Obj(m) = &mut single {
+            m.insert("op".into(), Value::Str("decompose".into()));
+        }
+        let frame_text = (text(&single, "matrix_mm"), text(&single, "matrix_b_mm"));
+        match parse_request(single).unwrap() {
+            Request::Decompose(d) => {
+                let b = d.source_b.as_ref().map(inline);
+                assert_eq!((inline(&d.source), b), (frame_text.0, Some(frame_text.1)));
+            }
+            other => panic!("expected Decompose, got {other:?}"),
+        }
+        let batch = obj(&[
+            ("op", Value::Str("batch".into())),
+            ("requests", Value::Arr(vec![body(), body()])),
+        ]);
+        let entries = batch.get("requests").and_then(Value::as_arr).unwrap();
+        let frame_texts: Vec<_> = entries.iter().map(|e| text(e, "matrix_mm")).collect();
+        match parse_request(batch).unwrap() {
+            Request::Batch(reqs) => {
+                let texts: Vec<_> = reqs.iter().map(|r| inline(&r.source)).collect();
+                assert_eq!(texts, frame_texts);
+            }
+            other => panic!("expected Batch, got {other:?}"),
+        }
     }
 
     #[test]
@@ -679,7 +732,7 @@ mod tests {
             .and_then(|rest| rest.split("```").next())
             .expect("the Serving section has a json block");
         let v = parse(block).unwrap_or_else(|e| panic!("README request is not json: {e}"));
-        match parse_request(&v) {
+        match parse_request(v) {
             Ok(Request::Decompose(_)) => {}
             other => panic!("README request rejected: {other:?}"),
         }

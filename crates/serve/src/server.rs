@@ -15,7 +15,9 @@
 //!   checkpoint instead of burning the queue's time on an answer nobody
 //!   will read.
 //! * **worker threads**: [`crate::worker::worker_loop`] — `catch_unwind`
-//!   per job, arena-pool quarantine on panic.
+//!   per job, arena-pool quarantine on panic. Each job runs inside the
+//!   daemon's one fork-join pool, [`ServeConfig::parallelism`] wide, so
+//!   its recursion subtrees fork onto cores no other job is using.
 //! * **supervisor thread**: respawns any worker whose thread died
 //!   outright (a panic that escaped containment), so the pool never
 //!   shrinks.
@@ -39,6 +41,7 @@ use std::time::{Duration, Instant};
 
 use fgh_core::{ArenaPool, Budget, CancelToken, Parallelism};
 use fgh_trace::json::Value;
+use rayon::ThreadPool;
 
 use crate::cache::PlanCache;
 use crate::metrics::{ServeCounters, ServeSnapshot};
@@ -66,8 +69,11 @@ pub struct ServeConfig {
     /// Per-request budget ceiling (every request's budget is
     /// intersected under it).
     pub budget_ceiling: Budget,
-    /// Thread fan-out *inside* each job; the daemon's own concurrency
-    /// comes from `workers`, so per-job parallelism defaults to serial.
+    /// Partitioner threads shared by all jobs: the width of the one
+    /// fork-join pool every worker runs its jobs in. A job forks its
+    /// recursion subtrees onto the slots the other busy workers leave
+    /// free, so `workers` busy workers never run more than
+    /// max(`workers`, width) threads. Width 1 runs every job serially.
     pub parallelism: Parallelism,
     /// Honor `inject` request fields (tests/self-test only).
     pub fault_injection: bool,
@@ -86,7 +92,7 @@ impl ServeConfig {
             cache_bytes: 8 << 20,
             drain: Duration::from_secs(10),
             budget_ceiling: Budget::UNLIMITED,
-            parallelism: Parallelism::Serial,
+            parallelism: Parallelism::Auto,
             fault_injection: false,
             watch_signals: false,
         }
@@ -96,9 +102,10 @@ impl ServeConfig {
 struct Shared {
     queue: Arc<BoundedQueue<Job>>,
     session: Arc<SharedSession>,
-    /// [`ServeConfig::budget_ceiling`] and [`ServeConfig::parallelism`],
-    /// handed to every worker.
-    policy: (Budget, Parallelism),
+    /// [`ServeConfig::budget_ceiling`], handed to every worker.
+    ceiling: Budget,
+    /// The partitioner pool every job runs in; `None` at width 1.
+    threads: Option<ThreadPool>,
     cache: Arc<PlanCache>,
     counters: Arc<ServeCounters>,
     draining: AtomicBool,
@@ -184,6 +191,8 @@ impl ServerHandle {
                 cache_bytes: 0,
                 cache_byte_cap: 0,
                 workers: 0,
+                threads: 0,
+                parallel_forks: 0,
                 drain_clean: false,
                 drained_jobs: 0,
             },
@@ -209,7 +218,8 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: Arc::new(BoundedQueue::new(config.queue_capacity)),
             session: Arc::new(SharedSession::new(Arc::new(ArenaPool::new()))),
-            policy: (config.budget_ceiling, config.parallelism),
+            ceiling: config.budget_ceiling,
+            threads: thread_pool(config.parallelism),
             cache: Arc::new(PlanCache::new(config.cache_bytes)),
             counters: Arc::new(ServeCounters::default()),
             draining: AtomicBool::new(false),
@@ -285,15 +295,37 @@ impl Server {
     }
 }
 
+/// The one fork-join pool all jobs share, as wide as `parallelism`
+/// resolves; `None` at width 1 (or should the pool fail to build), where
+/// jobs run serially.
+fn thread_pool(parallelism: Parallelism) -> Option<ThreadPool> {
+    let width = parallelism.resolved();
+    if width < 2 {
+        return None;
+    }
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(width)
+        .build()
+        .ok()
+}
+
 fn spawn_worker(shared: &Arc<Shared>) -> JoinHandle<()> {
     let queue = Arc::clone(&shared.queue);
     let session = Arc::clone(&shared.session);
-    let policy = shared.policy;
+    let (ceiling, threads) = (shared.ceiling, shared.threads.clone());
     let cache = Arc::clone(&shared.cache);
     let counters = Arc::clone(&shared.counters);
     let fault_injection = shared.fault_injection;
     std::thread::spawn(move || {
-        worker_loop(queue, session, policy, cache, counters, fault_injection)
+        worker_loop(
+            queue,
+            session,
+            ceiling,
+            threads,
+            cache,
+            counters,
+            fault_injection,
+        )
     })
 }
 
@@ -405,6 +437,8 @@ fn snapshot(shared: &Shared, workers: u64, drain_clean: bool) -> ServeSnapshot {
         cache_bytes: bytes,
         cache_byte_cap: shared.cache.byte_cap() as u64,
         workers,
+        threads: pool_width(shared) as u64,
+        parallel_forks: ServeCounters::get(&c.parallel_forks),
         drain_clean,
         // lint: atomic — relaxed: report-only read after workers joined
         drained_jobs: shared.drained_jobs.load(Ordering::Relaxed),
@@ -447,7 +481,20 @@ fn stats_response(shared: &Shared) -> Value {
         "idle_arenas".into(),
         Value::Num(shared.session.idle_arenas() as f64),
     );
+    doc.insert("threads".into(), Value::Num(pool_width(shared) as f64));
+    doc.insert(
+        "parallel_forks".into(),
+        Value::Num(ServeCounters::get(&c.parallel_forks) as f64),
+    );
     Value::Obj(doc)
+}
+
+/// The width of the partitioner pool jobs share (1: serial jobs).
+fn pool_width(shared: &Shared) -> usize {
+    shared
+        .threads
+        .as_ref()
+        .map_or(1, ThreadPool::current_num_threads)
 }
 
 /// Backpressure hint: queued depth × a conservative per-job estimate.
@@ -482,7 +529,9 @@ fn connection_loop(mut stream: Stream, shared: &Arc<Shared>) {
                 return; // a malformed peer gets one typed error, then the door
             }
         };
-        let request = match parse_request(&frame) {
+        // The frame moves into the parser: inline matrix text moves on
+        // into the request, and nothing else of the frame outlives it.
+        let request = match parse_request(frame) {
             Ok(r) => r,
             Err(m) => {
                 ServeCounters::bump(&shared.counters.rejected_bad_request);

@@ -8,7 +8,7 @@
 //! arenas or leave shared warm state suspect, the panic also
 //! *quarantines* the shared [`ArenaPool`]: [`SharedSession`] swaps in a
 //! fresh, empty pool, so no later job ever draws scratch that a dying job
-//! touched. The daemon's budget ceiling and per-job thread policy are
+//! touched. The daemon's budget ceiling and partitioner thread pool are
 //! not part of that swappable state; every job receives them by value
 //! from [`worker_loop`], so a quarantine cannot drop them.
 //!
@@ -30,6 +30,7 @@ use fgh_invariant::{lock_order, OrderedMutex, OrderedMutexGuard};
 use fgh_sparse::io::parse_matrix_market_bytes_any;
 use fgh_sparse::{catalog, AnyCsrMatrix, IndexWidth};
 use fgh_trace::json::Value;
+use rayon::ThreadPool;
 
 use crate::cache::{CachedPlan, PlanCache};
 use crate::metrics::ServeCounters;
@@ -87,9 +88,10 @@ impl SharedSession {
         *self.lock() = Arc::new(ArenaPool::new());
     }
 
-    /// Warm arenas parked in the current pool.
+    /// Warm arenas parked in the current pool. The session lock is
+    /// released before the pool's own, which ranks earlier.
     pub fn idle_arenas(&self) -> usize {
-        self.lock().idle()
+        self.current().idle()
     }
 }
 
@@ -219,9 +221,10 @@ fn apply_injection(fault_injection: bool, req: &DecomposeRequest, cancel: &Cance
 
 /// The config a request runs under: its model, K, ε, seed, runs and
 /// cancel token, its budget clamped under the daemon's budget ceiling,
-/// and the daemon's per-job thread policy (`policy`, from
-/// [`ServeConfig`](crate::server::ServeConfig)). A model name that does
-/// not parse is a `bad-request` response.
+/// and the thread policy `policy` gives: `Threads(width)` inside the
+/// daemon's partitioner pool, so the engine offers forks to that pool,
+/// and `Serial` without one. A model name that does not parse is a
+/// `bad-request` response.
 fn job_config(
     (ceiling, parallelism): (Budget, Parallelism),
     req: &DecomposeRequest,
@@ -248,7 +251,7 @@ fn job_config(
 }
 
 /// Runs one job to a response [`Value`], drawing scratch from `pool`
-/// under the daemon's `policy` (budget ceiling, per-job thread policy).
+/// under `policy` (the daemon's budget ceiling, the job's thread policy).
 /// Never panics on well-behaved engine code; deliberate fault injection
 /// panics are the caller's `catch_unwind` business.
 pub fn execute_job(
@@ -332,8 +335,9 @@ fn fgh_error_response(e: &FghError) -> Value {
     }
 }
 
-/// Counts a fresh outcome's cancellation and degradation.
+/// Counts a fresh outcome's cancellation, degradation and forks.
 fn count_outcome<D, S>(counters: &ServeCounters, out: &Outcome<D, S>) {
+    ServeCounters::add(&counters.parallel_forks, out.engine.parallel_forks);
     if out.engine.cancelled() {
         ServeCounters::bump(&counters.cancelled_jobs);
     }
@@ -547,18 +551,26 @@ pub fn execute_batch(
 
 /// The worker loop: pop, execute under `catch_unwind`, respond, repeat.
 /// Every job draws scratch from the session's current pool and runs
-/// under the daemon's `policy` (budget ceiling, per-job thread policy).
-/// Exits when the queue is closed and empty. On a job panic the response
-/// is a typed `worker-panic` error and the shared pool is quarantined;
-/// the loop itself survives.
+/// under the daemon's budget `ceiling`. With a partitioner pool
+/// (`threads`), each job runs inside it with `Threads(width)`, so its
+/// recursion forks onto the slots the other busy workers leave free; an
+/// idle worker holds no slot. Without one, jobs run serially. Exits when
+/// the queue is closed and empty. On a job panic the response is a typed
+/// `worker-panic` error and the shared pool is quarantined; the loop
+/// itself survives.
 pub fn worker_loop(
     queue: Arc<crate::queue::BoundedQueue<Job>>,
     session: Arc<SharedSession>,
-    policy: (Budget, Parallelism),
+    ceiling: Budget,
+    threads: Option<ThreadPool>,
     cache: Arc<PlanCache>,
     counters: Arc<ServeCounters>,
     fault_injection: bool,
 ) {
+    let parallelism = threads.as_ref().map_or(Parallelism::Serial, |t| {
+        Parallelism::Threads(t.current_num_threads())
+    });
+    let policy = (ceiling, parallelism);
     loop {
         let Some(job) = queue.pop(Duration::from_millis(100)) else {
             if queue.is_closed() {
@@ -567,20 +579,26 @@ pub fn worker_loop(
             continue;
         };
         let pool = session.current();
-        let result = catch_unwind(AssertUnwindSafe(|| match &job.request {
-            JobPayload::Single(req) => execute_job(
-                &pool,
-                policy,
-                &cache,
-                &counters,
-                fault_injection,
-                req,
-                &job.cancel,
-            ),
-            JobPayload::Batch(reqs) => {
-                execute_batch(&pool, policy, &counters, fault_injection, reqs, &job.cancel)
-            }
-        }));
+        let run = || {
+            catch_unwind(AssertUnwindSafe(|| match &job.request {
+                JobPayload::Single(req) => execute_job(
+                    &pool,
+                    policy,
+                    &cache,
+                    &counters,
+                    fault_injection,
+                    req,
+                    &job.cancel,
+                ),
+                JobPayload::Batch(reqs) => {
+                    execute_batch(&pool, policy, &counters, fault_injection, reqs, &job.cancel)
+                }
+            }))
+        };
+        let result = match &threads {
+            Some(t) => t.install(run),
+            None => run(),
+        };
         let response = match result {
             Ok(v) => v,
             Err(_) => {
@@ -1037,7 +1055,7 @@ mod tests {
 
     /// A decompose body as a client sends it, through the protocol parser.
     fn body(json: &str) -> DecomposeRequest {
-        crate::protocol::parse_decompose_body(&fgh_trace::json::parse(json).unwrap()).unwrap()
+        crate::protocol::parse_decompose_body(fgh_trace::json::parse(json).unwrap()).unwrap()
     }
 
     /// The member names of a response object, sorted.
@@ -1190,7 +1208,7 @@ mod tests {
     /// the counters.
     fn run_worker_loop(
         session: &Arc<SharedSession>,
-        policy: (Budget, Parallelism),
+        (ceiling, threads): (Budget, Option<ThreadPool>),
         reqs: Vec<DecomposeRequest>,
     ) -> (Vec<Value>, Arc<ServeCounters>) {
         let queue = Arc::new(crate::queue::BoundedQueue::new(reqs.len()));
@@ -1215,13 +1233,22 @@ mod tests {
         worker_loop(
             queue,
             Arc::clone(session),
-            policy,
+            ceiling,
+            threads,
             cache,
             Arc::clone(&counters),
             true,
         );
         let responses = replies.iter().map(|rx| rx.try_recv().unwrap()).collect();
         (responses, counters)
+    }
+
+    /// A partitioner pool two threads wide, whatever the host's CPUs.
+    fn two_threads() -> ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap()
     }
 
     #[test]
@@ -1232,7 +1259,7 @@ mod tests {
         panics.inject = Some("panic".into());
         let (responses, _) = run_worker_loop(
             &session,
-            (Budget::bytes(1), Parallelism::Serial),
+            (Budget::bytes(1), Some(two_threads())),
             vec![panics, request(2)],
         );
         // The job after the panic still runs under the one-byte ceiling.
@@ -1258,8 +1285,13 @@ mod tests {
         let session = Arc::new(SharedSession::new(Arc::new(ArenaPool::new())));
         let mut panics = request(2);
         panics.inject = Some("panic".into());
-        // A healthy job after the panicking one proves the worker survived.
-        let (responses, counters) = run_worker_loop(&session, POLICY, vec![panics, request(2)]);
+        // A healthy job after the panicking one proves the worker survived,
+        // and its forks prove the panicking job gave its pool slot back.
+        let (responses, counters) = run_worker_loop(
+            &session,
+            (Budget::UNLIMITED, Some(two_threads())),
+            vec![panics, request(8)],
+        );
         assert_eq!(
             responses[0]
                 .get("error")
@@ -1271,5 +1303,6 @@ mod tests {
         );
         assert_eq!(responses[1].get("ok"), Some(&Value::Bool(true)));
         assert_eq!(ServeCounters::get(&counters.worker_panics), 1);
+        assert!(ServeCounters::get(&counters.parallel_forks) > 0);
     }
 }
