@@ -17,11 +17,12 @@ use fgh_core::validate_metrics_value;
 use fgh_trace::json::Value;
 
 use crate::net::Stream;
-use crate::protocol::{codes, read_frame, write_frame, FrameError};
+use crate::protocol::{codes, read_frame, write_frame, Conn, FrameError};
 
-/// A blocking request/response client for the serve protocol.
+/// A blocking request/response client for the serve protocol. Its
+/// frame buffers live as long as the client.
 pub struct ServeClient {
-    stream: Stream,
+    conn: Conn<Stream>,
 }
 
 impl ServeClient {
@@ -40,13 +41,15 @@ impl ServeClient {
         // Decompositions take seconds at most under test budgets; the
         // timeout only bounds a daemon that went silent.
         stream.set_read_timeout(Some(Duration::from_millis(250)))?;
-        Ok(ServeClient { stream })
+        Ok(ServeClient {
+            conn: Conn::new(stream),
+        })
     }
 
     /// Sends one request frame and blocks (up to ~2 minutes) for the
     /// response frame.
     pub fn request(&mut self, v: &Value) -> Result<Value, String> {
-        write_frame(&mut self.stream, v).map_err(|e| format!("write: {e}"))?;
+        write_frame(&mut self.conn, v).map_err(|e| format!("write: {e}"))?;
         self.read_response()
     }
 
@@ -57,7 +60,7 @@ impl ServeClient {
     pub fn read_response(&mut self) -> Result<Value, String> {
         let mut idle = 0u32;
         loop {
-            match read_frame(&mut self.stream) {
+            match read_frame(&mut self.conn) {
                 Ok(v) => return Ok(v),
                 Err(FrameError::Idle) => {
                     idle += 1;
@@ -75,8 +78,8 @@ impl ServeClient {
     /// Writes raw bytes onto the connection — the malformed-frame
     /// injection path.
     pub fn send_raw(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.stream.write_all(bytes)?;
-        self.stream.flush()
+        self.conn.stream.write_all(bytes)?;
+        self.conn.stream.flush()
     }
 
     /// `{"op":"ping"}`.
@@ -456,10 +459,10 @@ fn run_one(
             // nothing — retry until the daemon stays silent (admitted,
             // worker stalling), THEN disconnect mid-job.
             for _ in 0..40 {
-                if write_frame(&mut client.stream, &v).is_err() {
+                if write_frame(&mut client.conn, &v).is_err() {
                     return;
                 }
-                match read_frame(&mut client.stream) {
+                match read_frame(&mut client.conn) {
                     Err(FrameError::Idle) => {
                         report.disconnects_sent += 1;
                         drop(client); // mid-request hangup: the daemon must cancel the job

@@ -12,6 +12,13 @@
 //! earns a typed [`codes::BAD_FRAME`] error response and closes the
 //! connection.
 //!
+//! Each end of a connection is a [`Conn`]: the stream plus two buffers
+//! it keeps for its lifetime. An outgoing frame is serialized in place
+//! into one of them, behind a length placeholder that is patched once
+//! the JSON is written, and leaves in one write; an incoming payload is
+//! read into the other. Neither keeps more than [`FRAME_BUF_RETAIN`]
+//! bytes of capacity between frames.
+//!
 //! # Requests
 //!
 //! ```json
@@ -69,6 +76,12 @@ use fgh_trace::json::{parse, Value};
 /// Hard per-frame payload cap (16 MiB). A length prefix beyond this is
 /// treated as a malformed frame, not an allocation request.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
+
+/// Capacity a [`Conn`]'s frame buffer keeps between frames (1 MiB). A
+/// larger frame grows the buffer for its own duration; the excess is
+/// released once it is parsed or sent, so an idle connection never
+/// holds on to a frame near [`MAX_FRAME_BYTES`].
+pub const FRAME_BUF_RETAIN: usize = 1 << 20;
 
 /// Most decompose bodies one `batch` frame may carry. The batch runs as
 /// a single queued job, so the cap bounds how long one queue slot can be
@@ -149,10 +162,107 @@ fn is_timeout(e: &std::io::Error) -> bool {
 /// started.
 const MAX_MIDFRAME_STALLS: u32 = 600;
 
+/// One end of a connection: the byte stream and the two buffers its
+/// frames pass through, kept for the connection's lifetime.
+pub struct Conn<S> {
+    /// The byte stream.
+    pub stream: S,
+    inbound: Vec<u8>,
+    outbound: Vec<u8>,
+}
+
+impl<S> Conn<S> {
+    /// Wraps a stream; the buffers grow with the first frames.
+    pub fn new(stream: S) -> Conn<S> {
+        Conn {
+            stream,
+            inbound: Vec::new(),
+            outbound: Vec::new(),
+        }
+    }
+
+    /// The capacities the inbound and outbound buffers keep between
+    /// frames, each at most [`FRAME_BUF_RETAIN`].
+    pub fn buffer_capacities(&self) -> (usize, usize) {
+        (self.inbound.capacity(), self.outbound.capacity())
+    }
+}
+
+/// What [`read_frame`] reads from: a [`Conn`], whose inbound buffer
+/// takes the payload, or a bare stream, whose payload takes a buffer
+/// that lasts one frame.
+pub trait FrameSource {
+    /// The byte stream.
+    type Stream: Read;
+    /// The stream, and the buffer to reuse if this end keeps one.
+    fn source(&mut self) -> (&mut Self::Stream, Option<&mut Vec<u8>>);
+}
+
+impl<R: Read> FrameSource for R {
+    type Stream = R;
+    fn source(&mut self) -> (&mut R, Option<&mut Vec<u8>>) {
+        (self, None)
+    }
+}
+
+impl<S: Read> FrameSource for Conn<S> {
+    type Stream = S;
+    fn source(&mut self) -> (&mut S, Option<&mut Vec<u8>>) {
+        (&mut self.stream, Some(&mut self.inbound))
+    }
+}
+
+/// What [`write_frame`] writes to: a [`Conn`], whose outbound buffer
+/// assembles the frame, or a bare stream, whose frame is assembled in a
+/// buffer that lasts one frame.
+pub trait FrameSink {
+    /// The byte stream.
+    type Stream: Write;
+    /// The stream, and the buffer to reuse if this end keeps one.
+    fn sink(&mut self) -> (&mut Self::Stream, Option<&mut Vec<u8>>);
+}
+
+impl<W: Write> FrameSink for W {
+    type Stream = W;
+    fn sink(&mut self) -> (&mut W, Option<&mut Vec<u8>>) {
+        (self, None)
+    }
+}
+
+impl<S: Write> FrameSink for Conn<S> {
+    type Stream = S;
+    fn sink(&mut self) -> (&mut S, Option<&mut Vec<u8>>) {
+        (&mut self.stream, Some(&mut self.outbound))
+    }
+}
+
+/// Releases a frame buffer's capacity above [`FRAME_BUF_RETAIN`].
+fn release_excess(buf: &mut Vec<u8>) {
+    if buf.capacity() > FRAME_BUF_RETAIN {
+        buf.clear();
+        buf.shrink_to(FRAME_BUF_RETAIN);
+    }
+}
+
 /// Reads one length-prefixed JSON frame. [`FrameError::Closed`] only at
 /// a clean frame boundary; EOF mid-frame is [`FrameError::Malformed`];
 /// a read timeout before the first byte is [`FrameError::Idle`].
-pub fn read_frame(r: &mut impl Read) -> Result<Value, FrameError> {
+pub fn read_frame(r: &mut impl FrameSource) -> Result<Value, FrameError> {
+    let (stream, kept) = r.source();
+    let mut one_frame = Vec::new();
+    let payload = kept.unwrap_or(&mut one_frame);
+    let frame = read_payload(stream, payload).and_then(|()| {
+        let text = std::str::from_utf8(payload)
+            .map_err(|e| FrameError::Malformed(format!("payload is not utf-8: {e}")))?;
+        parse(text).map_err(|e| FrameError::Malformed(format!("payload is not json: {e}")))
+    });
+    release_excess(payload);
+    frame
+}
+
+/// Reads one frame's length prefix, then exactly that many payload
+/// bytes into `payload`, replacing what it held.
+fn read_payload(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<(), FrameError> {
     let mut stalls = 0u32;
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
@@ -178,7 +288,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Value, FrameError> {
             "frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"
         )));
     }
-    let mut payload = vec![0u8; len];
+    payload.clear();
+    payload.resize(len, 0);
     let mut got = 0;
     while got < len {
         match r.read(&mut payload[got..]) {
@@ -194,22 +305,36 @@ pub fn read_frame(r: &mut impl Read) -> Result<Value, FrameError> {
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    let text = std::str::from_utf8(&payload)
-        .map_err(|e| FrameError::Malformed(format!("payload is not utf-8: {e}")))?;
-    parse(text).map_err(|e| FrameError::Malformed(format!("payload is not json: {e}")))
+    Ok(())
 }
+
+/// Placeholder for the length prefix while the payload is serialized
+/// behind it.
+const LEN_PLACEHOLDER: &str = "\0\0\0\0";
 
 /// Writes one length-prefixed JSON frame in a single write. Sent as two
 /// writes on a TCP stream, the payload would wait behind the length
 /// prefix for the peer's delayed ACK (Nagle's algorithm), about 40 ms.
-pub fn write_frame(w: &mut impl Write, v: &Value) -> std::io::Result<()> {
-    let text = v.to_json();
-    let len = text.len().min(u32::MAX as usize) as u32; // lint: checked-cast — min-clamped
-    let mut frame = Vec::with_capacity(4 + text.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(text.as_bytes());
-    w.write_all(&frame)?;
-    w.flush()
+/// The JSON is serialized in place behind a length placeholder, which
+/// is patched once its length is known.
+pub fn write_frame(w: &mut impl FrameSink, v: &Value) -> std::io::Result<()> {
+    let (stream, kept) = w.sink();
+    let mut one_frame = Vec::new();
+    let buf = kept.unwrap_or(&mut one_frame);
+    buf.clear();
+    // An empty buffer is valid UTF-8: it becomes a `String` without a
+    // copy or a scan, and keeps its capacity.
+    let mut text = String::from_utf8(std::mem::take(buf)).unwrap_or_default();
+    text.push_str(LEN_PLACEHOLDER);
+    v.write_json(&mut text);
+    let mut frame = text.into_bytes();
+    let payload = frame.len() - LEN_PLACEHOLDER.len();
+    let len = payload.min(u32::MAX as usize) as u32; // lint: checked-cast — min-clamped
+    frame[..LEN_PLACEHOLDER.len()].copy_from_slice(&len.to_le_bytes());
+    let sent = stream.write_all(&frame).and_then(|()| stream.flush());
+    *buf = frame;
+    release_excess(buf);
+    sent
 }
 
 /// Builds a typed failure response: `{"ok": false, "error": {...}}`.
@@ -498,6 +623,67 @@ mod tests {
             assert_eq!(w.writes, 1, "one write per frame");
             assert_eq!(read_frame(&mut Cursor::new(w.bytes)).unwrap(), v);
         }
+    }
+
+    #[test]
+    fn conn_frames_are_the_length_then_to_json_in_one_write() {
+        let inline = obj(&[
+            ("op", Value::Str("decompose".into())),
+            (
+                "matrix_mm",
+                Value::Str("%%MatrixMarket\n2 2 1\n1 1 1.5\n".repeat(5000)),
+            ),
+            ("k", Value::Num(64.0)),
+        ]);
+        let mut conn = Conn::new(CountingWriter::default());
+        for (i, v) in [
+            obj(&[("op", Value::Str("ping".into()))]),
+            inline.clone(),
+            obj(&[("op", Value::Str("stats".into()))]),
+            error_response(codes::BAD_FRAME, "tab\there \"quoted\" \u{1}", None),
+            Value::Arr(vec![
+                inline,
+                Value::Num(-0.5),
+                Value::Null,
+                Value::Bool(true),
+            ]),
+            obj(&[]),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let before = conn.stream.bytes.len();
+            write_frame(&mut conn, v).unwrap();
+            assert_eq!(conn.stream.writes, i + 1, "one write per frame");
+            let text = v.to_json();
+            let mut want = (text.len() as u32).to_le_bytes().to_vec();
+            want.extend_from_slice(text.as_bytes());
+            assert_eq!(&conn.stream.bytes[before..], &want[..], "frame {i}");
+        }
+    }
+
+    #[test]
+    fn conn_reads_each_frame_whole_and_keeps_at_most_the_cap() {
+        let long = obj(&[("pad", Value::Str("y".repeat(200_000)))]);
+        let short = obj(&[("op", Value::Str("ping".into()))]);
+        let oversized = obj(&[("pad", Value::Str("z".repeat(FRAME_BUF_RETAIN + 1)))]);
+        let frames = [long, short.clone(), oversized, short];
+        let mut wire = Vec::new();
+        for v in &frames {
+            write_frame(&mut wire, v).unwrap();
+        }
+        let mut conn = Conn::new(Cursor::new(wire));
+        for (i, want) in frames.iter().enumerate() {
+            // The short frames follow longer ones: they must parse their
+            // own bytes only, not what the longer frame left behind.
+            assert_eq!(&read_frame(&mut conn).unwrap(), want, "frame {i}");
+            let (inbound, _) = conn.buffer_capacities();
+            assert!(inbound <= FRAME_BUF_RETAIN, "frame {i}: {inbound}");
+            if i == 1 {
+                assert!(inbound >= 200_000, "the long frame's buffer is reused");
+            }
+        }
+        assert!(matches!(read_frame(&mut conn), Err(FrameError::Closed)));
     }
 
     #[test]

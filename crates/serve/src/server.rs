@@ -47,7 +47,7 @@ use crate::cache::PlanCache;
 use crate::metrics::{ServeCounters, ServeSnapshot};
 use crate::net::{Listen, Listener, Probe, Stream};
 use crate::protocol::{
-    codes, error_response, parse_request, read_frame, write_frame, FrameError, Request,
+    codes, error_response, parse_request, read_frame, write_frame, Conn, FrameError, Request,
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::worker::{worker_loop, Job, JobPayload, SharedSession};
@@ -502,7 +502,7 @@ fn retry_after_ms(depth: usize) -> u64 {
     (depth as u64).saturating_mul(50).clamp(50, 5_000)
 }
 
-fn connection_loop(mut stream: Stream, shared: &Arc<Shared>) {
+fn connection_loop(stream: Stream, shared: &Arc<Shared>) {
     // Frame reads poll at 100ms so the loop can notice draining and
     // client death promptly.
     if stream
@@ -511,8 +511,10 @@ fn connection_loop(mut stream: Stream, shared: &Arc<Shared>) {
     {
         return;
     }
+    // The connection's frame buffers live as long as it does.
+    let mut conn = Conn::new(stream);
     loop {
-        let frame = match read_frame(&mut stream) {
+        let frame = match read_frame(&mut conn) {
             Ok(v) => v,
             Err(FrameError::Idle) => {
                 // lint: atomic — relaxed: drain poll; one extra request is harmless
@@ -525,7 +527,7 @@ fn connection_loop(mut stream: Stream, shared: &Arc<Shared>) {
             Err(FrameError::Io(_)) => return,
             Err(FrameError::Malformed(m)) => {
                 ServeCounters::bump(&shared.counters.rejected_bad_frame);
-                let _ = write_frame(&mut stream, &error_response(codes::BAD_FRAME, &m, None));
+                let _ = write_frame(&mut conn, &error_response(codes::BAD_FRAME, &m, None));
                 return; // a malformed peer gets one typed error, then the door
             }
         };
@@ -535,7 +537,7 @@ fn connection_loop(mut stream: Stream, shared: &Arc<Shared>) {
             Ok(r) => r,
             Err(m) => {
                 ServeCounters::bump(&shared.counters.rejected_bad_request);
-                let _ = write_frame(&mut stream, &error_response(codes::BAD_REQUEST, &m, None));
+                let _ = write_frame(&mut conn, &error_response(codes::BAD_REQUEST, &m, None));
                 continue;
             }
         };
@@ -544,12 +546,12 @@ fn connection_loop(mut stream: Stream, shared: &Arc<Shared>) {
                 let mut doc = BTreeMap::new();
                 doc.insert("ok".into(), Value::Bool(true));
                 doc.insert("op".into(), Value::Str("ping".into()));
-                if write_frame(&mut stream, &Value::Obj(doc)).is_err() {
+                if write_frame(&mut conn, &Value::Obj(doc)).is_err() {
                     return;
                 }
             }
             Request::Stats => {
-                if write_frame(&mut stream, &stats_response(shared)).is_err() {
+                if write_frame(&mut conn, &stats_response(shared)).is_err() {
                     return;
                 }
             }
@@ -558,7 +560,7 @@ fn connection_loop(mut stream: Stream, shared: &Arc<Shared>) {
                 if shared.draining.load(Ordering::Relaxed) {
                     ServeCounters::bump(&shared.counters.rejected_shutting_down);
                     let _ = write_frame(
-                        &mut stream,
+                        &mut conn,
                         &error_response(
                             codes::SHUTTING_DOWN,
                             "daemon is draining; no new work admitted",
@@ -585,7 +587,7 @@ fn connection_loop(mut stream: Stream, shared: &Arc<Shared>) {
                     Err(PushError::Full { depth }) => {
                         ServeCounters::bump(&shared.counters.rejected_overloaded);
                         let _ = write_frame(
-                            &mut stream,
+                            &mut conn,
                             &error_response(
                                 codes::OVERLOADED,
                                 &format!("job queue full ({depth} waiting)"),
@@ -597,7 +599,7 @@ fn connection_loop(mut stream: Stream, shared: &Arc<Shared>) {
                     Err(PushError::Closed) => {
                         ServeCounters::bump(&shared.counters.rejected_shutting_down);
                         let _ = write_frame(
-                            &mut stream,
+                            &mut conn,
                             &error_response(codes::SHUTTING_DOWN, "daemon is draining", None),
                         );
                         continue;
@@ -611,7 +613,7 @@ fn connection_loop(mut stream: Stream, shared: &Arc<Shared>) {
                 let response = loop {
                     match rx.recv_timeout(Duration::from_millis(25)) {
                         Ok(v) => break Some(v),
-                        Err(RecvTimeoutError::Timeout) => match stream.probe_liveness() {
+                        Err(RecvTimeoutError::Timeout) => match conn.stream.probe_liveness() {
                             Probe::Alive => continue,
                             Probe::Disconnected | Probe::UnexpectedData => {
                                 cancel.cancel();
@@ -633,7 +635,7 @@ fn connection_loop(mut stream: Stream, shared: &Arc<Shared>) {
                 shared.unregister(registration);
                 match response {
                     Some(v) => {
-                        if write_frame(&mut stream, &v).is_err() {
+                        if write_frame(&mut conn, &v).is_err() {
                             return;
                         }
                     }

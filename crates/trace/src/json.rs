@@ -89,11 +89,13 @@ impl Value {
     /// documents this crate emits).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write_to(&mut out);
+        self.write_json(&mut out);
         out
     }
 
-    fn write_to(&self, out: &mut String) {
+    /// Appends the compact JSON form to `out`: [`Value::to_json`] into a
+    /// buffer the caller keeps.
+    pub fn write_json(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -105,7 +107,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write_to(out);
+                    item.write_json(out);
                 }
                 out.push(']');
             }
@@ -117,7 +119,7 @@ impl Value {
                     }
                     write_escaped(k, out);
                     out.push(':');
-                    v.write_to(out);
+                    v.write_json(out);
                 }
                 out.push('}');
             }
@@ -127,15 +129,53 @@ impl Value {
 
 /// Writes a number: f64-exact integers print without a fraction so they
 /// survive [`Value::as_u64`] round trips; non-finite values (which JSON
-/// cannot represent) degrade to `null`.
+/// cannot represent) degrade to `null`. Both forms format straight into
+/// `out`; writing to a `String` cannot fail.
 fn write_number(n: f64, out: &mut String) {
+    use std::fmt::Write;
     if !n.is_finite() {
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 {
-        out.push_str(&(n as i64).to_string());
+        let _ = write!(out, "{}", n as i64);
     } else {
-        out.push_str(&n.to_string());
+        let _ = write!(out, "{n}");
     }
+}
+
+/// Every byte of a word set to `b`.
+const fn lanes(b: u8) -> u64 {
+    u64::from_ne_bytes([b; 8])
+}
+
+/// The offset of the first byte at or after `from` that a JSON string
+/// cannot carry as is — a quote, a backslash or a control byte below
+/// 0x20 — or `bytes.len()` if there is none. It tests eight bytes per
+/// step: in each lane, `lane - c` borrows into the lane's high bit
+/// exactly when the lane is below `c`, so a lane below 0x20, or one
+/// equal to a quote or backslash once XORed to zero, sets that bit.
+/// `& !w` drops lanes at or above 0x80, which is every byte of a
+/// multibyte UTF-8 scalar. A borrow only crosses into a higher lane out
+/// of a lane that was itself flagged, so the lowest flagged lane is
+/// exact.
+fn next_special(bytes: &[u8], from: usize) -> usize {
+    let rest = bytes.get(from..).unwrap_or_default();
+    let (words, tail) = rest.as_chunks::<8>();
+    for (n, word) in words.iter().enumerate() {
+        let w = u64::from_le_bytes(*word);
+        let hits = (w.wrapping_sub(lanes(0x20))
+            | (w ^ lanes(b'"')).wrapping_sub(lanes(1))
+            | (w ^ lanes(b'\\')).wrapping_sub(lanes(1)))
+            & !w
+            & lanes(0x80);
+        if hits != 0 {
+            // Little-endian: the lowest lane is the earliest byte.
+            return from + 8 * n + hits.trailing_zeros() as usize / 8;
+        }
+    }
+    let scanned = from + 8 * words.len();
+    tail.iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
+        .map_or(bytes.len(), |i| scanned + i)
 }
 
 /// Appends `s` to `out` as a JSON string literal (quotes included).
@@ -143,14 +183,14 @@ fn write_number(n: f64, out: &mut String) {
 /// start and end on char boundaries and are copied whole.
 fn write_escaped(s: &str, out: &mut String) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
     out.reserve(s.len() + 2);
     out.push('"');
     let mut plain = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
+    loop {
+        let i = next_special(bytes, plain);
         out.push_str(&s[plain..i]);
+        let Some(&b) = bytes.get(i) else { break };
         plain = i + 1;
         match b {
             b'"' => out.push_str("\\\""),
@@ -165,7 +205,6 @@ fn write_escaped(s: &str, out: &mut String) {
             }
         }
     }
-    out.push_str(&s[plain..]);
     out.push('"');
 }
 
@@ -313,9 +352,7 @@ impl Parser<'_> {
             let start = self.pos;
             // Fast path: a run of plain bytes. It ends at an ASCII byte
             // or the end of input, so it slices on char boundaries.
-            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
-                self.pos += 1;
-            }
+            self.pos = next_special(self.bytes, start);
             out.push_str(&self.text[start..self.pos]);
             match self.bump() {
                 Some(b'"') => return Ok(out),
