@@ -40,20 +40,6 @@ fn variants() -> Vec<Variant> {
             },
         },
         Variant {
-            name: "1 V-cycle",
-            cfg: |s| PartitionConfig {
-                vcycles: 1,
-                ..base(s)
-            },
-        },
-        Variant {
-            name: "3 V-cycles",
-            cfg: |s| PartitionConfig {
-                vcycles: 3,
-                ..base(s)
-            },
-        },
-        Variant {
             name: "no k-way refine post-pass",
             cfg: |s| PartitionConfig {
                 kway_refine: false,

@@ -15,7 +15,7 @@
 //! that fit 32-bit ids, `CsrGraph<u64>` beyond that.
 //!
 //! Hypergraph-only [`PartitionConfig`] fields (`net_splitting`,
-//! `kway_refine`, `vcycles`) are ignored for graphs.
+//! `kway_refine`) are ignored for graphs.
 
 use std::sync::Arc;
 
@@ -245,7 +245,7 @@ impl<I: ArenaIndex> Substrate for CsrGraph<I> {
 
 /// Partitions `g` into `k` parts by multilevel recursive bisection on the
 /// unified engine. Graph runs ignore the hypergraph-only config fields
-/// (`net_splitting`, `kway_refine`, `vcycles`).
+/// (`net_splitting`, `kway_refine`).
 pub fn partition_graph<I: ArenaIndex>(
     g: &CsrGraph<I>,
     k: u32,

@@ -34,14 +34,12 @@ pub mod lock_order {
     pub const JOB_QUEUE: u16 = 1;
     /// `fgh-serve`'s LRU plan cache.
     pub const PLAN_CACHE: u16 = 2;
-    /// `fgh-serve`'s `SharedSession`: the arena pool its workers share.
-    pub const SESSION_STATE: u16 = 3;
     /// `fgh-serve`'s in-flight cancellation-token table.
-    pub const IN_FLIGHT_TABLE: u16 = 4;
+    pub const IN_FLIGHT_TABLE: u16 = 3;
     /// `fgh-serve`'s worker join-handle list.
-    pub const WORKER_HANDLES: u16 = 5;
+    pub const WORKER_HANDLES: u16 = 4;
     /// `fgh-trace`'s collecting-sink span/counter buffers.
-    pub const TRACE_SINK: u16 = 6;
+    pub const TRACE_SINK: u16 = 5;
 }
 
 #[cfg(feature = "paranoid")]

@@ -18,7 +18,7 @@ use fgh_sparse::IndexType;
 use std::num::NonZeroUsize;
 use std::sync::{OnceLock, PoisonError};
 
-use fgh_invariant::{lock_order, OrderedMutex};
+use fgh_invariant::{lock_order, OrderedMutex, OrderedMutexGuard};
 
 /// How many buffers of each kind the pool retains. Recursion depth bounds
 /// live buffers, so a small cap is enough; it exists only to keep a
@@ -205,9 +205,9 @@ impl ArenaIndex for u64 {
 
 /// A thread-safe pool of [`LevelArena`]s for parallel runs.
 ///
-/// Each concurrency domain (a forked bisection subtree, a seed of a
-/// multi-seed fan-out) checks out a whole arena, works on it without any
-/// synchronization, and checks it back in when done. The mutex is touched
+/// Each bisection subtree that runs on another thread, and each seed of
+/// a multi-seed fan-out, checks out a whole arena, works on it without
+/// any synchronization, and checks it back in when done. The mutex is touched
 /// only at fork/join boundaries — never inside the multilevel hot loops —
 /// so contention is bounded by the number of forks, not the number of
 /// levels.
@@ -225,12 +225,12 @@ impl Default for ArenaPool {
 }
 
 /// Cap on idle arenas: one per CPU the process may use, read once.
-/// Offered forks are not bounded by the thread count: each one checks an
-/// arena out whether or not its branch runs on another thread, and a
-/// joiner waiting on its fork keeps its own, so one K-way run can park
-/// more arenas than it ever works on at once. A daemon's pool outlives
-/// every job, and each arena kept past this cap would grow to root size
-/// one job at a time.
+/// Only a recursion branch that runs on another thread checks an arena
+/// out; an inline branch works on its caller's. A joiner waiting on its
+/// fork keeps its own arena while it lends its thread's slot, though, so
+/// concurrent jobs and lent slots can still check out more arenas than
+/// there are CPUs. A daemon's pool outlives every job, and each arena
+/// kept past this cap would grow to root size one job at a time.
 fn arena_pool_cap() -> usize {
     static CAP: OnceLock<usize> = OnceLock::new();
     *CAP.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
@@ -242,31 +242,37 @@ impl ArenaPool {
         ArenaPool::default()
     }
 
+    /// The idle arenas, locked. A thread that panicked holding the lock
+    /// left the stack itself intact, so poisoning is ignored.
+    fn idle_arenas(&self) -> OrderedMutexGuard<'_, Vec<LevelArena>> {
+        self.arenas.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Takes an arena out of the pool, creating an empty one when the pool
     /// is empty.
     pub fn checkout(&self) -> LevelArena {
-        self.arenas
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default()
+        self.idle_arenas().pop().unwrap_or_default()
     }
 
     /// Returns an arena to the pool so its buffers survive for the next
     /// checkout; past the cap of one idle arena per CPU it is dropped.
     pub fn checkin(&self, arena: LevelArena) {
-        let mut arenas = self.arenas.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut arenas = self.idle_arenas();
         if arenas.len() < arena_pool_cap() {
             arenas.push(arena);
         }
     }
 
+    /// Drops every idle arena. A service quarantines its pool this way
+    /// after a job panicked, so no later job draws the buffers that job
+    /// checked in while unwinding.
+    pub fn clear(&self) {
+        self.idle_arenas().clear();
+    }
+
     /// Number of idle arenas currently held.
     pub fn idle(&self) -> usize {
-        self.arenas
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.idle_arenas().len()
     }
 }
 

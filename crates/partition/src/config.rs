@@ -100,9 +100,11 @@ impl Budget {
 /// change wall-clock time.
 ///
 /// One budget caveat: `Budget::max_fm_passes` is a *global* pass counter
-/// in serial runs but is accounted per concurrency domain (per forked
-/// subtree / per seed) in parallel runs, so a run limited by that knob may
-/// do more total FM work under `Threads(n)` than under `Serial`. The
+/// in serial runs but is accounted per concurrency domain (per subtree a
+/// join offers to another thread, whether it forks or runs inline, and
+/// per seed) in parallel runs, so a run limited by that knob may do more
+/// total FM work under `Threads(n)` than under `Serial`, though the same
+/// work whatever the pool's width. The
 /// wall-clock budget is shared across all threads of a run either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
@@ -209,11 +211,6 @@ pub struct PartitionConfig {
     /// Run a direct K-way greedy refinement pass over the assembled
     /// partition after recursive bisection (extension over the paper).
     pub kway_refine: bool,
-    /// V-cycles (iterated multilevel K-way refinement) after recursive
-    /// bisection: 0 disables. Each cycle re-coarsens respecting the
-    /// partition and refines at every level — recovers cluster-granular
-    /// moves flat refinement cannot see.
-    pub vcycles: usize,
     /// Resource budget (wall clock / FM passes / levels); unlimited by
     /// default. See [`Budget`].
     pub budget: Budget,
@@ -251,7 +248,6 @@ impl Default for PartitionConfig {
             initial_tries: 8,
             fm_passes: 4,
             kway_refine: true,
-            vcycles: 0,
             budget: Budget::UNLIMITED,
             parallelism: Parallelism::Serial,
             cancel: None,

@@ -188,10 +188,10 @@ fn node_seed(seed: u64, part_lo: u32, k: u32) -> u64 {
 /// [`Substrate`].
 ///
 /// Under [`crate::Parallelism::Threads`] / `Auto`, recursive-bisection
-/// subtrees fork onto a bounded rayon pool; each fork checks a whole
-/// [`LevelArena`] out of a shared [`ArenaPool`] so the multilevel hot
-/// loops stay synchronization-free. On drop the driver returns its arena
-/// to that pool.
+/// subtrees fork onto a bounded rayon pool; each one that runs on another
+/// thread checks a whole [`LevelArena`] out of a shared [`ArenaPool`] so
+/// the hot loops stay synchronization-free. On drop the driver returns
+/// its arena to that pool.
 #[derive(Debug)]
 pub struct MultilevelDriver {
     cfg: PartitionConfig,
@@ -261,18 +261,22 @@ impl MultilevelDriver {
         }
     }
 
-    /// A worker for one forked recursion branch: same config, shared
-    /// budget deadline and arena pool, fresh stats (merged back at the
-    /// join).
-    fn fork(&self) -> MultilevelDriver {
-        MultilevelDriver {
-            cfg: self.cfg.clone(),
-            arena: self.pool.checkout(),
-            pool: Arc::clone(&self.pool),
-            threads: self.threads,
+    /// Builds the worker for one forked recursion branch: same config,
+    /// shared budget deadline and arena pool, fresh stats (merged back at
+    /// the join), recording under `span`. The branch calls the builder on
+    /// the thread it runs on, so only a branch that really forked checks
+    /// an arena out.
+    fn fork(&self) -> impl FnOnce(SpanHandle) -> MultilevelDriver + Send {
+        let (cfg, pool) = (self.cfg.clone(), Arc::clone(&self.pool));
+        let (threads, deadline) = (self.threads, self.deadline.clone());
+        move |span| MultilevelDriver {
+            cfg,
+            arena: pool.checkout(),
+            pool,
+            threads,
             stats: EngineStats::default(),
-            deadline: self.deadline.clone(),
-            span: self.span.clone(),
+            deadline,
+            span,
         }
     }
 
@@ -694,55 +698,53 @@ impl MultilevelDriver {
         S::Ix::give_ids(&mut self.arena, ids);
 
         // Offer a fork only when both halves carry further bisection work
-        // and a pool is installed; the right branch runs on a worker
-        // whose stats merge back at the join. A trivial (k == 1) half is
-        // a leaf push — never worth a fork.
+        // and a pool is installed; the right half, parts `lo1..`, is its
+        // own concurrency domain, whose stats merge back at the join. A
+        // trivial (k == 1) half is a leaf push — never worth a fork.
+        let lo1 = part_lo + k0;
         if k0 > 1 && k1 > 1 && self.threads > 1 && rayon::current_thread_index().is_some() {
-            let mut worker = self.fork();
-            // The forked branch records under a `domain[first-part]` child
-            // span whose guard rides into the closure, so its subtree
-            // stitches deterministically under this driver's scope.
-            let dspan = self.trace_child("domain", Some((part_lo + k0) as u64));
-            worker.span = dspan.handle();
-            // The pool runs the right branch inline when no slot is free;
-            // only a branch that ran on another thread counts as a fork.
+            // The right half records under a `domain[lo1]` child span, so
+            // its subtree stitches deterministically under this driver's
+            // scope wherever it runs.
+            let dspan = self.trace_child("domain", Some(lo1 as u64));
+            let (fork, child1) = (self.fork(), &child1);
             let caller = std::thread::current().id();
-            let ((), (mut right_leaves, right_cut, worker, forked)) = rayon::join(
+            let ((), right) = rayon::join(
                 || self.recurse(&child0, ids0, coords, k0, part_lo, eps, leaves, cut_sum),
                 move || {
-                    let forked = std::thread::current().id() != caller;
+                    // On the caller's thread (no thread was free): hand the
+                    // branch back, to run on the caller's driver below.
+                    if std::thread::current().id() == caller {
+                        return Err((ids1, dspan));
+                    }
+                    let mut worker = fork(dspan.handle());
                     let _domain = dspan;
-                    let mut right_leaves = Vec::new();
-                    let mut right_cut = 0u64;
-                    worker.recurse(
-                        &child1,
-                        ids1,
-                        coords,
-                        k1,
-                        part_lo + k0,
-                        eps,
-                        &mut right_leaves,
-                        &mut right_cut,
-                    );
-                    (right_leaves, right_cut, worker, forked)
+                    let (mut leaves1, mut cut1) = (Vec::new(), 0u64);
+                    worker.recurse(child1, ids1, coords, k1, lo1, eps, &mut leaves1, &mut cut1);
+                    Ok((leaves1, cut1, worker.stats))
                 },
             );
-            self.stats.parallel_forks += u64::from(forked);
-            self.stats.merge(&worker.stats);
-            leaves.append(&mut right_leaves);
-            *cut_sum += right_cut;
+            match right {
+                Ok((mut leaves1, cut1, stats)) => {
+                    self.stats.parallel_forks += 1;
+                    self.stats.merge(&stats);
+                    leaves.append(&mut leaves1);
+                    *cut_sum += cut1;
+                }
+                Err((ids1, dspan)) => {
+                    // As a forked worker would: under the domain span, from
+                    // fresh stats (FM-pass budgets count per domain).
+                    let scope = std::mem::replace(&mut self.span, dspan.handle());
+                    let outer = std::mem::take(&mut self.stats);
+                    self.recurse(child1, ids1, coords, k1, lo1, eps, leaves, cut_sum);
+                    let branch = std::mem::replace(&mut self.stats, outer);
+                    self.stats.merge(&branch);
+                    self.span = scope;
+                }
+            }
         } else {
             self.recurse(&child0, ids0, coords, k0, part_lo, eps, leaves, cut_sum);
-            self.recurse(
-                &child1,
-                ids1,
-                coords,
-                k1,
-                part_lo + k0,
-                eps,
-                leaves,
-                cut_sum,
-            );
+            self.recurse(&child1, ids1, coords, k1, lo1, eps, leaves, cut_sum);
         }
     }
 }
@@ -1244,7 +1246,6 @@ mod tests {
         for k in [2u32, 4, 8] {
             let cfg = PartitionConfig {
                 kway_refine: false,
-                vcycles: 0,
                 net_splitting: true,
                 ..PartitionConfig::with_seed(k as u64)
             };

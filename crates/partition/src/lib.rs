@@ -65,7 +65,6 @@ pub mod level;
 pub mod parallel;
 pub mod recursive;
 pub mod refine;
-pub mod vcycle;
 
 pub use arena::{ArenaIndex, ArenaPool, ArenaStats, LevelArena};
 pub use cancel::CancelToken;

@@ -3,8 +3,8 @@
 //!
 //! The recursion itself lives in
 //! [`MultilevelDriver::partition_recursive`]; this module adds the
-//! hypergraph-specific validation, the K-way greedy / V-cycle
-//! post-refinement, and the metric bookkeeping of [`PartitionResult`].
+//! hypergraph-specific validation, the K-way greedy post-refinement,
+//! and the metric bookkeeping of [`PartitionResult`].
 //!
 //! Every entry point is generic over the hypergraph's index width `I`
 //! (`u32` by default, `u64` for instances whose pin counts overflow
@@ -103,17 +103,12 @@ pub fn partition_hypergraph_with<I: ArenaIndex>(
     // post-refinement below (partition_recursive arms only if unarmed).
     let armed_here = driver.arm_budget();
     let outcome = driver.partition_recursive(hg, k);
-    let cfg = driver.cfg().clone();
+    let cfg = driver.cfg();
 
     let mut partition = Partition::new(k, outcome.parts).map_err(PartitionError::from)?;
-    if (cfg.kway_refine || cfg.vcycles > 0) && k > 2 && !driver.interrupted() {
-        if cfg.kway_refine {
-            let mut rng = SmallRng::seed_from_u64(cfg.seed.wrapping_add(0x9e3779b97f4a7c15));
-            kway_refine(hg, &mut partition, cfg.epsilon, 2, &mut rng)?;
-        }
-        if cfg.vcycles > 0 && !driver.interrupted() {
-            crate::vcycle::vcycle_refine(hg, &mut partition, &cfg, cfg.vcycles)?;
-        }
+    if cfg.kway_refine && k > 2 && !driver.interrupted() {
+        let mut rng = SmallRng::seed_from_u64(cfg.seed.wrapping_add(0x9e3779b97f4a7c15));
+        kway_refine(hg, &mut partition, cfg.epsilon, 2, &mut rng)?;
     }
     if armed_here {
         driver.disarm_budget();
@@ -257,17 +252,14 @@ mod tests {
 
     #[test]
     fn wide_partition_matches_narrow_end_to_end() {
-        // The full pipeline (RB + K-way + V-cycle post-refinement) must be
+        // The full pipeline (RB + K-way post-refinement) must be
         // bit-identical across index widths for the same seed.
         let hg = random_hypergraph(350, 520, 6, 21);
         let nets: Vec<Vec<u64>> = (0..hg.num_nets())
             .map(|n| hg.pins(n).iter().map(|&p| p as u64).collect())
             .collect();
         let hg64 = Hypergraph::<u64>::from_nets(350u64, &nets).unwrap();
-        let cfg = PartitionConfig {
-            vcycles: 1,
-            ..PartitionConfig::with_seed(21)
-        };
+        let cfg = PartitionConfig::with_seed(21);
         let r32 = partition_hypergraph(&hg, 6, &cfg).unwrap();
         let r64 = partition_hypergraph(&hg64, 6, &cfg).unwrap();
         assert_eq!(r32.partition.parts(), r64.partition.parts());

@@ -261,7 +261,6 @@ fn ken11_k64_matches_oracle() {
     let nv = hg.num_vertices();
     let cfg = PartitionConfig {
         kway_refine: false,
-        vcycles: 0,
         ..PartitionConfig::with_seed(1)
     };
     let rb = MultilevelDriver::new(cfg.clone()).partition_recursive(&hg, 64);

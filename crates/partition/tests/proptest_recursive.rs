@@ -29,7 +29,6 @@ proptest! {
         for k in [2u32, 4, 8] {
             let cfg = PartitionConfig {
                 kway_refine: false,
-                vcycles: 0,
                 net_splitting: true,
                 ..PartitionConfig::with_seed(seed)
             };
@@ -54,7 +53,6 @@ proptest! {
     fn no_split_still_yields_valid_partitions(hg in hypergraph(), seed in 0u64..25) {
         let cfg = PartitionConfig {
             kway_refine: false,
-            vcycles: 0,
             net_splitting: false,
             ..PartitionConfig::with_seed(seed)
         };

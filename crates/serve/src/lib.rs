@@ -23,7 +23,7 @@
 //!   the same way.
 //! * **Supervision** ([`worker`]): every job runs under `catch_unwind`;
 //!   a panic produces a typed `worker-panic` response, quarantines the
-//!   shared arena pool (swaps in a fresh one), and the worker keeps
+//!   shared arena pool (drops its idle arenas), and the worker keeps
 //!   serving. A worker thread lost outright is respawned.
 //! * **Shared cores** ([`server::ServeConfig`]): every job runs under
 //!   the daemon's budget ceiling, inside one fork-join pool as wide as

@@ -188,54 +188,6 @@ impl<S> Conn<S> {
     }
 }
 
-/// What [`read_frame`] reads from: a [`Conn`], whose inbound buffer
-/// takes the payload, or a bare stream, whose payload takes a buffer
-/// that lasts one frame.
-pub trait FrameSource {
-    /// The byte stream.
-    type Stream: Read;
-    /// The stream, and the buffer to reuse if this end keeps one.
-    fn source(&mut self) -> (&mut Self::Stream, Option<&mut Vec<u8>>);
-}
-
-impl<R: Read> FrameSource for R {
-    type Stream = R;
-    fn source(&mut self) -> (&mut R, Option<&mut Vec<u8>>) {
-        (self, None)
-    }
-}
-
-impl<S: Read> FrameSource for Conn<S> {
-    type Stream = S;
-    fn source(&mut self) -> (&mut S, Option<&mut Vec<u8>>) {
-        (&mut self.stream, Some(&mut self.inbound))
-    }
-}
-
-/// What [`write_frame`] writes to: a [`Conn`], whose outbound buffer
-/// assembles the frame, or a bare stream, whose frame is assembled in a
-/// buffer that lasts one frame.
-pub trait FrameSink {
-    /// The byte stream.
-    type Stream: Write;
-    /// The stream, and the buffer to reuse if this end keeps one.
-    fn sink(&mut self) -> (&mut Self::Stream, Option<&mut Vec<u8>>);
-}
-
-impl<W: Write> FrameSink for W {
-    type Stream = W;
-    fn sink(&mut self) -> (&mut W, Option<&mut Vec<u8>>) {
-        (self, None)
-    }
-}
-
-impl<S: Write> FrameSink for Conn<S> {
-    type Stream = S;
-    fn sink(&mut self) -> (&mut S, Option<&mut Vec<u8>>) {
-        (&mut self.stream, Some(&mut self.outbound))
-    }
-}
-
 /// Releases a frame buffer's capacity above [`FRAME_BUF_RETAIN`].
 fn release_excess(buf: &mut Vec<u8>) {
     if buf.capacity() > FRAME_BUF_RETAIN {
@@ -244,14 +196,13 @@ fn release_excess(buf: &mut Vec<u8>) {
     }
 }
 
-/// Reads one length-prefixed JSON frame. [`FrameError::Closed`] only at
-/// a clean frame boundary; EOF mid-frame is [`FrameError::Malformed`];
-/// a read timeout before the first byte is [`FrameError::Idle`].
-pub fn read_frame(r: &mut impl FrameSource) -> Result<Value, FrameError> {
-    let (stream, kept) = r.source();
-    let mut one_frame = Vec::new();
-    let payload = kept.unwrap_or(&mut one_frame);
-    let frame = read_payload(stream, payload).and_then(|()| {
+/// Reads one length-prefixed JSON frame into the connection's inbound
+/// buffer. [`FrameError::Closed`] only at a clean frame boundary; EOF
+/// mid-frame is [`FrameError::Malformed`]; a read timeout before the
+/// first byte is [`FrameError::Idle`].
+pub fn read_frame<S: Read>(conn: &mut Conn<S>) -> Result<Value, FrameError> {
+    let payload = &mut conn.inbound;
+    let frame = read_payload(&mut conn.stream, payload).and_then(|()| {
         let text = std::str::from_utf8(payload)
             .map_err(|e| FrameError::Malformed(format!("payload is not utf-8: {e}")))?;
         parse(text).map_err(|e| FrameError::Malformed(format!("payload is not json: {e}")))
@@ -315,25 +266,26 @@ const LEN_PLACEHOLDER: &str = "\0\0\0\0";
 /// Writes one length-prefixed JSON frame in a single write. Sent as two
 /// writes on a TCP stream, the payload would wait behind the length
 /// prefix for the peer's delayed ACK (Nagle's algorithm), about 40 ms.
-/// The JSON is serialized in place behind a length placeholder, which
-/// is patched once its length is known.
-pub fn write_frame(w: &mut impl FrameSink, v: &Value) -> std::io::Result<()> {
-    let (stream, kept) = w.sink();
-    let mut one_frame = Vec::new();
-    let buf = kept.unwrap_or(&mut one_frame);
-    buf.clear();
+/// The JSON is serialized in place, in the connection's outbound
+/// buffer, behind a length placeholder, which is patched once its
+/// length is known.
+pub fn write_frame<S: Write>(conn: &mut Conn<S>, v: &Value) -> std::io::Result<()> {
+    conn.outbound.clear();
     // An empty buffer is valid UTF-8: it becomes a `String` without a
     // copy or a scan, and keeps its capacity.
-    let mut text = String::from_utf8(std::mem::take(buf)).unwrap_or_default();
+    let mut text = String::from_utf8(std::mem::take(&mut conn.outbound)).unwrap_or_default();
     text.push_str(LEN_PLACEHOLDER);
     v.write_json(&mut text);
     let mut frame = text.into_bytes();
     let payload = frame.len() - LEN_PLACEHOLDER.len();
     let len = payload.min(u32::MAX as usize) as u32; // lint: checked-cast — min-clamped
     frame[..LEN_PLACEHOLDER.len()].copy_from_slice(&len.to_le_bytes());
-    let sent = stream.write_all(&frame).and_then(|()| stream.flush());
-    *buf = frame;
-    release_excess(buf);
+    let sent = conn
+        .stream
+        .write_all(&frame)
+        .and_then(|()| conn.stream.flush());
+    conn.outbound = frame;
+    release_excess(&mut conn.outbound);
     sent
 }
 
@@ -587,9 +539,9 @@ mod tests {
     #[test]
     fn frame_round_trip() {
         let v = obj(&[("op", Value::Str("ping".into()))]);
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &v).unwrap();
-        let back = read_frame(&mut Cursor::new(buf)).unwrap();
+        let mut out = Conn::new(Vec::new());
+        write_frame(&mut out, &v).unwrap();
+        let back = read_frame(&mut Conn::new(Cursor::new(out.stream))).unwrap();
         assert_eq!(back, v);
     }
 
@@ -618,10 +570,11 @@ mod tests {
             obj(&[("op", Value::Str("ping".into()))]),
             obj(&[("pad", Value::Str("x".repeat(100_000)))]),
         ] {
-            let mut w = CountingWriter::default();
+            let mut w = Conn::new(CountingWriter::default());
             write_frame(&mut w, &v).unwrap();
-            assert_eq!(w.writes, 1, "one write per frame");
-            assert_eq!(read_frame(&mut Cursor::new(w.bytes)).unwrap(), v);
+            assert_eq!(w.stream.writes, 1, "one write per frame");
+            let mut r = Conn::new(Cursor::new(w.stream.bytes));
+            assert_eq!(read_frame(&mut r).unwrap(), v);
         }
     }
 
@@ -668,11 +621,11 @@ mod tests {
         let short = obj(&[("op", Value::Str("ping".into()))]);
         let oversized = obj(&[("pad", Value::Str("z".repeat(FRAME_BUF_RETAIN + 1)))]);
         let frames = [long, short.clone(), oversized, short];
-        let mut wire = Vec::new();
+        let mut wire = Conn::new(Vec::new());
         for v in &frames {
             write_frame(&mut wire, v).unwrap();
         }
-        let mut conn = Conn::new(Cursor::new(wire));
+        let mut conn = Conn::new(Cursor::new(wire.stream));
         for (i, want) in frames.iter().enumerate() {
             // The short frames follow longer ones: they must parse their
             // own bytes only, not what the longer frame left behind.
@@ -690,7 +643,7 @@ mod tests {
     fn oversized_length_is_malformed_not_alloc() {
         let mut buf = (u32::MAX).to_le_bytes().to_vec();
         buf.extend_from_slice(b"junk");
-        match read_frame(&mut Cursor::new(buf)) {
+        match read_frame(&mut Conn::new(Cursor::new(buf))) {
             Err(FrameError::Malformed(m)) => assert!(m.contains("cap")),
             other => panic!("expected Malformed, got {other:?}"),
         }
@@ -702,19 +655,19 @@ mod tests {
         let mut buf = 100u32.to_le_bytes().to_vec();
         buf.extend_from_slice(b"abc");
         assert!(matches!(
-            read_frame(&mut Cursor::new(buf)),
+            read_frame(&mut Conn::new(Cursor::new(buf))),
             Err(FrameError::Malformed(_))
         ));
         // Valid length, payload is not JSON.
         let mut buf = 3u32.to_le_bytes().to_vec();
         buf.extend_from_slice(b"{{{");
         assert!(matches!(
-            read_frame(&mut Cursor::new(buf)),
+            read_frame(&mut Conn::new(Cursor::new(buf))),
             Err(FrameError::Malformed(_))
         ));
         // Clean EOF before any byte.
         assert!(matches!(
-            read_frame(&mut Cursor::new(Vec::new())),
+            read_frame(&mut Conn::new(Cursor::new(Vec::new()))),
             Err(FrameError::Closed)
         ));
     }

@@ -50,7 +50,7 @@ use crate::protocol::{
     codes, error_response, parse_request, read_frame, write_frame, Conn, FrameError, Request,
 };
 use crate::queue::{BoundedQueue, PushError};
-use crate::worker::{worker_loop, Job, JobPayload, SharedSession};
+use crate::worker::{worker_loop, Job, JobPayload};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -101,7 +101,8 @@ impl ServeConfig {
 
 struct Shared {
     queue: Arc<BoundedQueue<Job>>,
-    session: Arc<SharedSession>,
+    /// The arena pool every job draws scratch from.
+    arenas: Arc<ArenaPool>,
     /// [`ServeConfig::budget_ceiling`], handed to every worker.
     ceiling: Budget,
     /// The partitioner pool every job runs in; `None` at width 1.
@@ -217,7 +218,7 @@ impl Server {
 
         let shared = Arc::new(Shared {
             queue: Arc::new(BoundedQueue::new(config.queue_capacity)),
-            session: Arc::new(SharedSession::new(Arc::new(ArenaPool::new()))),
+            arenas: Arc::new(ArenaPool::new()),
             ceiling: config.budget_ceiling,
             threads: thread_pool(config.parallelism),
             cache: Arc::new(PlanCache::new(config.cache_bytes)),
@@ -311,7 +312,7 @@ fn thread_pool(parallelism: Parallelism) -> Option<ThreadPool> {
 
 fn spawn_worker(shared: &Arc<Shared>) -> JoinHandle<()> {
     let queue = Arc::clone(&shared.queue);
-    let session = Arc::clone(&shared.session);
+    let arenas = Arc::clone(&shared.arenas);
     let (ceiling, threads) = (shared.ceiling, shared.threads.clone());
     let cache = Arc::clone(&shared.cache);
     let counters = Arc::clone(&shared.counters);
@@ -319,7 +320,7 @@ fn spawn_worker(shared: &Arc<Shared>) -> JoinHandle<()> {
     std::thread::spawn(move || {
         worker_loop(
             queue,
-            session,
+            arenas,
             ceiling,
             threads,
             cache,
@@ -479,7 +480,7 @@ fn stats_response(shared: &Shared) -> Value {
     doc.insert("cache_misses".into(), Value::Num(misses as f64));
     doc.insert(
         "idle_arenas".into(),
-        Value::Num(shared.session.idle_arenas() as f64),
+        Value::Num(shared.arenas.idle() as f64),
     );
     doc.insert("threads".into(), Value::Num(pool_width(shared) as f64));
     doc.insert(

@@ -4,13 +4,14 @@
 //! Each worker thread loops on the shared [`BoundedQueue`], wrapping
 //! every job in `catch_unwind`: a panicking job (an engine defect, or an
 //! injected fault in tests) produces a typed `worker-panic` response and
-//! the worker keeps serving. Because a mid-partition panic can strand
-//! arenas or leave shared warm state suspect, the panic also
-//! *quarantines* the shared [`ArenaPool`]: [`SharedSession`] swaps in a
-//! fresh, empty pool, so no later job ever draws scratch that a dying job
-//! touched. The daemon's budget ceiling and partitioner thread pool are
-//! not part of that swappable state; every job receives them by value
-//! from [`worker_loop`], so a quarantine cannot drop them.
+//! the worker keeps serving. Because a mid-partition panic can leave
+//! shared warm state suspect, the panic also *quarantines* the
+//! [`ArenaPool`] the workers share: [`ArenaPool::clear`] drops its idle
+//! arenas, among them those the dying job checked back in while it
+//! unwound, so later jobs start from empty ones. The daemon's budget
+//! ceiling and partitioner thread pool are not pool state; every job
+//! receives them by value from [`worker_loop`], so a quarantine cannot
+//! drop them.
 //!
 //! [`BoundedQueue`]: crate::queue::BoundedQueue
 
@@ -26,7 +27,6 @@ use fgh_core::{
     DecomposeIndex, DecompositionOutcome, FghError, Model, Outcome, Parallelism, SpgemmOutcome,
     WorkloadAny, WorkloadKind, WorkloadOutcome,
 };
-use fgh_invariant::{lock_order, OrderedMutex, OrderedMutexGuard};
 use fgh_sparse::io::parse_matrix_market_bytes_any;
 use fgh_sparse::{catalog, AnyCsrMatrix, IndexWidth};
 use fgh_trace::json::Value;
@@ -54,45 +54,6 @@ pub struct Job {
     pub cancel: CancelToken,
     /// Where the response frame goes (the connection thread relays it).
     pub respond: SyncSender<Value>,
-}
-
-/// The arena pool every job draws scratch from, with quarantine: workers
-/// take the current pool per job; a panic swaps in a fresh one.
-pub struct SharedSession {
-    inner: OrderedMutex<Arc<ArenaPool>>,
-}
-
-impl SharedSession {
-    /// Wraps a pool for shared use.
-    pub fn new(pool: Arc<ArenaPool>) -> Self {
-        SharedSession {
-            inner: OrderedMutex::new("SessionState", lock_order::SESSION_STATE, pool),
-        }
-    }
-
-    fn lock(&self) -> OrderedMutexGuard<'_, Arc<ArenaPool>> {
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// The current pool.
-    pub fn current(&self) -> Arc<ArenaPool> {
-        Arc::clone(&self.lock())
-    }
-
-    /// Swaps in a fresh, empty pool: nothing a panicking job may have
-    /// poisoned survives into later jobs.
-    pub fn quarantine(&self) {
-        *self.lock() = Arc::new(ArenaPool::new());
-    }
-
-    /// Warm arenas parked in the current pool. The session lock is
-    /// released before the pool's own, which ranks earlier.
-    pub fn idle_arenas(&self) -> usize {
-        self.current().idle()
-    }
 }
 
 fn num(n: u64) -> Value {
@@ -550,17 +511,17 @@ pub fn execute_batch(
 }
 
 /// The worker loop: pop, execute under `catch_unwind`, respond, repeat.
-/// Every job draws scratch from the session's current pool and runs
-/// under the daemon's budget `ceiling`. With a partitioner pool
+/// Every job draws scratch from the shared arena `pool` and runs under
+/// the daemon's budget `ceiling`. With a partitioner pool
 /// (`threads`), each job runs inside it with `Threads(width)`, so its
 /// recursion forks onto the slots the other busy workers leave free; an
 /// idle worker holds no slot. Without one, jobs run serially. Exits when
 /// the queue is closed and empty. On a job panic the response is a typed
-/// `worker-panic` error and the shared pool is quarantined; the loop
-/// itself survives.
+/// `worker-panic` error and the arena pool is cleared; the loop itself
+/// survives.
 pub fn worker_loop(
     queue: Arc<crate::queue::BoundedQueue<Job>>,
-    session: Arc<SharedSession>,
+    pool: Arc<ArenaPool>,
     ceiling: Budget,
     threads: Option<ThreadPool>,
     cache: Arc<PlanCache>,
@@ -578,7 +539,6 @@ pub fn worker_loop(
             }
             continue;
         };
-        let pool = session.current();
         let run = || {
             catch_unwind(AssertUnwindSafe(|| match &job.request {
                 JobPayload::Single(req) => execute_job(
@@ -603,7 +563,7 @@ pub fn worker_loop(
             Ok(v) => v,
             Err(_) => {
                 ServeCounters::bump(&counters.worker_panics);
-                session.quarantine();
+                pool.clear();
                 error_response(
                     codes::WORKER_PANIC,
                     "worker panicked executing the job; the daemon and worker pool survive",
@@ -1204,10 +1164,10 @@ mod tests {
     }
 
     /// Runs `reqs` in order through one fault-injecting [`worker_loop`]
-    /// over `session`, on this thread, and returns their responses and
-    /// the counters.
+    /// over `pool`, on this thread, and returns their responses and the
+    /// counters.
     fn run_worker_loop(
-        session: &Arc<SharedSession>,
+        pool: &Arc<ArenaPool>,
         (ceiling, threads): (Budget, Option<ThreadPool>),
         reqs: Vec<DecomposeRequest>,
     ) -> (Vec<Value>, Arc<ServeCounters>) {
@@ -1232,7 +1192,7 @@ mod tests {
         let cache = Arc::new(PlanCache::new(1 << 20));
         worker_loop(
             queue,
-            Arc::clone(session),
+            Arc::clone(pool),
             ceiling,
             threads,
             cache,
@@ -1253,14 +1213,13 @@ mod tests {
 
     #[test]
     fn quarantine_keeps_the_budget_ceiling_and_thread_policy() {
-        let session = Arc::new(SharedSession::new(Arc::new(ArenaPool::new())));
-        let before = session.current();
+        let pool = Arc::new(ArenaPool::new());
         let mut panics = request(2);
         panics.inject = Some("panic".into());
         let (responses, _) = run_worker_loop(
-            &session,
+            &pool,
             (Budget::bytes(1), Some(two_threads())),
-            vec![panics, request(2)],
+            vec![panics.clone(), request(2), panics],
         );
         // The job after the panic still runs under the one-byte ceiling.
         let r = &responses[1];
@@ -1274,21 +1233,20 @@ mod tests {
             r.get("degraded_code").unwrap().as_str(),
             Some("budget-exhausted")
         );
-        assert!(
-            !Arc::ptr_eq(&before, &session.current()),
-            "the pool is replaced"
-        );
+        // The healthy job parked its arena; the last job's panic
+        // dropped it.
+        assert_eq!(pool.idle(), 0, "the pool is cleared");
     }
 
     #[test]
     fn injected_panic_is_contained_by_worker_loop() {
-        let session = Arc::new(SharedSession::new(Arc::new(ArenaPool::new())));
+        let pool = Arc::new(ArenaPool::new());
         let mut panics = request(2);
         panics.inject = Some("panic".into());
         // A healthy job after the panicking one proves the worker survived,
         // and its forks prove the panicking job gave its pool slot back.
         let (responses, counters) = run_worker_loop(
-            &session,
+            &pool,
             (Budget::UNLIMITED, Some(two_threads())),
             vec![panics, request(8)],
         );
