@@ -14,10 +14,6 @@
 //!   (`for_each_scored_neighbor` into a pre-sized scratch array) vs the
 //!   pre-rewrite form (dyn-dispatched visitor into per-vertex hash
 //!   scratch).
-//! - `initial`: geometric longest-axis seeding vs greedy hypergraph
-//!   growing at a large coarsest level (FM passes zeroed so the timer
-//!   isolates the seeding schemes; `initial_nanos` comes from
-//!   [`EngineStats`]).
 //!
 //! Usage: `cargo bench --bench phase_kernels [-- --quick] [-- --check]`
 //! With no flags, runs both the quick and full workloads and writes
@@ -35,23 +31,15 @@ use fgh_core::models::FineGrainModel;
 use fgh_hypergraph::{Hypergraph, Partition};
 use fgh_partition::connectivity::{NaiveConnectivity, NetConnectivity};
 use fgh_partition::engine::Substrate;
-use fgh_partition::{partition_hypergraph, InitialScheme, Parallelism, PartitionConfig};
 
 const REFINE_K: u32 = 48;
 const MAX_NET_SIZE: usize = 64;
 
-fn build_hypergraph(scale: u32) -> (Hypergraph, Vec<(f32, f32)>) {
+fn build_hypergraph(scale: u32) -> Hypergraph {
     let entry = fgh_sparse::catalog::by_name("ken-11").expect("catalog name");
     let a = entry.generate_scaled(scale, 1);
     let model = FineGrainModel::build(&a).expect("square catalog matrix");
-    let hg = model.hypergraph().clone();
-    let coords = (0..hg.num_vertices())
-        .map(|v| {
-            let (r, c) = model.coords(v);
-            (r as f32, c as f32)
-        })
-        .collect();
-    (hg, coords)
+    model.hypergraph().clone()
 }
 
 /// Best-of-`reps` wall time of `f`, in nanoseconds.
@@ -196,36 +184,6 @@ fn bench_coarsen(hg: &Hypergraph, reps: usize) -> (u64, u64) {
     (new_ns, legacy_ns)
 }
 
-fn bench_initial(hg: &Hypergraph, coords: &[(f32, f32)], reps: usize) -> (u64, u64) {
-    // A large coarsest level and zero FM passes isolate the seeding
-    // schemes inside `initial_nanos`; everything else is held equal.
-    let base = PartitionConfig {
-        coarsen_to: 2000,
-        fm_passes: 0,
-        kway_refine: false,
-        parallelism: Parallelism::Serial,
-        ..PartitionConfig::with_seed(1)
-    };
-    let geo_cfg = PartitionConfig {
-        initial: InitialScheme::Geometric,
-        coords: Some(std::sync::Arc::new(coords.to_vec())),
-        ..base.clone()
-    };
-    let ghg_cfg = PartitionConfig {
-        initial: InitialScheme::Ghg,
-        ..base
-    };
-    let mut geo_ns = u64::MAX;
-    let mut ghg_ns = u64::MAX;
-    for _ in 0..reps {
-        let r = partition_hypergraph(hg, 16, &geo_cfg).expect("geometric run");
-        geo_ns = geo_ns.min(black_box(r.stats.initial_nanos));
-        let r = partition_hypergraph(hg, 16, &ghg_cfg).expect("ghg run");
-        ghg_ns = ghg_ns.min(black_box(r.stats.initial_nanos));
-    }
-    (geo_ns, ghg_ns)
-}
-
 fn git_head() -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "HEAD"])
@@ -256,10 +214,10 @@ fn recorded_speedup(json: &str, section: &str, phase: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Runs the three phase benches at one workload size.
-fn run_phases(quick: bool) -> (u32, [(&'static str, u64, u64); 3]) {
+/// Runs the two phase benches at one workload size.
+fn run_phases(quick: bool) -> (u32, [(&'static str, u64, u64); 2]) {
     let (scale, reps) = if quick { (16, 2) } else { (8, 3) };
-    let (hg, coords) = build_hypergraph(scale);
+    let hg = build_hypergraph(scale);
     println!(
         "phase_kernels[{}]: ken-11 scale {scale} ({} vertices, {} nets), best of {reps}",
         if quick { "quick" } else { "full" },
@@ -268,11 +226,9 @@ fn run_phases(quick: bool) -> (u32, [(&'static str, u64, u64); 3]) {
     );
     let (refine_new, refine_old) = bench_refine(&hg, reps);
     let (coarsen_new, coarsen_old) = bench_coarsen(&hg, reps);
-    let (initial_new, initial_old) = bench_initial(&hg, &coords, reps);
     let phases = [
         ("refine", refine_new, refine_old),
         ("coarsen", coarsen_new, coarsen_old),
-        ("initial", initial_new, initial_old),
     ];
     println!("phase    new_ns       baseline_ns  speedup");
     for (name, new_ns, old_ns) in &phases {
@@ -282,7 +238,7 @@ fn run_phases(quick: bool) -> (u32, [(&'static str, u64, u64); 3]) {
     (scale, phases)
 }
 
-fn rows_json(phases: &[(&'static str, u64, u64); 3]) -> String {
+fn rows_json(phases: &[(&'static str, u64, u64); 2]) -> String {
     let mut rows = String::new();
     for (i, (name, new_ns, old_ns)) in phases.iter().enumerate() {
         let speedup = *old_ns as f64 / (*new_ns).max(1) as f64;

@@ -4,8 +4,7 @@
 //!
 //! * net splitting in recursive bisection — on vs off,
 //! * coarsening scheme — HCM vs HCC vs scaled HCC,
-//! * initial partitioning — GHG vs random vs weight-only bin packing vs
-//!   geometric (longest-axis cut of the nonzero point cloud),
+//! * initial partitioning — GHG vs weight-only bin packing,
 //! * direct K-way refinement post-pass — on vs off,
 //! * volume-minimizing 2D (fine-grain) vs structured 2D (checkerboard).
 //!
@@ -61,23 +60,9 @@ fn variants() -> Vec<Variant> {
             },
         },
         Variant {
-            name: "initial: random",
-            cfg: |s| PartitionConfig {
-                initial: InitialScheme::Random,
-                ..base(s)
-            },
-        },
-        Variant {
             name: "initial: bin packing",
             cfg: |s| PartitionConfig {
                 initial: InitialScheme::BinPacking,
-                ..base(s)
-            },
-        },
-        Variant {
-            name: "initial: geometric",
-            cfg: |s| PartitionConfig {
-                initial: InitialScheme::Geometric,
                 ..base(s)
             },
         },
@@ -94,19 +79,7 @@ fn avg_cutsize(
     let model = FineGrainModel::build(a).expect("square");
     let mut total = 0u64;
     for r in 0..runs {
-        let mut cfg = make(seed.wrapping_add(r as u64 * 7919));
-        if cfg.initial == InitialScheme::Geometric {
-            // The geometric scheme seeds from the fine-grain vertex
-            // positions; the model has them, the hypergraph alone does not.
-            let n = model.hypergraph().num_vertices();
-            let coords: Vec<(f32, f32)> = (0..n)
-                .map(|v| {
-                    let (r, c) = model.coords(v);
-                    (r as f32, c as f32)
-                })
-                .collect();
-            cfg.coords = Some(std::sync::Arc::new(coords));
-        }
+        let cfg = make(seed.wrapping_add(r as u64 * 7919));
         let res = partition_hypergraph(model.hypergraph(), k, &cfg).expect("partition");
         total += res.cutsize;
     }

@@ -108,9 +108,7 @@ fn usage() -> &'static str {
      \x20                   shares them among its jobs, each forking onto the\n\
      \x20                   cores the other workers leave idle, and N = 1 runs\n\
      \x20                   every job serially); results are bit-identical for every N\n\
-     \x20 --initial S       initial scheme: ghg (default) | random | binpacking |\n\
-     \x20                   geometric (auto is an alias; needs vertex coordinates,\n\
-     \x20                   i.e. the fine-grain model; falls back to ghg)\n\
+     \x20 --initial S       initial scheme: ghg (default) | binpacking\n\
      \x20 --parallel        (spmv) execute with one thread per processor\n\
      \x20 --max-wall-ms N   wall-clock budget for the partitioner; when it\n\
      \x20                   trips, the best partition found is returned\n\

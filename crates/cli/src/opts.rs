@@ -144,8 +144,7 @@ impl Opts {
             .map_err(|e| format!("--model: {e}"))
     }
 
-    /// The `--initial` flag (default GHG): ghg, random, binpacking,
-    /// geometric, or auto.
+    /// The `--initial` flag (default GHG): ghg or binpacking.
     pub fn initial(&self) -> Result<InitialScheme, String> {
         self.get("initial")
             .unwrap_or("ghg")
@@ -232,14 +231,14 @@ mod tests {
 
     #[test]
     fn initial_flag_maps_to_scheme() {
-        let o = Opts::parse(&sv("m.mtx --initial geometric")).unwrap();
-        assert_eq!(o.initial().unwrap(), InitialScheme::Geometric);
-        let o = Opts::parse(&sv("m.mtx --initial AUTO")).unwrap();
-        assert_eq!(o.initial().unwrap(), InitialScheme::Geometric);
+        let o = Opts::parse(&sv("m.mtx --initial binpacking")).unwrap();
+        assert_eq!(o.initial().unwrap(), InitialScheme::BinPacking);
         let o = Opts::parse(&sv("m.mtx")).unwrap();
         assert_eq!(o.initial().unwrap(), InitialScheme::Ghg);
-        let o = Opts::parse(&sv("m.mtx --initial bogus")).unwrap();
-        assert!(o.initial().is_err());
+        for gone in ["geometric", "AUTO", "random", "bogus"] {
+            let o = Opts::parse(&sv(&format!("m.mtx --initial {gone}"))).unwrap();
+            assert!(o.initial().is_err(), "--initial {gone} must be rejected");
+        }
     }
 
     #[test]

@@ -292,9 +292,7 @@ pub struct DecomposeConfig {
     pub cancel: Option<CancelToken>,
     /// Initial-partitioning scheme at the coarsest level. The default is
     /// [`InitialScheme::Ghg`] (greedy hypergraph growing, the paper's
-    /// scheme). [`InitialScheme::Geometric`] seeds each bisection with a
-    /// longest-axis cut through the nonzero coordinates of the fine-grain
-    /// model; models without natural vertex coordinates fall back to GHG.
+    /// scheme); [`InitialScheme::BinPacking`] seeds by weight alone.
     pub initial: InitialScheme,
 }
 
@@ -560,7 +558,6 @@ fn decompose_with_model<I: DecomposeIndex>(
         }
         Model::FineGrain2D => {
             let model = build_spanned(scope, || FineGrainModel::build(a))?;
-            let pcfg = with_coords(cfg, model.hypergraph(), |v| model.coords(I::from_index(v)));
             hypergraph_arm(cfg, &pcfg, pool, scope, model.hypergraph(), |r| {
                 model.decode(a, &r.partition)
             })?
@@ -617,29 +614,6 @@ fn build_spanned<T, E>(
 ) -> std::result::Result<T, E> {
     let _span = scope.child("model-build");
     build()
-}
-
-/// [`DecomposeConfig::partition_config`] plus the vertices' (row, col)
-/// positions when the geometric or auto initial scheme asks for them;
-/// the default GHG path stays allocation-free. Fine-grain vertices and
-/// SpGEMM tasks both have such positions.
-pub(crate) fn with_coords<I: ArenaIndex>(
-    cfg: &DecomposeConfig,
-    hg: &fgh_hypergraph::Hypergraph<I>,
-    coords: impl Fn(usize) -> (I, I),
-) -> PartitionConfig {
-    let mut pcfg = cfg.partition_config();
-    if cfg.initial == InitialScheme::Geometric {
-        let positions = (0..hg.num_vertices().index())
-            .map(|v| {
-                let (r, c) = coords(v);
-                // lint: checked-cast — row/col ids as geometric positions; f32 rounding above 2^24 only nudges the sweep order, never indexes
-                (r.index() as f32, c.index() as f32)
-            })
-            .collect();
-        pcfg.coords = Some(Arc::new(positions));
-    }
-    pcfg
 }
 
 /// The shared partition + decode tail of every hypergraph-model arm,

@@ -348,9 +348,8 @@ impl<I: IndexType> SpgemmModel<I> {
         &self.structure
     }
 
-    /// `(i, k)` position in `A` of the nonzero that task group `v` reads
-    /// — the geometric coordinates handed to the partitioner's geometric
-    /// initial scheme.
+    /// `(i, k)` position in `A` of the nonzero that task group `v` reads:
+    /// the row of `C` and the row of `B` the group's flops touch.
     pub fn coords(&self, v: usize) -> (I, I) {
         let s = &self.structure;
         // The group whose task range holds the vertex's first task.

@@ -29,8 +29,7 @@ use fgh_sparse::{AnyCsrMatrix, CsrMatrix, IndexWidth};
 use fgh_trace::{SpanHandle, Tracer};
 
 use crate::api::{
-    hypergraph_arm, with_coords, DecomposeConfig, DecomposeIndex, DecompositionOutcome, Outcome,
-    WorkloadKind,
+    hypergraph_arm, DecomposeConfig, DecomposeIndex, DecompositionOutcome, Outcome, WorkloadKind,
 };
 use crate::metrics::CommSummary;
 use crate::models::spgemm::{spgemm_flops, SpgemmCommStats, SpgemmDecomposition, SpgemmModel};
@@ -562,8 +561,7 @@ impl<I: DecomposeIndex> Pipeline for SpgemmModel<I> {
         pool: &Arc<ArenaPool>,
         scope: &SpanHandle,
     ) -> std::result::Result<(SpgemmDecomposition, u64, EngineStats), FghError> {
-        // Task groups have natural (row, col) positions: their A nonzero.
-        let pcfg = with_coords(cfg, self.hypergraph(), |v| self.coords(v));
+        let pcfg = cfg.partition_config();
         hypergraph_arm(cfg, &pcfg, pool, scope, self.hypergraph(), |r| {
             self.decode(&r.partition)
         })

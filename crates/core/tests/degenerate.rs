@@ -6,8 +6,8 @@
 use std::time::Duration;
 
 use fgh_core::{
-    decompose_workload, Budget, DecomposeConfig, DecompositionStatus, FghError, Model, Workload,
-    WorkloadOutcome,
+    decompose_workload, Budget, DecomposeConfig, DecompositionStatus, FghError, Model, Parallelism,
+    Workload, WorkloadOutcome,
 };
 use fgh_sparse::{CooMatrix, CsrMatrix};
 
@@ -26,12 +26,29 @@ fn degenerate_matrices() -> Vec<(&'static str, CsrMatrix)> {
     let diagonal: Vec<(u32, u32, f64)> = (0..8).map(|i| (i, i, 1.0 + i as f64)).collect();
     let mut dense_row: Vec<(u32, u32, f64)> = (0..8).map(|j| (0, j, 1.0)).collect();
     dense_row.extend((1..8).map(|i| (i, i, 2.0)));
+    // Every nonzero on one row, or in one column: one line holds the whole
+    // matrix and every other line is empty.
+    let n = 16u32;
+    let single_row: Vec<(u32, u32, f64)> = (0..n).map(|j| (0, j, 1.0)).collect();
+    let single_col: Vec<(u32, u32, f64)> = (0..n).map(|i| (i, 0, 1.0)).collect();
+    // Two dense bands of three rows, top and bottom, with an empty stripe
+    // of rows between them.
+    let mut striped: Vec<(u32, u32, f64)> = Vec::new();
+    for i in 0..3 {
+        for j in 0..n {
+            striped.push((i, j, 1.0));
+            striped.push((n - 1 - i, j, 1.0));
+        }
+    }
     vec![
         ("empty", csr(6, vec![])),
         ("zero_by_zero", csr(0, vec![])),
         ("single_entry", csr(1, vec![(0, 0, 3.0)])),
         ("diagonal_only", csr(8, diagonal)),
         ("dense_row", csr(8, dense_row)),
+        ("single_row", csr(n, single_row)),
+        ("single_col", csr(n, single_col)),
+        ("striped", csr(n, striped)),
     ]
 }
 
@@ -225,6 +242,39 @@ fn fm_pass_budget_caps_refinement() {
     assert!(
         out.engine.fm_truncations > 0,
         "a 1-pass cap on a multilevel run must truncate: {:?}",
+        out.engine
+    );
+}
+
+#[test]
+fn fm_pass_budget_caps_initial_tries() {
+    // The default config's 8 initial tries per bisection each want 4 FM
+    // passes: a 3-pass cap must stop them too, not only the uncoarsening
+    // levels, and the run must report no more passes than the cap.
+    let a = fgh_sparse::catalog::by_name("bcspwr10")
+        .expect("catalog matrix")
+        .generate_scaled(32, 3);
+    let budget = Budget {
+        max_fm_passes: Some(3),
+        ..Budget::UNLIMITED
+    };
+    let out = decompose_workload(
+        Workload::Spmv(&a),
+        &DecomposeConfig::new(Model::FineGrain2D, 4)
+            .with_parallelism(Parallelism::Serial)
+            .with_budget(budget),
+    )
+    .and_then(WorkloadOutcome::into_spmv)
+    .unwrap();
+    out.decomposition.validate(&a).unwrap();
+    assert!(
+        out.engine.fm_passes <= 3,
+        "a 3-pass cap must bound every FM pass, initial tries included: {:?}",
+        out.engine
+    );
+    assert!(
+        out.engine.fm_truncations > 0,
+        "a 3-pass cap must truncate: {:?}",
         out.engine
     );
 }

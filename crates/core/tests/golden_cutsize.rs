@@ -54,23 +54,11 @@ const GOLDEN_FAN_OUT: &[(Model, usize, [[u64; 3]; 3])] = &[
 /// One run of every initial scheme but the default GHG on the fine-grain
 /// model, on `GOLDEN`'s inputs and seeds: (model, initial scheme,
 /// objectives in `GOLDEN`'s input and seed order).
-const GOLDEN_SCHEMES: &[(Model, InitialScheme, [[u64; 3]; 3])] = &[
-    (
-        Model::FineGrain2D,
-        InitialScheme::Random,
-        [[98, 90, 109], [375, 362, 354], [624, 641, 610]],
-    ),
-    (
-        Model::FineGrain2D,
-        InitialScheme::BinPacking,
-        [[96, 92, 98], [355, 370, 383], [654, 610, 617]],
-    ),
-    (
-        Model::FineGrain2D,
-        InitialScheme::Geometric,
-        [[90, 111, 105], [363, 368, 361], [632, 629, 607]],
-    ),
-];
+const GOLDEN_SCHEMES: &[(Model, InitialScheme, [[u64; 3]; 3])] = &[(
+    Model::FineGrain2D,
+    InitialScheme::BinPacking,
+    [[96, 92, 98], [355, 370, 383], [654, 610, 617]],
+)];
 
 fn input(name: &str, scale: u32) -> CsrMatrix {
     let entry = by_name(name).unwrap_or_else(|| panic!("{name} not in catalog"));

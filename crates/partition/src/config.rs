@@ -3,6 +3,7 @@
 use std::time::Duration;
 
 use crate::cancel::CancelToken;
+use crate::level::EngineStats;
 
 /// Nets larger than this are skipped during the engine's coarsening
 /// neighbor scans (they contribute little structural signal and cost
@@ -18,15 +19,17 @@ pub(crate) const FM_EARLY_EXIT: usize = 400;
 /// trips, the engine keeps the best partition found so far and records the
 /// truncation in [`crate::EngineStats`] rather than failing.
 ///
-/// Checkpoints sit between coarsening levels and between FM passes, so a
-/// budget is honored to the granularity of one level / one pass — a single
-/// checkpoint interval may overshoot `max_wall` slightly.
+/// Checkpoints sit between coarsening levels and between FM passes (the
+/// initial-partitioning tries' passes included), so a budget is honored
+/// to the granularity of one level / one pass — a single checkpoint
+/// interval may overshoot `max_wall` slightly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Budget {
     /// Wall-clock deadline for the whole run (coarsening through
     /// refinement, including K-way post-refinement).
     pub max_wall: Option<Duration>,
-    /// Cap on total FM passes across all levels and bisections.
+    /// Cap on total FM passes across all levels and bisections, the
+    /// initial-partitioning tries' passes included.
     pub max_fm_passes: Option<u64>,
     /// Cap on coarsening levels built per bisection.
     pub max_levels: Option<u64>,
@@ -67,6 +70,24 @@ impl Budget {
     /// `true` when no limit is set.
     pub fn is_unlimited(&self) -> bool {
         *self == Budget::UNLIMITED
+    }
+
+    /// FM passes still allowed by `max_fm_passes` once `stats` has run
+    /// its passes, capped at `want`; records an `fm_truncations` tick
+    /// when the cap bites. Every FM site asks this before it refines:
+    /// each initial-partitioning try and each uncoarsening level.
+    pub(crate) fn fm_pass_allowance(&self, stats: &mut EngineStats, want: usize) -> usize {
+        match self.max_fm_passes {
+            None => want,
+            Some(max) => {
+                let remaining = max.saturating_sub(stats.fm_passes);
+                let allowed = (want as u64).min(remaining) as usize;
+                if allowed < want {
+                    stats.fm_truncations += 1;
+                }
+                allowed
+            }
+        }
     }
 
     /// The tighter of two budgets, limit by limit: a limit set on either
@@ -151,17 +172,10 @@ pub enum CoarseningScheme {
 pub enum InitialScheme {
     /// Greedy hypergraph growing: grow side 1 by max-gain moves (default).
     Ghg,
-    /// Random side assignment up to the weight target (ablation baseline).
-    Random,
     /// Weight-only bin packing: heaviest vertices first onto the lighter
-    /// side, ignoring connectivity (ablation baseline).
+    /// side, ignoring connectivity. The engine's quick split once a run
+    /// is out of time or cancelled.
     BinPacking,
-    /// Geometric bisection: project vertices to the coordinates attached
-    /// via [`PartitionConfig::coords`] and cut along the longest axis at
-    /// the weighted median (Fagginger Auer & Bisseling's 1D-cut scheme
-    /// for fine-grain models). Falls back to [`InitialScheme::Ghg`] when
-    /// no coordinates are attached. Parses from `geometric` or `auto`.
-    Geometric,
 }
 
 impl std::str::FromStr for InitialScheme {
@@ -170,12 +184,9 @@ impl std::str::FromStr for InitialScheme {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "ghg" => Ok(InitialScheme::Ghg),
-            "random" => Ok(InitialScheme::Random),
             "binpacking" | "bin-packing" => Ok(InitialScheme::BinPacking),
-            "geometric" | "auto" => Ok(InitialScheme::Geometric),
             other => Err(format!(
-                "unknown initial scheme '{other}' (expected ghg, random, \
-                 binpacking, geometric, or auto)"
+                "unknown initial scheme '{other}' (expected ghg or binpacking)"
             )),
         }
     }
@@ -226,14 +237,6 @@ pub struct PartitionConfig {
     /// degradation as an exhausted [`Budget`], but attributed to the
     /// caller. `None` (the default) disables polling.
     pub cancel: Option<CancelToken>,
-    /// Per-vertex 2D coordinates, indexed by *original* vertex id, for
-    /// the [`InitialScheme::Geometric`] scheme. The engine carries
-    /// original-id maps through recursive bisection and projects
-    /// coordinates through coarsening levels by weighted centroid, so one
-    /// top-level array serves the whole recursion. `None` (the default)
-    /// leaves the geometric scheme falling back to GHG. Shared by `Arc`:
-    /// parallel runs clone the config per domain, not the coordinates.
-    pub coords: Option<std::sync::Arc<Vec<(f32, f32)>>>,
 }
 
 impl Default for PartitionConfig {
@@ -251,7 +254,6 @@ impl Default for PartitionConfig {
             budget: Budget::UNLIMITED,
             parallelism: Parallelism::Serial,
             cancel: None,
-            coords: None,
         }
     }
 }

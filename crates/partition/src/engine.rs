@@ -341,22 +341,6 @@ impl MultilevelDriver {
         }
     }
 
-    /// FM passes still allowed by `Budget::max_fm_passes`, capped at
-    /// `want`; records an `fm_truncations` tick when the cap bites.
-    fn fm_pass_allowance(&mut self, want: usize) -> usize {
-        match self.cfg.budget.max_fm_passes {
-            None => want,
-            Some(max) => {
-                let remaining = max.saturating_sub(self.stats.fm_passes);
-                let allowed = (want as u64).min(remaining) as usize;
-                if allowed < want {
-                    self.stats.fm_truncations += 1;
-                }
-                allowed
-            }
-        }
-    }
-
     /// The configuration this driver runs with.
     pub fn cfg(&self) -> &PartitionConfig {
         &self.cfg
@@ -381,24 +365,6 @@ impl MultilevelDriver {
         targets: [f64; 2],
         epsilon: f64,
         rng: &mut impl Rng,
-    ) -> (Vec<u8>, u64) {
-        // No per-vertex coordinates at this entry point: the geometric
-        // initial scheme falls back to GHG (see `initial_best_in`).
-        self.bisect_with_coords(sub, targets, epsilon, rng, None)
-    }
-
-    /// [`MultilevelDriver::bisect`] with optional per-vertex coordinates
-    /// (indexed by `sub`'s local vertex ids) for the geometric initial
-    /// scheme. The recursion builds these from [`PartitionConfig::coords`]
-    /// via its original-id maps; coordinates are projected level by level
-    /// through coarsening so the coarsest substrate sees centroids.
-    fn bisect_with_coords<S: Substrate>(
-        &mut self,
-        sub: &S,
-        targets: [f64; 2],
-        epsilon: f64,
-        rng: &mut impl Rng,
-        coords: Option<&[(f32, f32)]>,
     ) -> (Vec<u8>, u64) {
         // Degenerate targets: everything belongs on one side.
         if targets[1] <= 0.0 {
@@ -477,23 +443,6 @@ impl MultilevelDriver {
 
         // --- Initial partitioning at the coarsest level ---
         let coarsest: &S = levels.last().map_or(sub, |l| &l.coarse);
-        // Project coordinates down the level stack by weighted centroid
-        // so the geometric scheme sees the contracted geometry. Only runs
-        // when the recursion attached coordinates, i.e. the geometric
-        // scheme is active — the default path never allocates here.
-        let coarsest_coords: Option<Vec<(f32, f32)>> = coords.map(|top| {
-            let mut cur = top.to_vec();
-            for li in 0..levels.len() {
-                let fine: &S = if li == 0 { sub } else { &levels[li - 1].coarse };
-                cur = crate::geometric::project_centroids(
-                    fine,
-                    &levels[li].map,
-                    levels[li].coarse.num_vertices(),
-                    &cur,
-                );
-            }
-            cur
-        });
         let ispan = self.trace_child("initial", None);
         let timer = StageTimer::start();
         let mut sides = if self.interrupt_checkpoint() {
@@ -511,7 +460,6 @@ impl MultilevelDriver {
                 targets,
                 epsilon,
                 &quick,
-                None,
                 rng,
                 &mut self.arena,
                 &mut self.stats,
@@ -522,7 +470,6 @@ impl MultilevelDriver {
                 targets,
                 epsilon,
                 &self.cfg,
-                coarsest_coords.as_deref(),
                 rng,
                 &mut self.arena,
                 &mut self.stats,
@@ -552,7 +499,9 @@ impl MultilevelDriver {
             let passes = if self.interrupt_checkpoint() {
                 0
             } else {
-                self.fm_pass_allowance(self.cfg.fm_passes)
+                self.cfg
+                    .budget
+                    .fm_pass_allowance(&mut self.stats, self.cfg.fm_passes)
             };
             let rspan = self.trace_child("refine", Some(li as u64));
             let mut st = BisectionState::new_in(
@@ -607,19 +556,11 @@ impl MultilevelDriver {
         let armed_here = self.arm_budget();
         if k > 1 && n > 0 {
             let eps = self.cfg.per_level_epsilon(k);
-            // The geometric scheme reads each vertex's coordinates by
-            // original id. A too-short array (caller error) degrades to
-            // the GHG fallback rather than panicking mid-recursion.
-            let coords = match (self.cfg.initial, &self.cfg.coords) {
-                (InitialScheme::Geometric, Some(c)) if c.len() >= n => Some(Arc::clone(c)),
-                _ => None,
-            };
             let mut ids = S::Ix::take_ids(&mut self.arena, 0, S::Ix::ZERO);
             ids.extend((0..n).map(S::Ix::from_index));
             let mut leaves: Vec<(u32, Vec<S::Ix>)> = Vec::new();
             in_thread_pool(self.threads, || {
-                let coords = coords.as_deref().map(Vec::as_slice);
-                self.recurse(sub, ids, coords, k, 0, eps, &mut leaves, &mut cut_sum)
+                self.recurse(sub, ids, k, 0, eps, &mut leaves, &mut cut_sum)
             });
             for (part, leaf_ids) in leaves {
                 for &orig in &leaf_ids {
@@ -635,18 +576,15 @@ impl MultilevelDriver {
     }
 
     /// Recursive worker. `sub` is a sub-structure of the original (nets
-    /// already split); `ids[v]` maps its vertices back to original ids;
-    /// `coords`, present only for the geometric scheme, is indexed by
-    /// *original* vertex id and covers every one of them. Finished
-    /// `(part, original-ids)` leaves accumulate into `leaves` (each branch
-    /// owns its own sink, so forked subtrees never write into shared
-    /// output).
+    /// already split); `ids[v]` maps its vertices back to original ids.
+    /// Finished `(part, original-ids)` leaves accumulate into `leaves`
+    /// (each branch owns its own sink, so forked subtrees never write into
+    /// shared output).
     #[allow(clippy::too_many_arguments)]
     fn recurse<S: Substrate + Send + Sync>(
         &mut self,
         sub: &S,
         ids: Vec<S::Ix>,
-        coords: Option<&[(f32, f32)]>,
         k: u32,
         part_lo: u32,
         eps: f64,
@@ -663,18 +601,12 @@ impl MultilevelDriver {
         let targets = [total * k0 as f64 / k as f64, total * k1 as f64 / k as f64];
         let mut rng = SmallRng::seed_from_u64(node_seed(self.cfg.seed, part_lo, k));
 
-        // Translate the original-id coordinates into this node's local
-        // vertex space.
-        let local_coords: Option<Vec<(f32, f32)>> =
-            coords.map(|c| ids.iter().map(|&orig| c[orig.index()]).collect());
-
         // Phase spans of this bisection nest under a `bisect[part_lo]`
         // span; `part_lo` is the node's identity, so serial and parallel
         // traversals produce the same tree.
         let bspan = self.trace_child("bisect", Some(part_lo as u64));
         let saved_scope = std::mem::replace(&mut self.span, bspan.handle());
-        let (sides, cut) =
-            self.bisect_with_coords(sub, targets, eps, &mut rng, local_coords.as_deref());
+        let (sides, cut) = self.bisect(sub, targets, eps, &mut rng);
         self.span = saved_scope;
         if bspan.is_enabled() {
             bspan.counter("vertices", sub.num_vertices() as u64);
@@ -710,7 +642,7 @@ impl MultilevelDriver {
             let (fork, child1) = (self.fork(), &child1);
             let caller = std::thread::current().id();
             let ((), right) = rayon::join(
-                || self.recurse(&child0, ids0, coords, k0, part_lo, eps, leaves, cut_sum),
+                || self.recurse(&child0, ids0, k0, part_lo, eps, leaves, cut_sum),
                 move || {
                     // On the caller's thread (no thread was free): hand the
                     // branch back, to run on the caller's driver below.
@@ -720,7 +652,7 @@ impl MultilevelDriver {
                     let mut worker = fork(dspan.handle());
                     let _domain = dspan;
                     let (mut leaves1, mut cut1) = (Vec::new(), 0u64);
-                    worker.recurse(child1, ids1, coords, k1, lo1, eps, &mut leaves1, &mut cut1);
+                    worker.recurse(child1, ids1, k1, lo1, eps, &mut leaves1, &mut cut1);
                     Ok((leaves1, cut1, worker.stats))
                 },
             );
@@ -736,15 +668,15 @@ impl MultilevelDriver {
                     // fresh stats (FM-pass budgets count per domain).
                     let scope = std::mem::replace(&mut self.span, dspan.handle());
                     let outer = std::mem::take(&mut self.stats);
-                    self.recurse(child1, ids1, coords, k1, lo1, eps, leaves, cut_sum);
+                    self.recurse(child1, ids1, k1, lo1, eps, leaves, cut_sum);
                     let branch = std::mem::replace(&mut self.stats, outer);
                     self.stats.merge(&branch);
                     self.span = scope;
                 }
             }
         } else {
-            self.recurse(&child0, ids0, coords, k0, part_lo, eps, leaves, cut_sum);
-            self.recurse(&child1, ids1, coords, k1, lo1, eps, leaves, cut_sum);
+            self.recurse(&child0, ids0, k0, part_lo, eps, leaves, cut_sum);
+            self.recurse(&child1, ids1, k1, lo1, eps, leaves, cut_sum);
         }
     }
 }

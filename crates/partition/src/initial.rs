@@ -1,7 +1,7 @@
 //! Initial partitioning of the coarsest substrate: multiple random tries
 //! of one seeding scheme — greedy growing (GHG on hypergraphs, GGP on
-//! graphs — the same max-gain frontier growth), random fill, weight-only
-//! bin packing, or the geometric sweep — each FM-polished, best kept.
+//! graphs — the same max-gain frontier growth) or weight-only bin
+//! packing — each FM-polished, best kept.
 
 use fgh_sparse::IndexType;
 use fgh_trace::SpanHandle;
@@ -16,22 +16,17 @@ use crate::refine::BisectionState;
 
 /// Substrate-generic, arena-backed initial partitioning (the engine's
 /// entry point): scheme, tries, and FM passes are read from `cfg`.
-/// `coords[v]`, when present, positions *local* vertex `v` for the
-/// geometric scheme — the engine projects top-level coordinates down to
-/// the coarsest substrate before calling this. Geometric without
-/// coordinates falls back to GHG.
 ///
 /// Every try starts with every vertex on side 0, and the scheme's seeder
 /// moves vertices across. The try then builds one [`BisectionState`],
-/// FM-polishes it, and scores it as it stands. The best (balance penalty,
-/// cut) wins, the earliest try on ties.
-#[allow(clippy::too_many_arguments)]
+/// FM-polishes it with the passes `cfg.budget` still allows, and scores
+/// it as it stands. The best (balance penalty, cut) wins, the earliest
+/// try on ties.
 pub(crate) fn initial_best_in<S: Substrate>(
     sub: &S,
     targets: [f64; 2],
     epsilon: f64,
     cfg: &PartitionConfig,
-    coords: Option<&[(f32, f32)]>,
     rng: &mut impl Rng,
     arena: &mut LevelArena,
     stats: &mut EngineStats,
@@ -45,29 +40,17 @@ pub(crate) fn initial_best_in<S: Substrate>(
         let mut verts = S::Ix::take_ids(arena, 0, S::Ix::ZERO);
         verts.extend((0..n).map(S::Ix::from_index));
         // Growth picks vertices by gain, so it runs on the try's state;
-        // the other seeders place vertices before the state exists.
-        let placed = match (cfg.initial, coords) {
-            (InitialScheme::Random, _) => {
-                random_fill(sub, &mut side, &mut verts, targets, rng);
-                true
-            }
-            (InitialScheme::BinPacking, _) => {
-                bin_pack(sub, &mut side, &mut verts, targets, rng);
-                true
-            }
-            (InitialScheme::Geometric, Some(coords)) => {
-                crate::geometric::sweep(sub, &mut side, &mut verts, coords, targets);
-                true
-            }
-            // GHG, and the geometric scheme without coordinates.
-            (InitialScheme::Ghg | InitialScheme::Geometric, _) => false,
-        };
+        // bin packing places vertices before the state exists.
+        if cfg.initial == InitialScheme::BinPacking {
+            bin_pack(sub, &mut side, &mut verts, targets, rng);
+        }
         let mut st = BisectionState::new_in(sub, side, targets, epsilon, arena);
-        if !placed {
+        if cfg.initial == InitialScheme::Ghg {
             grow(sub, &mut st, &mut verts, targets, rng, arena);
         }
         S::Ix::give_ids(arena, verts);
-        st.refine_in(rng, cfg.fm_passes, 0, arena, stats, &SpanHandle::noop());
+        let passes = cfg.budget.fm_pass_allowance(stats, cfg.fm_passes);
+        st.refine_in(rng, passes, 0, arena, stats, &SpanHandle::noop());
         let key = (st.balance_penalty(), st.cut());
         let sides = st.into_sides_in(arena);
         match &best {
@@ -82,27 +65,6 @@ pub(crate) fn initial_best_in<S: Substrate>(
     // The loop runs at least once; an all-zero split is a safe fallback
     // rather than a panic.
     best.map_or_else(|| arena.take_u8(n, 0), |(_, sides)| sides)
-}
-
-/// Random fill: shuffle the vertices and move them to side 1 until it
-/// reaches its target weight.
-fn random_fill<S: Substrate>(
-    sub: &S,
-    side: &mut [u8],
-    verts: &mut [S::Ix],
-    targets: [f64; 2],
-    rng: &mut impl Rng,
-) {
-    verts.shuffle(rng);
-    let target1 = targets[1].floor().max(0.0) as u64;
-    let mut w1 = 0u64;
-    for &v in verts.iter() {
-        if w1 >= target1 {
-            break;
-        }
-        side[v.index()] = 1;
-        w1 += sub.vertex_weight(v) as u64;
-    }
 }
 
 /// Weight-only greedy bin packing: heaviest vertices first, each onto the
@@ -185,7 +147,6 @@ mod tests {
             targets,
             epsilon,
             &cfg,
-            None,
             &mut SmallRng::seed_from_u64(seed),
             &mut LevelArena::new(),
             &mut EngineStats::default(),

@@ -52,8 +52,9 @@ pub struct EngineStats {
     /// Times coarsening stopped early because `Budget::max_levels` was
     /// reached in a bisection.
     pub level_truncations: u64,
-    /// Times refinement ran fewer FM passes than configured because
-    /// `Budget::max_fm_passes` was exhausted.
+    /// Times an initial-partitioning try or an uncoarsening level ran
+    /// fewer FM passes than configured because `Budget::max_fm_passes`
+    /// was exhausted.
     pub fm_truncations: u64,
     /// Times coarsening stopped early because `Budget::max_bytes` was
     /// reached in a bisection (the run continues from the coarseness it

@@ -7,9 +7,8 @@
 //!   contraction that dedupes pins, drops single-pin nets, and merges
 //!   identical nets (summing their costs).
 //! * **Initial partitioning** ([`initial`]): multiple tries, best kept,
-//!   each seeded by greedy hypergraph growing (GHG, the default), random
-//!   fill, weight-only bin packing, or a longest-axis geometric sweep
-//!   ([`geometric`]) and then FM-polished.
+//!   each seeded by greedy hypergraph growing (GHG, the default) or
+//!   weight-only bin packing and then FM-polished.
 //! * **Refinement** ([`refine`]): Fiduccia–Mattheyses passes with
 //!   gain-bucket lists, balance-constrained moves, lock-on-move, and
 //!   best-prefix rollback.
@@ -58,7 +57,6 @@ pub mod connectivity;
 pub mod engine;
 pub mod error;
 pub mod gain;
-pub mod geometric;
 pub mod initial;
 pub mod kway;
 pub mod level;

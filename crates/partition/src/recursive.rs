@@ -276,27 +276,10 @@ mod tests {
             CoarseningScheme::Hcc,
             CoarseningScheme::ScaledHcc,
         ] {
-            for initial in [
-                InitialScheme::Ghg,
-                InitialScheme::Random,
-                InitialScheme::BinPacking,
-                InitialScheme::Geometric,
-            ] {
-                // Geometric runs both with coordinates attached (an
-                // arbitrary deterministic point cloud) and without
-                // (exercising the GHG fallback).
-                let coords: Option<std::sync::Arc<Vec<(f32, f32)>>> =
-                    (initial == InitialScheme::Geometric).then(|| {
-                        std::sync::Arc::new(
-                            (0..300)
-                                .map(|v| ((v % 17) as f32, (v / 17) as f32))
-                                .collect(),
-                        )
-                    });
+            for initial in [InitialScheme::Ghg, InitialScheme::BinPacking] {
                 let cfg = PartitionConfig {
                     coarsening,
                     initial,
-                    coords,
                     ..PartitionConfig::with_seed(4)
                 };
                 let r = partition_hypergraph(&hg, 4, &cfg).unwrap();
@@ -306,39 +289,6 @@ mod tests {
                     "{coarsening:?}/{initial:?}: imbalance {}%",
                     r.imbalance_percent
                 );
-                if initial == InitialScheme::Geometric {
-                    let no_coords = PartitionConfig {
-                        coarsening,
-                        initial,
-                        ..PartitionConfig::with_seed(4)
-                    };
-                    let fallback = partition_hypergraph(&hg, 4, &no_coords).unwrap();
-                    fallback.partition.validate(&hg, true).unwrap();
-                    let ghg = PartitionConfig {
-                        coarsening,
-                        initial: InitialScheme::Ghg,
-                        ..PartitionConfig::with_seed(4)
-                    };
-                    let baseline = partition_hypergraph(&hg, 4, &ghg).unwrap();
-                    assert_eq!(
-                        fallback.partition.parts(),
-                        baseline.partition.parts(),
-                        "{coarsening:?}/{initial:?}: coordinate-less run must equal GHG"
-                    );
-                    // An array shorter than the vertex count falls back too.
-                    let short = PartitionConfig {
-                        coords: Some(std::sync::Arc::new(vec![(0.0, 0.0); 299])),
-                        ..no_coords
-                    };
-                    assert_eq!(
-                        partition_hypergraph(&hg, 4, &short)
-                            .unwrap()
-                            .partition
-                            .parts(),
-                        baseline.partition.parts(),
-                        "{coarsening:?}/{initial:?}: short coordinates must equal GHG"
-                    );
-                }
             }
         }
     }
