@@ -4,7 +4,6 @@
 //!
 //! * net splitting in recursive bisection — on vs off,
 //! * coarsening scheme — HCM vs HCC vs scaled HCC,
-//! * initial partitioning — GHG vs weight-only bin packing,
 //! * direct K-way refinement post-pass — on vs off,
 //! * volume-minimizing 2D (fine-grain) vs structured 2D (checkerboard).
 //!
@@ -14,7 +13,7 @@
 use fgh_bench::ExperimentConfig;
 use fgh_core::models::{CheckerboardModel, FineGrainModel};
 use fgh_core::CommStats;
-use fgh_partition::{partition_hypergraph, CoarseningScheme, InitialScheme, PartitionConfig};
+use fgh_partition::{partition_hypergraph, CoarseningScheme, PartitionConfig};
 use fgh_sparse::CsrMatrix;
 
 struct Variant {
@@ -56,13 +55,6 @@ fn variants() -> Vec<Variant> {
             name: "coarsening: scaled HCC",
             cfg: |s| PartitionConfig {
                 coarsening: CoarseningScheme::ScaledHcc,
-                ..base(s)
-            },
-        },
-        Variant {
-            name: "initial: bin packing",
-            cfg: |s| PartitionConfig {
-                initial: InitialScheme::BinPacking,
                 ..base(s)
             },
         },

@@ -9,7 +9,10 @@ use crate::error::{CmdError, CmdResult};
 use crate::opts::Opts;
 
 pub fn run(args: &[String]) -> CmdResult {
-    let o = Opts::parse(args)?;
+    let o = Opts::parse(
+        args,
+        &["k", "seed", "max-wall-ms", "max-bytes", "threads", "strict"],
+    )?;
     let path = o.one_positional("matrix.mtx")?;
     let a = load_matrix(path)?;
     let k: u32 = o.parse_required("k")?;

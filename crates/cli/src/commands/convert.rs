@@ -9,7 +9,7 @@ use crate::error::CmdResult;
 use crate::opts::Opts;
 
 pub fn run(args: &[String]) -> CmdResult {
-    let o = Opts::parse(args)?;
+    let o = Opts::parse(args, &["model", "out"])?;
     let path = o.one_positional("matrix.mtx")?;
     let a = load_matrix(path)?;
     let model = o.get("model").unwrap_or("fine-grain-2d");

@@ -6,7 +6,7 @@ use crate::error::CmdResult;
 use crate::opts::Opts;
 
 pub fn run(args: &[String]) -> CmdResult {
-    let o = Opts::parse(args)?;
+    let o = Opts::parse(args, &["scale", "seed", "out"])?;
     let which = o.one_positional("matrix name or 'all'")?.to_string();
     let scale: u32 = o.parse_or("scale", 8)?;
     let seed: u64 = o.parse_or("seed", 1)?;

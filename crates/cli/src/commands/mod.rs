@@ -15,9 +15,9 @@ use fgh_sparse::{AnyCsrMatrix, CsrMatrix};
 
 use crate::error::CmdError;
 
-/// Loads a MatrixMarket file into CSR. Compression honors the COO
-/// matrix's attached duplicate policy via [`CsrMatrix::try_from_coo`], so
-/// a policy violation surfaces as a typed error rather than a panic.
+/// Loads a MatrixMarket file into CSR, summing duplicate entries. The
+/// conversion is [`CsrMatrix::try_from_coo`], so a row count too large to
+/// allocate surfaces as a typed error rather than an abort.
 pub fn load_matrix(path: &str) -> Result<CsrMatrix, String> {
     let coo = fgh_sparse::io::read_matrix_market(path).map_err(|e| format!("{path}: {e}"))?;
     CsrMatrix::try_from_coo(coo).map_err(|e| format!("{path}: {e}"))

@@ -6,10 +6,13 @@ use fgh_core::{decompose_workload_any, Decomposition, WorkloadAny, WorkloadOutco
 
 use crate::commands::{finish_outcome, load_matrix_any};
 use crate::error::CmdResult;
-use crate::opts::Opts;
+use crate::opts::{Opts, DECOMPOSE_FLAGS};
 
 pub fn run(args: &[String]) -> CmdResult {
-    let o = Opts::parse(args)?;
+    let o = Opts::parse(
+        args,
+        &[DECOMPOSE_FLAGS, &["k", "strict", "out", "metrics-json"]].concat(),
+    )?;
     let path = o.one_positional("matrix.mtx")?;
     let a = load_matrix_any(path)?;
     let cfg = o.decompose_config(o.parse_required("k")?)?;

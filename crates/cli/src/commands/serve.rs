@@ -24,8 +24,32 @@ use fgh_serve::{run_load, Listen, ServeSnapshot};
 use crate::error::{CmdError, CmdResult};
 use crate::opts::Opts;
 
+/// The flags of all four modes.
+const FLAGS: &[&str] = &[
+    "check-metrics",
+    "self-test",
+    "load",
+    "listen",
+    "uds",
+    "workers",
+    "queue",
+    "cache-bytes",
+    "drain-ms",
+    "max-wall-ms",
+    "max-bytes",
+    "threads",
+    "fault-injection",
+    "addr-file",
+    "metrics-json",
+    "jobs",
+    "concurrency",
+    "inject",
+    "matrix",
+    "scale",
+];
+
 pub fn run(args: &[String]) -> CmdResult {
-    let o = Opts::parse(args)?;
+    let o = Opts::parse(args, FLAGS)?;
     if let Some(path) = o.get("check-metrics") {
         return check_metrics(path);
     }
@@ -276,16 +300,16 @@ mod tests {
 
     #[test]
     fn serve_config_shares_all_cores_unless_threads_is_given() {
-        let cfg = serve_config(&Opts::parse(&args("--workers 4")).unwrap()).unwrap();
+        let cfg = serve_config(&Opts::parse(&args("--workers 4"), FLAGS).unwrap()).unwrap();
         assert_eq!(cfg.parallelism, Parallelism::Auto);
-        let cfg = serve_config(&Opts::parse(&args("--threads 1")).unwrap()).unwrap();
+        let cfg = serve_config(&Opts::parse(&args("--threads 1"), FLAGS).unwrap()).unwrap();
         assert_eq!(cfg.parallelism, Parallelism::Threads(1));
         assert_eq!(
             cfg.parallelism.resolved(),
             1,
             "--threads 1 runs jobs serially"
         );
-        let cfg = serve_config(&Opts::parse(&args("--threads 2")).unwrap()).unwrap();
+        let cfg = serve_config(&Opts::parse(&args("--threads 2"), FLAGS).unwrap()).unwrap();
         assert_eq!(cfg.parallelism, Parallelism::Threads(2));
     }
 

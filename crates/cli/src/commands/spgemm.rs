@@ -13,10 +13,13 @@ use fgh_traffic::TrafficReport;
 
 use crate::commands::{finish_outcome, load_matrix_any};
 use crate::error::{CmdError, CmdResult};
-use crate::opts::Opts;
+use crate::opts::{Opts, DECOMPOSE_FLAGS};
 
 pub fn run(args: &[String]) -> CmdResult {
-    let o = Opts::parse(args)?;
+    let o = Opts::parse(
+        args,
+        &[DECOMPOSE_FLAGS, &["k", "strict", "metrics-json"]].concat(),
+    )?;
     let (path_a, path_b) = o.one_or_two_positional("A.mtx [B.mtx]")?;
     let a = load_matrix_any(path_a)?;
     let b = match path_b {

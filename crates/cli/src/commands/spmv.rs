@@ -6,10 +6,13 @@ use fgh_spmv::DistributedSpmv;
 
 use crate::commands::{finish_outcome, load_matrix};
 use crate::error::CmdResult;
-use crate::opts::Opts;
+use crate::opts::{Opts, DECOMPOSE_FLAGS};
 
 pub fn run(args: &[String]) -> CmdResult {
-    let o = Opts::parse(args)?;
+    let o = Opts::parse(
+        args,
+        &[DECOMPOSE_FLAGS, &["k", "strict", "parallel"]].concat(),
+    )?;
     let path = o.one_positional("matrix.mtx")?;
     let a = load_matrix(path)?;
     let cfg = o.decompose_config(o.parse_required("k")?)?;

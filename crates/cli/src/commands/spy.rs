@@ -5,10 +5,10 @@ use fgh_core::{decompose_workload, Workload, WorkloadOutcome};
 
 use crate::commands::{finish_outcome, load_matrix};
 use crate::error::CmdResult;
-use crate::opts::Opts;
+use crate::opts::{Opts, DECOMPOSE_FLAGS};
 
 pub fn run(args: &[String]) -> CmdResult {
-    let o = Opts::parse(args)?;
+    let o = Opts::parse(args, &[DECOMPOSE_FLAGS, &["width", "k", "strict"]].concat())?;
     let path = o.one_positional("matrix.mtx")?;
     let a = load_matrix(path)?;
     let width: u32 = o.parse_or("width", 60)?;

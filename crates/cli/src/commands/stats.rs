@@ -7,7 +7,7 @@ use crate::error::CmdResult;
 use crate::opts::Opts;
 
 pub fn run(args: &[String]) -> CmdResult {
-    let o = Opts::parse(args)?;
+    let o = Opts::parse(args, &[])?;
     let path = o.one_positional("matrix.mtx")?;
     let a = load_matrix(path)?;
     let s = MatrixStats::compute(&a);

@@ -7,9 +7,14 @@
 //! fgh partition <matrix.mtx> --k K [--model MODEL] [--epsilon E]
 //!               [--seed N] [--runs N] [--out parts.txt]
 //! fgh spmv <matrix.mtx> --k K [--model MODEL] [--parallel]
+//! fgh spgemm <A.mtx> [B.mtx] --k K [--model MODEL]
 //! fgh compare <matrix.mtx> --k K [--seed N]
+//! fgh convert <matrix.mtx> [--model MODEL] [--out FILE]
+//! fgh spy <matrix.mtx> [--width N] [--k K --model MODEL]
 //! fgh serve [--listen ADDR | --uds PATH] [--workers N] [--queue N]
 //! ```
+//!
+//! A flag the subcommand does not read is a bad-input error (exit 2).
 //!
 //! `MODEL` is one of `graph-1d`, `hypergraph-1d-colnet`,
 //! `hypergraph-1d-rownet`, `fine-grain-2d` (default), `checkerboard-2d`,
@@ -70,7 +75,7 @@ fn usage() -> &'static str {
      \x20 fgh stats <matrix.mtx>\n\
      \x20     print the matrix properties Table 1 reports\n\
      \x20 fgh partition <matrix.mtx> --k K [--model M] [--epsilon E] [--seed N]\n\
-     \x20               [--runs N] [--initial S] [--out parts.txt] [--max-wall-ms N]\n\
+     \x20               [--runs N] [--out parts.txt] [--max-wall-ms N]\n\
      \x20               [--strict] [--trace] [--metrics-json FILE]\n\
      \x20     decompose for K processors; optionally write the mapping\n\
      \x20 fgh spmv <matrix.mtx> --k K [--model M] [--parallel] [--max-wall-ms N] [--strict]\n\
@@ -108,7 +113,6 @@ fn usage() -> &'static str {
      \x20                   shares them among its jobs, each forking onto the\n\
      \x20                   cores the other workers leave idle, and N = 1 runs\n\
      \x20                   every job serially); results are bit-identical for every N\n\
-     \x20 --initial S       initial scheme: ghg (default) | binpacking\n\
      \x20 --parallel        (spmv) execute with one thread per processor\n\
      \x20 --max-wall-ms N   wall-clock budget for the partitioner; when it\n\
      \x20                   trips, the best partition found is returned\n\

@@ -1,6 +1,6 @@
 //! Tiny hand-rolled flag parser shared by the subcommands.
 
-use fgh_core::{DecomposeConfig, InitialScheme, Model, Parallelism};
+use fgh_core::{DecomposeConfig, Model, Parallelism};
 
 /// Parsed command line: positional arguments plus `--flag value` pairs.
 #[derive(Debug, Default)]
@@ -11,23 +11,40 @@ pub struct Opts {
 
 /// Flags that take no value.
 const BOOL_FLAGS: &[&str] = &[
-    "--parallel",
-    "--quiet",
-    "--strict",
-    "--trace",
-    "--fault-injection",
-    "--self-test",
-    "--inject",
+    "parallel",
+    "strict",
+    "trace",
+    "fault-injection",
+    "self-test",
+    "inject",
+];
+
+/// The flags [`Opts::decompose_config`] reads; every subcommand that
+/// decomposes accepts them.
+pub const DECOMPOSE_FLAGS: &[&str] = &[
+    "model",
+    "epsilon",
+    "seed",
+    "runs",
+    "max-wall-ms",
+    "max-bytes",
+    "threads",
+    "trace",
 ];
 
 impl Opts {
-    /// Parses `args`; flags must start with `--`.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses `args` against `known`, the names (without `--`) of the
+    /// flags the subcommand reads. Any other `--flag` is an error that
+    /// names it: a misspelt or retired flag must not run with a default.
+    pub fn parse(args: &[String], known: &[&str]) -> Result<Self, String> {
         let mut o = Opts::default();
-        let mut it = args.iter().peekable();
+        let mut it = args.iter();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
-                if BOOL_FLAGS.contains(&a.as_str()) {
+                if !known.contains(&name) {
+                    return Err(format!("unknown flag --{name}"));
+                }
+                if BOOL_FLAGS.contains(&name) {
                     o.flags.push((name.to_string(), None));
                 } else {
                     let v = it
@@ -129,14 +146,8 @@ impl Opts {
         }
     }
 
-    /// The `--model` flag (default fine-grain 2D). Accepts every name
-    /// and alias [`Model`]'s `FromStr` knows.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn model(&self) -> Result<Model, String> {
-        self.model_or("fine-grain-2d")
-    }
-
-    /// [`Opts::model`] with a caller-chosen default name.
+    /// The `--model` flag, or `default` when it is absent. Accepts every
+    /// name and alias [`Model`]'s `FromStr` knows.
     pub fn model_or(&self, default: &str) -> Result<Model, String> {
         self.get("model")
             .unwrap_or(default)
@@ -144,18 +155,8 @@ impl Opts {
             .map_err(|e| format!("--model: {e}"))
     }
 
-    /// The `--initial` flag (default GHG): ghg or binpacking.
-    pub fn initial(&self) -> Result<InitialScheme, String> {
-        self.get("initial")
-            .unwrap_or("ghg")
-            .parse()
-            .map_err(|e| format!("--initial: {e}"))
-    }
-
     /// Builds the decomposition request shared by the subcommands from
-    /// the common flags (`--model --epsilon --seed --runs --initial
-    /// --max-wall-ms --max-bytes --threads --trace`) and an
-    /// already-resolved processor count.
+    /// the [`DECOMPOSE_FLAGS`] and an already-resolved processor count.
     pub fn decompose_config(&self, k: u32) -> Result<DecomposeConfig, String> {
         self.decompose_config_for("fine-grain-2d", k)
     }
@@ -174,8 +175,7 @@ impl Opts {
             .with_runs(self.parse_or("runs", 1)?)
             .with_budget(self.budget()?)
             .with_parallelism(self.parallelism()?)
-            .with_trace(self.has("trace"))
-            .with_initial(self.initial()?))
+            .with_trace(self.has("trace")))
     }
 }
 
@@ -187,63 +187,70 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    /// A flag list for parser tests: the decomposition flags plus the
+    /// ones the tests below use.
+    fn known() -> Vec<&'static str> {
+        [DECOMPOSE_FLAGS, &["k", "parallel"]].concat()
+    }
+
     #[test]
     fn parse_positional_and_flags() {
-        let o = Opts::parse(&sv("a.mtx --k 16 --parallel --model graph-1d")).unwrap();
+        let o = Opts::parse(&sv("a.mtx --k 16 --parallel --model graph-1d"), &known()).unwrap();
         assert_eq!(o.one_positional("matrix").unwrap(), "a.mtx");
         assert_eq!(o.parse_required::<u32>("k").unwrap(), 16);
         assert!(o.has("parallel"));
-        assert_eq!(o.model().unwrap(), Model::Graph1D);
+        assert_eq!(o.model_or("fine-grain-2d").unwrap(), Model::Graph1D);
     }
 
     #[test]
     fn threads_flag_maps_to_parallelism() {
-        let o = Opts::parse(&sv("a.mtx --threads 4")).unwrap();
+        let o = Opts::parse(&sv("a.mtx --threads 4"), &known()).unwrap();
         assert_eq!(o.parallelism().unwrap(), Parallelism::Threads(4));
-        let o = Opts::parse(&sv("a.mtx")).unwrap();
+        let o = Opts::parse(&sv("a.mtx"), &known()).unwrap();
         assert_eq!(o.parallelism().unwrap(), Parallelism::Auto);
-        let o = Opts::parse(&sv("a.mtx --threads 0")).unwrap();
+        let o = Opts::parse(&sv("a.mtx --threads 0"), &known()).unwrap();
         assert!(o.parallelism().is_err());
-        let o = Opts::parse(&sv("a.mtx --threads lots")).unwrap();
+        let o = Opts::parse(&sv("a.mtx --threads lots"), &known()).unwrap();
         assert!(o.parallelism().is_err());
     }
 
     #[test]
     fn defaults() {
-        let o = Opts::parse(&sv("m.mtx --k 4")).unwrap();
-        assert_eq!(o.model().unwrap(), Model::FineGrain2D);
+        let o = Opts::parse(&sv("m.mtx --k 4"), &known()).unwrap();
+        assert_eq!(o.decompose_config(4).unwrap().model, Model::FineGrain2D);
         assert_eq!(o.parse_or("seed", 1u64).unwrap(), 1);
         assert_eq!(o.parse_or("runs", 3usize).unwrap(), 3);
     }
 
     #[test]
     fn errors() {
-        assert!(Opts::parse(&sv("--k")).is_err());
-        let o = Opts::parse(&sv("m.mtx")).unwrap();
+        assert!(Opts::parse(&sv("--k"), &known()).is_err());
+        let o = Opts::parse(&sv("m.mtx"), &known()).unwrap();
         assert!(o.parse_required::<u32>("k").is_err());
-        let o = Opts::parse(&sv("m.mtx --model bogus")).unwrap();
-        assert!(o.model().is_err());
-        let o = Opts::parse(&sv("m.mtx --model checkerboard-hg")).unwrap();
-        assert!(o.model().is_err());
-        let o = Opts::parse(&sv("a b")).unwrap();
+        let o = Opts::parse(&sv("m.mtx --model bogus"), &known()).unwrap();
+        assert!(o.model_or("fine-grain-2d").is_err());
+        let o = Opts::parse(&sv("m.mtx --model checkerboard-hg"), &known()).unwrap();
+        assert!(o.model_or("fine-grain-2d").is_err());
+        let o = Opts::parse(&sv("a b"), &known()).unwrap();
         assert!(o.one_positional("matrix").is_err());
     }
 
     #[test]
-    fn initial_flag_maps_to_scheme() {
-        let o = Opts::parse(&sv("m.mtx --initial binpacking")).unwrap();
-        assert_eq!(o.initial().unwrap(), InitialScheme::BinPacking);
-        let o = Opts::parse(&sv("m.mtx")).unwrap();
-        assert_eq!(o.initial().unwrap(), InitialScheme::Ghg);
-        for gone in ["geometric", "AUTO", "random", "bogus"] {
-            let o = Opts::parse(&sv(&format!("m.mtx --initial {gone}"))).unwrap();
-            assert!(o.initial().is_err(), "--initial {gone} must be rejected");
+    fn unknown_flags_are_rejected() {
+        // A retired flag and a misspelt one: both would otherwise run the
+        // defaults and exit 0.
+        for extra in ["--initial ghg", "--seeed 5"] {
+            let line = format!("m.mtx --k 4 {extra}");
+            let e = crate::commands::partition::run(&sv(&line)).unwrap_err();
+            assert_eq!(e.code, 2, "{line}: {}", e.msg);
+            let flag = extra.split_whitespace().next().unwrap();
+            assert!(e.msg.contains(flag), "{line}: {}", e.msg);
         }
     }
 
     #[test]
     fn last_flag_wins() {
-        let o = Opts::parse(&sv("m --k 2 --k 8")).unwrap();
+        let o = Opts::parse(&sv("m --k 2 --k 8"), &known()).unwrap();
         assert_eq!(o.parse_required::<u32>("k").unwrap(), 8);
     }
 }

@@ -26,7 +26,7 @@ use std::time::Duration;
 use fgh_graph::partition_graph_best_traced_in;
 use fgh_partition::{
     partition_hypergraph_best_traced_in, ArenaIndex, ArenaPool, Budget, CancelToken, EngineStats,
-    InitialScheme, Parallelism, PartitionConfig, PartitionResult,
+    Parallelism, PartitionConfig, PartitionResult,
 };
 use fgh_sparse::{AnyCsrMatrix, CsrMatrix, IndexType, IndexWidth};
 use fgh_trace::{SpanHandle, Trace};
@@ -290,10 +290,6 @@ pub struct DecomposeConfig {
     /// [`DegradedReason::Cancelled`]. `None` (the default) disables
     /// polling.
     pub cancel: Option<CancelToken>,
-    /// Initial-partitioning scheme at the coarsest level. The default is
-    /// [`InitialScheme::Ghg`] (greedy hypergraph growing, the paper's
-    /// scheme); [`InitialScheme::BinPacking`] seeds by weight alone.
-    pub initial: InitialScheme,
 }
 
 impl DecomposeConfig {
@@ -309,7 +305,6 @@ impl DecomposeConfig {
             parallelism: Parallelism::Auto,
             trace: false,
             cancel: None,
-            initial: InitialScheme::Ghg,
         }
     }
 
@@ -359,13 +354,6 @@ impl DecomposeConfig {
         self
     }
 
-    /// The same config with a different initial-partitioning scheme (see
-    /// [`DecomposeConfig::initial`]).
-    pub fn with_initial(mut self, initial: InitialScheme) -> Self {
-        self.initial = initial;
-        self
-    }
-
     /// The [`PartitionConfig`] every engine-backed model runs under: the
     /// request's ε, seed, budget, parallelism, and cancel token carry
     /// over, everything else keeps the partitioner's defaults. The single
@@ -378,7 +366,6 @@ impl DecomposeConfig {
             budget: self.budget,
             parallelism: self.parallelism,
             cancel: self.cancel.clone(),
-            initial: self.initial,
             ..Default::default()
         }
     }

@@ -49,7 +49,7 @@ pub use api::{
     DecomposeConfig, DecomposeIndex, DecompositionOutcome, Model, Outcome, WorkloadKind,
 };
 pub use decomp::Decomposition;
-pub use fgh_partition::{ArenaPool, Budget, CancelToken, EngineStats, InitialScheme, Parallelism};
+pub use fgh_partition::{ArenaPool, Budget, CancelToken, EngineStats, Parallelism};
 pub use fgh_trace::{Trace, Tracer};
 pub use metrics::{CommStats, CommSummary};
 pub use report::{

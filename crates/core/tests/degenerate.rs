@@ -248,7 +248,7 @@ fn fm_pass_budget_caps_refinement() {
 
 #[test]
 fn fm_pass_budget_caps_initial_tries() {
-    // The default config's 8 initial tries per bisection each want 4 FM
+    // The engine's 8 initial tries per bisection each want 4 FM
     // passes: a 3-pass cap must stop them too, not only the uncoarsening
     // levels, and the run must report no more passes than the cap.
     let a = fgh_sparse::catalog::by_name("bcspwr10")

@@ -14,7 +14,7 @@
 
 use fgh_core::models::FineGrainModel;
 use fgh_core::{
-    decompose_workload, DecomposeConfig, InitialScheme, Model, Workload, WorkloadKind,
+    decompose_workload, CancelToken, DecomposeConfig, Model, Workload, WorkloadKind,
     WorkloadOutcome,
 };
 use fgh_hypergraph::{cutsize_connectivity, Partition};
@@ -51,15 +51,6 @@ const GOLDEN_FAN_OUT: &[(Model, usize, [[u64; 3]; 3])] = &[
     ),
 ];
 
-/// One run of every initial scheme but the default GHG on the fine-grain
-/// model, on `GOLDEN`'s inputs and seeds: (model, initial scheme,
-/// objectives in `GOLDEN`'s input and seed order).
-const GOLDEN_SCHEMES: &[(Model, InitialScheme, [[u64; 3]; 3])] = &[(
-    Model::FineGrain2D,
-    InitialScheme::BinPacking,
-    [[96, 92, 98], [355, 370, 383], [654, 610, 617]],
-)];
-
 fn input(name: &str, scale: u32) -> CsrMatrix {
     let entry = by_name(name).unwrap_or_else(|| panic!("{name} not in catalog"));
     entry.generate_scaled(scale, 42)
@@ -73,23 +64,20 @@ fn objective(cfg: &DecomposeConfig, name: &str, scale: u32) -> u64 {
     out.objective
 }
 
-/// Runs `model` with `runs` seeds under `initial` on every `GOLDEN`
-/// input and seed and fails with the full list of drifted objectives.
-fn check(model: Model, runs: usize, initial: InitialScheme, want: impl Fn(usize, usize) -> u64) {
+/// Runs `model` with `runs` seeds on every `GOLDEN` input and seed and
+/// fails with the full list of drifted objectives.
+fn check(model: Model, runs: usize, want: impl Fn(usize, usize) -> u64) {
     let mut failures = Vec::new();
     for (i, &(name, scale, k, seeds)) in GOLDEN.iter().enumerate() {
         for (j, (seed, _)) in seeds.into_iter().enumerate() {
             let cfg = DecomposeConfig::new(model, k)
                 .with_seed(seed)
-                .with_runs(runs)
-                .with_initial(initial);
+                .with_runs(runs);
             let (got, want) = (objective(&cfg, name, scale), want(i, j));
-            println!(
-                "golden: {model} runs {runs} {initial:?} (\"{name}\", {scale}, {k}) seed {seed} => {got}"
-            );
+            println!("golden: {model} runs {runs} (\"{name}\", {scale}, {k}) seed {seed} => {got}");
             if got != want {
                 failures.push(format!(
-                    "{model} runs {runs} {initial:?} {name} scale {scale} k {k} seed {seed}: \
+                    "{model} runs {runs} {name} scale {scale} k {k} seed {seed}: \
                      got {got}, recorded {want}"
                 ));
             }
@@ -104,23 +92,56 @@ fn check(model: Model, runs: usize, initial: InitialScheme, want: impl Fn(usize,
 
 #[test]
 fn per_seed_objectives_match_pre_rewrite_engine() {
-    check(Model::FineGrain2D, 1, InitialScheme::Ghg, |i, j| {
-        GOLDEN[i].3[j].1
-    });
+    check(Model::FineGrain2D, 1, |i, j| GOLDEN[i].3[j].1);
 }
 
 #[test]
 fn graph_baseline_and_seed_fan_out_objectives_are_pinned() {
     for &(model, runs, want) in GOLDEN_FAN_OUT {
-        check(model, runs, InitialScheme::Ghg, |i, j| want[i][j]);
+        check(model, runs, |i, j| want[i][j]);
     }
 }
 
+/// A fine-grain run with a token cancelled before it starts: every
+/// bisection takes the engine's quick split (weight-only bin packing, no
+/// FM), so these objectives, in `GOLDEN`'s input and seed order, pin
+/// that split.
+const GOLDEN_QUICK_SPLIT: [[u64; 3]; 3] =
+    [[2776, 2722, 2765], [3039, 3046, 3058], [3414, 3462, 3444]];
+
 #[test]
-fn initial_scheme_objectives_are_pinned() {
-    for &(model, initial, want) in GOLDEN_SCHEMES {
-        check(model, 1, initial, |i, j| want[i][j]);
+fn cancelled_run_objectives_pin_the_quick_split() {
+    let mut failures = Vec::new();
+    for (i, &(name, scale, k, seeds)) in GOLDEN.iter().enumerate() {
+        for (j, (seed, _)) in seeds.into_iter().enumerate() {
+            let token = CancelToken::new();
+            token.cancel();
+            let cfg = DecomposeConfig::new(Model::FineGrain2D, k)
+                .with_seed(seed)
+                .with_cancel(token);
+            let a = input(name, scale);
+            let out = decompose_workload(Workload::Spmv(&a), &cfg)
+                .and_then(WorkloadOutcome::into_spmv)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let (got, want) = (out.objective, GOLDEN_QUICK_SPLIT[i][j]);
+            println!("golden: quick split (\"{name}\", {scale}, {k}) seed {seed} => {got}");
+            assert!(
+                out.engine.cancel_truncations > 0,
+                "{name} seed {seed}: the cancel was not observed"
+            );
+            assert_eq!(out.engine.fm_passes, 0, "{name} seed {seed}: FM ran");
+            if got != want {
+                failures.push(format!(
+                    "quick split {name} scale {scale} k {k} seed {seed}: got {got}, recorded {want}"
+                ));
+            }
+        }
     }
+    assert!(
+        failures.is_empty(),
+        "objective drift:\n{}",
+        failures.join("\n")
+    );
 }
 
 /// Embeds every SpMV model's decomposition into the fine-grain

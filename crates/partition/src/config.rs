@@ -14,6 +14,17 @@ pub(crate) const MAX_NET_SIZE_FOR_MATCHING: usize = 64;
 /// non-improving moves; the pass still rolls back to its best prefix.
 pub(crate) const FM_EARLY_EXIT: usize = 400;
 
+/// Coarsening stops once the working structure has at most this many
+/// vertices.
+pub(crate) const COARSEN_TO: usize = 100;
+
+/// Greedy-growing tries at the coarsest level; the best one is kept.
+pub(crate) const INITIAL_TRIES: usize = 8;
+
+/// Maximum FM passes per level and per initial try (a pass that improves
+/// nothing ends refinement early).
+pub(crate) const FM_PASSES: usize = 4;
+
 /// Resource budget for a partitioning run. Each limit is optional; `None`
 /// means unbounded (the default). Budgets degrade gracefully: when a limit
 /// trips, the engine keeps the best partition found so far and records the
@@ -65,11 +76,6 @@ impl Budget {
             max_bytes: Some(limit),
             ..Budget::UNLIMITED
         }
-    }
-
-    /// `true` when no limit is set.
-    pub fn is_unlimited(&self) -> bool {
-        *self == Budget::UNLIMITED
     }
 
     /// FM passes still allowed by `max_fm_passes` once `stats` has run
@@ -167,35 +173,14 @@ pub enum CoarseningScheme {
     ScaledHcc,
 }
 
-/// Initial-partitioning scheme at the coarsest level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InitialScheme {
-    /// Greedy hypergraph growing: grow side 1 by max-gain moves (default).
-    Ghg,
-    /// Weight-only bin packing: heaviest vertices first onto the lighter
-    /// side, ignoring connectivity. The engine's quick split once a run
-    /// is out of time or cancelled.
-    BinPacking,
-}
-
-impl std::str::FromStr for InitialScheme {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "ghg" => Ok(InitialScheme::Ghg),
-            "binpacking" | "bin-packing" => Ok(InitialScheme::BinPacking),
-            other => Err(format!(
-                "unknown initial scheme '{other}' (expected ghg or binpacking)"
-            )),
-        }
-    }
-}
-
 /// Configuration for the multilevel partitioner.
 ///
 /// The defaults mirror the paper's experimental setup where it specifies
-/// one: `epsilon = 0.03` (all reported imbalances are below 3%).
+/// one: `epsilon = 0.03` (all reported imbalances are below 3%). The
+/// paper ran PaToH at its default settings, so the engine's own tuning is
+/// fixed rather than configured: coarsening stops at 100 vertices, each
+/// coarsest level gets 8 greedy-hypergraph-growing tries, and each try
+/// and each level gets up to 4 FM passes.
 #[derive(Debug, Clone)]
 pub struct PartitionConfig {
     /// Maximum allowed imbalance ratio ε of the *final* K-way partition
@@ -205,20 +190,10 @@ pub struct PartitionConfig {
     pub seed: u64,
     /// Coarsening scheme.
     pub coarsening: CoarseningScheme,
-    /// Initial-partitioning scheme at the coarsest level.
-    pub initial: InitialScheme,
     /// Apply net splitting during recursive bisection (the correct
     /// treatment for the connectivity−1 objective). Disable only for the
     /// cut-net-metric ablation.
     pub net_splitting: bool,
-    /// Stop coarsening once the working hypergraph has at most this many
-    /// vertices.
-    pub coarsen_to: u32,
-    /// Number of greedy-hypergraph-growing tries at the coarsest level.
-    pub initial_tries: usize,
-    /// Maximum FM passes per level (a pass that improves nothing ends
-    /// refinement early).
-    pub fm_passes: usize,
     /// Run a direct K-way greedy refinement pass over the assembled
     /// partition after recursive bisection (extension over the paper).
     pub kway_refine: bool,
@@ -245,11 +220,7 @@ impl Default for PartitionConfig {
             epsilon: 0.03,
             seed: 1,
             coarsening: CoarseningScheme::Hcc,
-            initial: InitialScheme::Ghg,
             net_splitting: true,
-            coarsen_to: 100,
-            initial_tries: 8,
-            fm_passes: 4,
             kway_refine: true,
             budget: Budget::UNLIMITED,
             parallelism: Parallelism::Serial,

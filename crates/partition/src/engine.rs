@@ -6,9 +6,9 @@
 //! change it, and how contraction/extraction rebuild the structure. The
 //! [`Substrate`] trait captures exactly those differences; everything else
 //! (the FM state machine in [`crate::refine`], the clustering loop in
-//! [`crate::coarsen`], the initial-partitioning schemes in
-//! [`crate::initial`], and the V-cycle + recursive-bisection control flow
-//! here) is written once against the trait.
+//! [`crate::coarsen`], initial partitioning in [`crate::initial`], and the
+//! V-cycle + recursive-bisection control flow here) is written once
+//! against the trait.
 //!
 //! A substrate also declares its index width through [`Substrate::Ix`]:
 //! `u32` for everything that fits 32-bit ids (the fast path — half the
@@ -38,8 +38,10 @@ use fgh_trace::{Span, SpanHandle};
 use crate::arena::{ArenaIndex, ArenaPool, LevelArena};
 use crate::cancel::{CancelToken, SharedDeadline};
 use crate::coarsen::coarsen_once_in;
-use crate::config::{InitialScheme, PartitionConfig, FM_EARLY_EXIT, MAX_NET_SIZE_FOR_MATCHING};
-use crate::initial::initial_best_in;
+use crate::config::{
+    PartitionConfig, COARSEN_TO, FM_EARLY_EXIT, FM_PASSES, MAX_NET_SIZE_FOR_MATCHING,
+};
+use crate::initial::{bin_pack, initial_best_in};
 use crate::level::{EngineStats, Level, StageTimer};
 use crate::parallel::in_thread_pool;
 use crate::refine::BisectionState;
@@ -386,7 +388,7 @@ impl MultilevelDriver {
         let mut levels: Vec<Level<S>> = Vec::new();
         loop {
             let cur: &S = levels.last().map_or(sub, |l| &l.coarse);
-            if cur.num_vertices() <= self.cfg.coarsen_to as usize {
+            if cur.num_vertices() <= COARSEN_TO {
                 break;
             }
             // Budget checkpoints: stop building levels once the per-
@@ -447,29 +449,14 @@ impl MultilevelDriver {
         let timer = StageTimer::start();
         let mut sides = if self.interrupt_checkpoint() {
             // Out of time or cancelled: one weight-only split instead of
-            // multi-try greedy growing — still balanced, no connectivity
-            // work.
-            let quick = PartitionConfig {
-                initial: InitialScheme::BinPacking,
-                initial_tries: 1,
-                fm_passes: 0,
-                ..self.cfg.clone()
-            };
-            initial_best_in(
-                coarsest,
-                targets,
-                epsilon,
-                &quick,
-                rng,
-                &mut self.arena,
-                &mut self.stats,
-            )
+            // multi-try greedy growing.
+            bin_pack(coarsest, targets, rng, &mut self.arena)
         } else {
             initial_best_in(
                 coarsest,
                 targets,
                 epsilon,
-                &self.cfg,
+                &self.cfg.budget,
                 rng,
                 &mut self.arena,
                 &mut self.stats,
@@ -501,7 +488,7 @@ impl MultilevelDriver {
             } else {
                 self.cfg
                     .budget
-                    .fm_pass_allowance(&mut self.stats, self.cfg.fm_passes)
+                    .fm_pass_allowance(&mut self.stats, FM_PASSES)
             };
             let rspan = self.trace_child("refine", Some(li as u64));
             let mut st = BisectionState::new_in(
@@ -1090,11 +1077,7 @@ mod tests {
     #[test]
     fn driver_bisect_matches_quality_of_direct_path() {
         let hg = two_clusters(200);
-        let cfg = PartitionConfig {
-            coarsen_to: 40,
-            ..PartitionConfig::with_seed(5)
-        };
-        let mut driver = MultilevelDriver::new(cfg);
+        let mut driver = MultilevelDriver::new(PartitionConfig::with_seed(5));
         let mut rng = SmallRng::seed_from_u64(5);
         let (sides, cut) = driver.bisect(&hg, [200.0, 200.0], 0.03, &mut rng);
         assert_eq!(cut, 1, "should discover the single-bridge cut");
@@ -1118,10 +1101,7 @@ mod tests {
     #[test]
     fn bisect_two_clusters_optimally() {
         let hg = two_clusters(200);
-        let cfg = PartitionConfig {
-            coarsen_to: 40,
-            ..Default::default()
-        };
+        let cfg = PartitionConfig::default();
         let (sides, cut) = bisect(&hg, [200.0, 200.0], 0.03, cfg, 5);
         assert_eq!(cut, 1, "should discover the single-bridge cut");
         let w1 = sides.iter().filter(|&&s| s == 1).count();

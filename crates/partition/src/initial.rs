@@ -1,7 +1,8 @@
-//! Initial partitioning of the coarsest substrate: multiple random tries
-//! of one seeding scheme — greedy growing (GHG on hypergraphs, GGP on
-//! graphs — the same max-gain frontier growth) or weight-only bin
-//! packing — each FM-polished, best kept.
+//! Initial partitioning of the coarsest substrate: several random tries
+//! of greedy growing (GHG on hypergraphs, GGP on graphs — the same
+//! max-gain frontier growth), each FM-polished, best kept. A run that is
+//! out of time or cancelled takes one weight-only bin-packing split
+//! instead.
 
 use fgh_sparse::IndexType;
 use fgh_trace::SpanHandle;
@@ -9,47 +10,40 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::arena::{ArenaIndex, LevelArena};
-use crate::config::{InitialScheme, PartitionConfig};
+use crate::config::{Budget, FM_PASSES, INITIAL_TRIES};
 use crate::engine::Substrate;
 use crate::level::EngineStats;
 use crate::refine::BisectionState;
 
 /// Substrate-generic, arena-backed initial partitioning (the engine's
-/// entry point): scheme, tries, and FM passes are read from `cfg`.
+/// entry point): [`INITIAL_TRIES`] tries of greedy growing, each
+/// FM-polished with up to [`FM_PASSES`] passes.
 ///
-/// Every try starts with every vertex on side 0, and the scheme's seeder
-/// moves vertices across. The try then builds one [`BisectionState`],
-/// FM-polishes it with the passes `cfg.budget` still allows, and scores
-/// it as it stands. The best (balance penalty, cut) wins, the earliest
-/// try on ties.
+/// Every try starts with every vertex on side 0, and growth moves
+/// vertices across. The try FM-polishes with the passes `budget` still
+/// allows and is scored as it stands. The best (balance penalty, cut)
+/// wins, the earliest try on ties.
 pub(crate) fn initial_best_in<S: Substrate>(
     sub: &S,
     targets: [f64; 2],
     epsilon: f64,
-    cfg: &PartitionConfig,
+    budget: &Budget,
     rng: &mut impl Rng,
     arena: &mut LevelArena,
     stats: &mut EngineStats,
 ) -> Vec<u8> {
     let n = sub.num_vertices();
     let mut best: Option<((u64, u64), Vec<u8>)> = None;
-    for _ in 0..cfg.initial_tries.max(1) {
-        let mut side = arena.take_u8(n, 0);
-        // The seeders reorder the vertex list, so each try starts from id
+    for _ in 0..INITIAL_TRIES {
+        let side = arena.take_u8(n, 0);
+        // Growth reorders the vertex list, so each try starts from id
         // order.
         let mut verts = S::Ix::take_ids(arena, 0, S::Ix::ZERO);
         verts.extend((0..n).map(S::Ix::from_index));
-        // Growth picks vertices by gain, so it runs on the try's state;
-        // bin packing places vertices before the state exists.
-        if cfg.initial == InitialScheme::BinPacking {
-            bin_pack(sub, &mut side, &mut verts, targets, rng);
-        }
         let mut st = BisectionState::new_in(sub, side, targets, epsilon, arena);
-        if cfg.initial == InitialScheme::Ghg {
-            grow(sub, &mut st, &mut verts, targets, rng, arena);
-        }
+        grow(sub, &mut st, &mut verts, targets, rng, arena);
         S::Ix::give_ids(arena, verts);
-        let passes = cfg.budget.fm_pass_allowance(stats, cfg.fm_passes);
+        let passes = budget.fm_pass_allowance(stats, FM_PASSES);
         st.refine_in(rng, passes, 0, arena, stats, &SpanHandle::noop());
         let key = (st.balance_penalty(), st.cut());
         let sides = st.into_sides_in(arena);
@@ -67,16 +61,20 @@ pub(crate) fn initial_best_in<S: Substrate>(
     best.map_or_else(|| arena.take_u8(n, 0), |(_, sides)| sides)
 }
 
-/// Weight-only greedy bin packing: heaviest vertices first, each onto the
+/// The engine's quick split once a run is out of time or cancelled:
+/// weight-only greedy bin packing, heaviest vertices first, each onto the
 /// side with the larger remaining gap to its target (ties randomized by a
 /// shuffled pre-pass), connectivity ignored.
-fn bin_pack<S: Substrate>(
+pub(crate) fn bin_pack<S: Substrate>(
     sub: &S,
-    side: &mut [u8],
-    verts: &mut [S::Ix],
     targets: [f64; 2],
     rng: &mut impl Rng,
-) {
+    arena: &mut LevelArena,
+) -> Vec<u8> {
+    let n = sub.num_vertices();
+    let mut side = arena.take_u8(n, 0);
+    let mut verts = S::Ix::take_ids(arena, 0, S::Ix::ZERO);
+    verts.extend((0..n).map(S::Ix::from_index));
     verts.shuffle(rng);
     verts.sort_by_key(|&v| std::cmp::Reverse(sub.vertex_weight(v)));
     let mut w = [0u64; 2];
@@ -85,6 +83,8 @@ fn bin_pack<S: Substrate>(
         side[v.index()] = s as u8; // lint: checked-cast — s is 0 or 1
         w[s] += sub.vertex_weight(v) as u64;
     }
+    S::Ix::give_ids(arena, verts);
+    side
 }
 
 /// Greedy growing: pull max-gain vertices across to side 1 until it
@@ -126,27 +126,13 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    /// Greedy hypergraph growing, best of `tries`, each try refined by
-    /// up to `fm_passes` FM passes.
-    fn ghg(
-        hg: &Hypergraph,
-        targets: [f64; 2],
-        epsilon: f64,
-        tries: usize,
-        fm_passes: usize,
-        seed: u64,
-    ) -> Vec<u8> {
-        let cfg = PartitionConfig {
-            initial: InitialScheme::Ghg,
-            initial_tries: tries,
-            fm_passes,
-            ..Default::default()
-        };
+    /// Greedy hypergraph growing, best of the engine's tries.
+    fn ghg(hg: &Hypergraph, targets: [f64; 2], epsilon: f64, seed: u64) -> Vec<u8> {
         initial_best_in(
             hg,
             targets,
             epsilon,
-            &cfg,
+            &Budget::UNLIMITED,
             &mut SmallRng::seed_from_u64(seed),
             &mut LevelArena::new(),
             &mut EngineStats::default(),
@@ -156,7 +142,7 @@ mod tests {
     #[test]
     fn ghg_produces_balanced_bisection() {
         let hg = two_clusters(20);
-        let sides = ghg(&hg, [20.0, 20.0], 0.05, 4, 4, 2);
+        let sides = ghg(&hg, [20.0, 20.0], 0.05, 2);
         let w1: usize = sides.iter().filter(|&&s| s == 1).count();
         assert!((15..=25).contains(&w1), "side 1 holds {w1} of 40");
         let st = BisectionState::new(&hg, sides, [20.0, 20.0], 0.05);
@@ -169,7 +155,7 @@ mod tests {
     fn ghg_on_netless_hypergraph() {
         // No nets: any balanced split works; GHG must still terminate.
         let hg = Hypergraph::from_nets(10, &[]).unwrap();
-        let sides = ghg(&hg, [5.0, 5.0], 0.0, 2, 2, 4);
+        let sides = ghg(&hg, [5.0, 5.0], 0.0, 4);
         let c1 = sides.iter().filter(|&&s| s == 1).count();
         assert_eq!(c1, 5);
     }
@@ -177,7 +163,7 @@ mod tests {
     #[test]
     fn ghg_single_vertex() {
         let hg = Hypergraph::from_nets(1, &[]).unwrap();
-        let sides = ghg(&hg, [1.0, 0.0], 0.0, 1, 1, 4);
+        let sides = ghg(&hg, [1.0, 0.0], 0.0, 4);
         assert_eq!(sides, vec![0]);
     }
 }

@@ -7,8 +7,8 @@
 //!   contraction that dedupes pins, drops single-pin nets, and merges
 //!   identical nets (summing their costs).
 //! * **Initial partitioning** ([`initial`]): multiple tries, best kept,
-//!   each seeded by greedy hypergraph growing (GHG, the default) or
-//!   weight-only bin packing and then FM-polished.
+//!   each seeded by greedy hypergraph growing (GHG) and then FM-polished;
+//!   weight-only bin packing is the quick split of an interrupted run.
 //! * **Refinement** ([`refine`]): Fiduccia–Mattheyses passes with
 //!   gain-bucket lists, balance-constrained moves, lock-on-move, and
 //!   best-prefix rollback.
@@ -66,7 +66,7 @@ pub mod refine;
 
 pub use arena::{ArenaIndex, ArenaPool, ArenaStats, LevelArena};
 pub use cancel::CancelToken;
-pub use config::{Budget, CoarseningScheme, InitialScheme, Parallelism, PartitionConfig};
+pub use config::{Budget, CoarseningScheme, Parallelism, PartitionConfig};
 pub use connectivity::NetConnectivity;
 pub use engine::{MultilevelDriver, RecursiveOutcome, Substrate};
 pub use error::PartitionError;

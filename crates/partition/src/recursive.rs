@@ -269,27 +269,24 @@ mod tests {
 
     #[test]
     fn all_coarsening_and_initial_schemes_work() {
-        use crate::config::{CoarseningScheme, InitialScheme};
+        use crate::config::CoarseningScheme;
         let hg = random_hypergraph(300, 450, 5, 12);
         for coarsening in [
             CoarseningScheme::Hcm,
             CoarseningScheme::Hcc,
             CoarseningScheme::ScaledHcc,
         ] {
-            for initial in [InitialScheme::Ghg, InitialScheme::BinPacking] {
-                let cfg = PartitionConfig {
-                    coarsening,
-                    initial,
-                    ..PartitionConfig::with_seed(4)
-                };
-                let r = partition_hypergraph(&hg, 4, &cfg).unwrap();
-                r.partition.validate(&hg, true).unwrap();
-                assert!(
-                    r.imbalance_percent <= 5.0,
-                    "{coarsening:?}/{initial:?}: imbalance {}%",
-                    r.imbalance_percent
-                );
-            }
+            let cfg = PartitionConfig {
+                coarsening,
+                ..PartitionConfig::with_seed(4)
+            };
+            let r = partition_hypergraph(&hg, 4, &cfg).unwrap();
+            r.partition.validate(&hg, true).unwrap();
+            assert!(
+                r.imbalance_percent <= 5.0,
+                "{coarsening:?}: imbalance {}%",
+                r.imbalance_percent
+            );
         }
     }
 

@@ -87,13 +87,12 @@ fn inline_joins_run_on_the_callers_arena() {
 #[test]
 fn fm_pass_budget_counts_per_branch_inline_or_forked() {
     let hg = random_hypergraph(600, 1400, 42);
-    // One initial try of one FM pass leaves each bisection domain two
-    // passes of the budget's three for its coarsest levels.
+    // Every initial try runs a pass while the budget has one left, so the
+    // budget's three passes run out in the initial tries of each
+    // domain's first bisection.
     let cfg = PartitionConfig {
         seed: 3,
         parallelism: Parallelism::Threads(2),
-        initial_tries: 1,
-        fm_passes: 1,
         budget: Budget {
             max_fm_passes: Some(3),
             ..Budget::UNLIMITED

@@ -1140,7 +1140,6 @@ mod tests {
             }
         );
         assert!(!cfg.trace);
-        assert_eq!(cfg.initial, fgh_core::InitialScheme::Ghg);
         // The attached token is the job's own: tripping it is visible
         // through the config.
         let cancel = cfg.cancel.expect("the job's token is attached");

@@ -5,19 +5,6 @@ use fgh_invariant::{invariant, InvariantViolation};
 use crate::index::IndexType;
 use crate::{Result, SparseError};
 
-/// How duplicate `(row, col)` entries are resolved when a COO matrix is
-/// compressed or converted to CSR.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DedupPolicy {
-    /// Duplicates are an error ([`SparseError::DuplicateEntry`]).
-    Error,
-    /// Duplicate values are summed (the classical COO semantics; default).
-    #[default]
-    Sum,
-    /// The last-pushed value wins.
-    LastWins,
-}
-
 /// A sparse matrix in coordinate (COO / triplet) format, generic over the
 /// index width `I` ([`IndexType`]; `u32` by default, `u64` for instances
 /// beyond 32-bit addressing).
@@ -25,9 +12,7 @@ pub enum DedupPolicy {
 /// Entries are stored as `(row, col, value)` triplets in arbitrary order and
 /// may contain duplicates until [`CooMatrix::compress`] is called. This is
 /// the format every generator and the Matrix Market reader produce; convert
-/// to [`crate::CsrMatrix`] for analysis. The [`DedupPolicy`] attached to the
-/// matrix decides what duplicates mean — summed (default), last-wins, or a
-/// hard error via [`crate::CsrMatrix::try_from_coo`].
+/// to [`crate::CsrMatrix`] for analysis, which sums duplicates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CooMatrix<I: IndexType = u32> {
     nrows: I,
@@ -35,7 +20,6 @@ pub struct CooMatrix<I: IndexType = u32> {
     rows: Vec<I>,
     cols: Vec<I>,
     vals: Vec<f64>,
-    dedup_policy: DedupPolicy,
 }
 
 impl<I: IndexType> CooMatrix<I> {
@@ -47,7 +31,6 @@ impl<I: IndexType> CooMatrix<I> {
             rows: Vec::new(),
             cols: Vec::new(),
             vals: Vec::new(),
-            dedup_policy: DedupPolicy::default(),
         }
     }
 
@@ -59,24 +42,7 @@ impl<I: IndexType> CooMatrix<I> {
             rows: Vec::with_capacity(cap),
             cols: Vec::with_capacity(cap),
             vals: Vec::with_capacity(cap),
-            dedup_policy: DedupPolicy::default(),
         }
-    }
-
-    /// The duplicate-resolution policy applied on compression.
-    pub fn dedup_policy(&self) -> DedupPolicy {
-        self.dedup_policy
-    }
-
-    /// Sets the duplicate-resolution policy (builder style).
-    pub fn with_dedup_policy(mut self, policy: DedupPolicy) -> Self {
-        self.dedup_policy = policy;
-        self
-    }
-
-    /// Sets the duplicate-resolution policy in place.
-    pub fn set_dedup_policy(&mut self, policy: DedupPolicy) {
-        self.dedup_policy = policy;
     }
 
     /// Number of rows.
@@ -136,39 +102,16 @@ impl<I: IndexType> CooMatrix<I> {
         (0..self.rows.len()).map(move |i| (self.rows[i], self.cols[i], self.vals[i]))
     }
 
-    /// Sorts entries into row-major order and sums duplicates in place
-    /// (equivalent to [`CooMatrix::compress_with`] under
-    /// [`DedupPolicy::Sum`], regardless of the attached policy).
+    /// Sorts entries into row-major order and sums duplicates in place.
     /// Entries whose summed value is exactly `0.0` are *kept* (explicit
     /// zeros are structurally meaningful for decomposition: they are
     /// nonzeros of the pattern).
     pub fn compress(&mut self) {
-        // Sum never fails, so the error arm is unreachable.
-        let _ = self.compress_with(DedupPolicy::Sum);
-    }
-
-    /// Sorts entries into row-major order, resolving duplicates according
-    /// to `policy`. Under [`DedupPolicy::Error`] the matrix is left
-    /// untouched when a duplicate exists and the offending coordinate is
-    /// reported.
-    pub fn compress_with(&mut self, policy: DedupPolicy) -> Result<()> {
         let n = self.rows.len();
         let mut order: Vec<usize> = (0..n).collect();
-        // The index tiebreak keeps duplicates in push order, which is what
-        // gives `LastWins` its meaning.
+        // The index tiebreak sums duplicates in push order, so the
+        // floating-point result does not depend on the sort.
         order.sort_unstable_by_key(|&i| (self.rows[i], self.cols[i], i));
-
-        if policy == DedupPolicy::Error {
-            for w in order.windows(2) {
-                let (a, b) = (w[0], w[1]);
-                if self.rows[a] == self.rows[b] && self.cols[a] == self.cols[b] {
-                    return Err(SparseError::DuplicateEntry {
-                        row: self.rows[a].as_u64(),
-                        col: self.cols[a].as_u64(),
-                    });
-                }
-            }
-        }
 
         let mut rows: Vec<I> = Vec::with_capacity(n);
         let mut cols: Vec<I> = Vec::with_capacity(n);
@@ -177,12 +120,7 @@ impl<I: IndexType> CooMatrix<I> {
             let (r, c, v) = (self.rows[i], self.cols[i], self.vals[i]);
             if let Some(last) = vals.last_mut() {
                 if rows[rows.len() - 1] == r && cols[cols.len() - 1] == c {
-                    match policy {
-                        DedupPolicy::Sum => *last += v,
-                        DedupPolicy::LastWins => *last = v,
-                        // Checked above; duplicates cannot reach here.
-                        DedupPolicy::Error => {}
-                    }
+                    *last += v;
                     continue;
                 }
             }
@@ -193,12 +131,6 @@ impl<I: IndexType> CooMatrix<I> {
         self.rows = rows;
         self.cols = cols;
         self.vals = vals;
-        Ok(())
-    }
-
-    /// Compresses using the matrix's attached [`DedupPolicy`].
-    pub fn compress_policy(&mut self) -> Result<()> {
-        self.compress_with(self.dedup_policy)
     }
 
     /// Consumes the matrix and returns `(nrows, ncols, rows, cols, vals)`.
@@ -283,37 +215,6 @@ mod tests {
         m.compress();
         assert_eq!(m.nnz(), 1);
         assert_eq!(m.iter().next(), Some((1, 1, 0.0)));
-    }
-
-    #[test]
-    fn dedup_policy_error_reports_coordinate_and_preserves_matrix() {
-        let mut m: CooMatrix =
-            CooMatrix::from_triplets(3, 3, vec![(1, 2, 1.0), (0, 0, 2.0), (1, 2, 3.0)])
-                .unwrap()
-                .with_dedup_policy(DedupPolicy::Error);
-        assert_eq!(m.dedup_policy(), DedupPolicy::Error);
-        match m.compress_policy() {
-            Err(SparseError::DuplicateEntry { row: 1, col: 2 }) => {}
-            other => panic!("expected DuplicateEntry(1,2), got {other:?}"),
-        }
-        assert_eq!(m.nnz(), 3, "failed compression must not mutate");
-    }
-
-    #[test]
-    fn dedup_policy_last_wins() {
-        let mut m: CooMatrix =
-            CooMatrix::from_triplets(2, 2, vec![(0, 0, 1.0), (0, 0, 9.0), (1, 1, 5.0)]).unwrap();
-        m.compress_with(DedupPolicy::LastWins).unwrap();
-        let entries: Vec<_> = m.iter().collect();
-        assert_eq!(entries, vec![(0, 0, 9.0), (1, 1, 5.0)]);
-    }
-
-    #[test]
-    fn dedup_policy_error_accepts_unique_entries() {
-        let mut m: CooMatrix =
-            CooMatrix::from_triplets(2, 2, vec![(0, 1, 1.0), (1, 0, 2.0)]).unwrap();
-        m.compress_with(DedupPolicy::Error).unwrap();
-        assert_eq!(m.nnz(), 2);
     }
 
     #[test]

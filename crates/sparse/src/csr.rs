@@ -21,24 +21,19 @@ pub struct CsrMatrix<I: IndexType = u32> {
 }
 
 impl<I: IndexType> CsrMatrix<I> {
-    /// Builds a CSR matrix from a COO matrix, summing duplicates (the
-    /// historical behavior, equal to [`crate::coo::DedupPolicy::Sum`]).
-    /// Use [`CsrMatrix::try_from_coo`] to honor the COO matrix's attached
-    /// dedup policy — including rejecting duplicates outright.
+    /// Builds a CSR matrix from a COO matrix, summing duplicates.
     pub fn from_coo(mut coo: CooMatrix<I>) -> Self {
         coo.compress();
         let row_ptr = vec![0usize; coo.nrows().index() + 1];
         Self::from_compressed(coo, row_ptr)
     }
 
-    /// Builds a CSR matrix from a COO matrix, resolving duplicates with
-    /// the COO matrix's [`crate::coo::DedupPolicy`]. Fails with
-    /// [`SparseError::DuplicateEntry`] under the `Error` policy when a
-    /// duplicate coordinate exists, and with [`SparseError::Io`] when the
-    /// allocator refuses the row pointer array — the row count may come
-    /// from an untrusted header, which must not abort the process.
+    /// [`CsrMatrix::from_coo`] for a matrix whose row count may come from
+    /// an untrusted header: fails with [`SparseError::Io`] when the
+    /// allocator refuses the row pointer array, which must not abort the
+    /// process.
     pub fn try_from_coo(mut coo: CooMatrix<I>) -> Result<Self> {
-        coo.compress_policy()?;
+        coo.compress();
         let len = coo.nrows().index() + 1;
         let mut row_ptr = Vec::new();
         row_ptr.try_reserve_exact(len).map_err(|e| {

@@ -332,8 +332,8 @@ fn scan_width(input: impl BufRead) -> Result<IndexWidth> {
     Err(SparseError::Parse("missing size line".into()))
 }
 
-/// Parses `input` at the width its header selects, compressing with the
-/// parsed matrix's dedup policy (see [`CsrMatrix::try_from_coo`]).
+/// Parses `input` at the width its header selects and compresses it,
+/// summing duplicates (see [`CsrMatrix::try_from_coo`]).
 fn parse_any(mut input: impl BufRead + Seek) -> Result<AnyCsrMatrix> {
     let width = scan_width(&mut input)?;
     input.rewind()?;
@@ -371,7 +371,7 @@ pub fn read_matrix_market(path: impl AsRef<Path>) -> Result<CooMatrix> {
 /// width from its header: `u32` when the fine-grain hypergraph fits 32-bit
 /// ids, `u64` otherwise. The header is scanned first (the driver stops at
 /// the size line), then the file is parsed once at the selected width and
-/// compressed with the parsed matrix's dedup policy.
+/// compressed, summing duplicate entries.
 pub fn read_matrix_market_any(path: impl AsRef<Path>) -> Result<AnyCsrMatrix> {
     parse_any(open(path)?)
 }

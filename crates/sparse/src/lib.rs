@@ -45,7 +45,7 @@ pub mod spy;
 pub mod stats;
 
 pub use any::AnyCsrMatrix;
-pub use coo::{CooMatrix, DedupPolicy};
+pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use index::{IndexType, IndexWidth};
@@ -68,9 +68,6 @@ pub enum SparseError {
     /// A malformed Matrix Market file, with the 1-based line number where
     /// the problem was detected.
     ParseAt { line: u64, msg: String },
-    /// A duplicate `(row, col)` entry rejected by
-    /// [`coo::DedupPolicy::Error`].
-    DuplicateEntry { row: u64, col: u64 },
     /// An I/O failure while reading/writing a file.
     Io(String),
     /// A declared dimension or count exceeds what the `u32`/`usize` index
@@ -103,9 +100,6 @@ impl std::fmt::Display for SparseError {
             SparseError::Parse(msg) => write!(f, "matrix market parse error: {msg}"),
             SparseError::ParseAt { line, msg } => {
                 write!(f, "matrix market parse error at line {line}: {msg}")
-            }
-            SparseError::DuplicateEntry { row, col } => {
-                write!(f, "duplicate entry at ({row}, {col})")
             }
             SparseError::Io(msg) => write!(f, "i/o error: {msg}"),
             SparseError::TooLarge { what, value, max } => {

@@ -3,7 +3,7 @@
 //! CSR/CSC structural validators must accept everything the conversion
 //! pipeline produces.
 
-use fgh_sparse::{CooMatrix, CscMatrix, CsrMatrix, DedupPolicy};
+use fgh_sparse::{CooMatrix, CscMatrix, CsrMatrix};
 use proptest::prelude::*;
 
 /// Dimensions plus a list of in-bounds (possibly duplicate) triplets.
@@ -21,7 +21,7 @@ fn triplets() -> impl Strategy<Value = (u32, u32, Vec<(u32, u32, f64)>)> {
 
 proptest! {
     /// `CooMatrix::validate` holds after construction and after every
-    /// `push`, `compress*`, and `transpose` call.
+    /// `push`, `compress`, and `transpose` call.
     #[test]
     fn coo_valid_after_every_mutation((nr, nc, ts) in triplets()) {
         let mut coo = CooMatrix::new(nr, nc);
@@ -32,13 +32,9 @@ proptest! {
         }
 
         let mut summed = coo.clone();
-        summed.compress_with(DedupPolicy::Sum).expect("sum dedup");
-        summed.validate().expect("after compress_with(Sum)");
+        summed.compress();
+        summed.validate().expect("after compress");
         prop_assert!(summed.nnz() <= ts.len());
-
-        let mut last = coo.clone();
-        last.compress_with(DedupPolicy::LastWins).expect("last-wins dedup");
-        last.validate().expect("after compress_with(LastWins)");
 
         let mut t = coo.clone();
         t.transpose();
@@ -47,10 +43,6 @@ proptest! {
         prop_assert_eq!(t.ncols(), nr);
         t.transpose();
         t.validate().expect("after double transpose");
-
-        let mut c = coo.clone();
-        c.compress();
-        c.validate().expect("after compress");
     }
 
     /// The CSR/CSC structural validators accept every matrix the
