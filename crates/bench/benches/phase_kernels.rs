@@ -7,9 +7,9 @@
 //! one.
 //!
 //! Phases and their baselines:
-//! - `refine`: hybrid inline/spill connectivity table ([`NetConnectivity`])
-//!   vs the scan-based [`NaiveConnectivity`] oracle, replaying a k-way
-//!   move-and-query stream.
+//! - `refine`: the flat connectivity table ([`NetConnectivity`], one fixed
+//!   row per net) vs the scan-based [`NaiveConnectivity`] oracle, which
+//!   keeps one `Vec` per net, replaying a k-way move-and-query stream.
 //! - `coarsen`: the monomorphized pin-traversal scoring kernel
 //!   (`for_each_scored_neighbor` into a pre-sized scratch array) vs the
 //!   pre-rewrite form (dyn-dispatched visitor into per-vertex hash

@@ -4,7 +4,6 @@
 //!
 //! * net splitting in recursive bisection — on vs off,
 //! * coarsening scheme — HCM vs HCC vs scaled HCC,
-//! * direct K-way refinement post-pass — on vs off,
 //! * volume-minimizing 2D (fine-grain) vs structured 2D (checkerboard).
 //!
 //! Usage: cargo run --release -p fgh-bench --bin ablations --
@@ -34,13 +33,6 @@ fn variants() -> Vec<Variant> {
             name: "no net splitting",
             cfg: |s| PartitionConfig {
                 net_splitting: false,
-                ..base(s)
-            },
-        },
-        Variant {
-            name: "no k-way refine post-pass",
-            cfg: |s| PartitionConfig {
-                kway_refine: false,
                 ..base(s)
             },
         },

@@ -24,11 +24,9 @@ use fgh_serve::{run_load, Listen, ServeSnapshot};
 use crate::error::{CmdError, CmdResult};
 use crate::opts::Opts;
 
-/// The flags of all four modes.
-const FLAGS: &[&str] = &[
-    "check-metrics",
-    "self-test",
-    "load",
+/// The daemon's flags: [`serve_config`]'s, plus where to write the bound
+/// address and the final report.
+const DAEMON_FLAGS: &[&str] = &[
     "listen",
     "uds",
     "workers",
@@ -41,24 +39,51 @@ const FLAGS: &[&str] = &[
     "fault-injection",
     "addr-file",
     "metrics-json",
+];
+
+/// `--self-test`'s flags. It always listens on an ephemeral loopback
+/// port with faults injected and a fixed drain deadline, so it reads
+/// none of the flags that set those.
+const SELF_TEST_FLAGS: &[&str] = &[
+    "self-test",
+    "workers",
+    "queue",
+    "cache-bytes",
+    "max-wall-ms",
+    "max-bytes",
+    "threads",
+    "metrics-json",
     "jobs",
     "concurrency",
-    "inject",
     "matrix",
     "scale",
 ];
 
+/// `--load`'s flags: the load generator's, read by [`load_config`].
+const LOAD_FLAGS: &[&str] = &["load", "jobs", "concurrency", "inject", "matrix", "scale"];
+
 pub fn run(args: &[String]) -> CmdResult {
-    let o = Opts::parse(args, FLAGS)?;
+    let all = [
+        DAEMON_FLAGS,
+        SELF_TEST_FLAGS,
+        LOAD_FLAGS,
+        &["check-metrics"],
+    ]
+    .concat();
+    let o = Opts::parse(args, &all)?;
     if let Some(path) = o.get("check-metrics") {
+        o.only("--check-metrics", &["check-metrics"])?;
         return check_metrics(path);
     }
     if o.has("self-test") {
+        o.only("--self-test", SELF_TEST_FLAGS)?;
         return self_test(&o);
     }
     if let Some(addr) = o.get("load") {
+        o.only("--load", LOAD_FLAGS)?;
         return load(addr, &o);
     }
+    o.only("the daemon", DAEMON_FLAGS)?;
     daemon(&o)
 }
 
@@ -300,17 +325,36 @@ mod tests {
 
     #[test]
     fn serve_config_shares_all_cores_unless_threads_is_given() {
-        let cfg = serve_config(&Opts::parse(&args("--workers 4"), FLAGS).unwrap()).unwrap();
+        let parse = |s: &str| Opts::parse(&args(s), DAEMON_FLAGS).unwrap();
+        let cfg = serve_config(&parse("--workers 4")).unwrap();
         assert_eq!(cfg.parallelism, Parallelism::Auto);
-        let cfg = serve_config(&Opts::parse(&args("--threads 1"), FLAGS).unwrap()).unwrap();
+        let cfg = serve_config(&parse("--threads 1")).unwrap();
         assert_eq!(cfg.parallelism, Parallelism::Threads(1));
         assert_eq!(
             cfg.parallelism.resolved(),
             1,
             "--threads 1 runs jobs serially"
         );
-        let cfg = serve_config(&Opts::parse(&args("--threads 2"), FLAGS).unwrap()).unwrap();
+        let cfg = serve_config(&parse("--threads 2")).unwrap();
         assert_eq!(cfg.parallelism, Parallelism::Threads(2));
+    }
+
+    #[test]
+    fn each_mode_rejects_flags_it_does_not_read() {
+        // A flag another mode reads would otherwise be silently ignored.
+        for (line, flag) in [
+            (
+                "--check-metrics serve-metrics.json --workers 9 --fault-injection",
+                "--workers",
+            ),
+            ("--self-test --jobs 4 --listen 127.0.0.1:0", "--listen"),
+            ("--self-test --jobs 4 --inject", "--inject"),
+            ("--load 127.0.0.1:9 --workers 2", "--workers"),
+        ] {
+            let e = run(&args(line)).unwrap_err();
+            assert_eq!(e.code, 2, "{line}: {}", e.msg);
+            assert!(e.msg.contains(flag), "{line}: {}", e.msg);
+        }
     }
 
     #[test]

@@ -9,6 +9,10 @@ use crate::opts::{Opts, DECOMPOSE_FLAGS};
 
 pub fn run(args: &[String]) -> CmdResult {
     let o = Opts::parse(args, &[DECOMPOSE_FLAGS, &["width", "k", "strict"]].concat())?;
+    if o.get("k").is_none() {
+        // The plain pattern plot decomposes nothing.
+        o.only("`fgh spy` without --k", &["width"])?;
+    }
     let path = o.one_positional("matrix.mtx")?;
     let a = load_matrix(path)?;
     let width: u32 = o.parse_or("width", 60)?;

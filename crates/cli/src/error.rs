@@ -12,7 +12,7 @@
 //! * `5` — the chosen model has no big-index (u64) path for a matrix
 //!   that needs one; the stderr hint names the width-capable models.
 
-use fgh_core::{ErrorCategory, FghError};
+use fgh_core::{ErrorCategory, FghError, Model};
 
 /// An error plus the exit code the process should return.
 #[derive(Debug)]
@@ -51,8 +51,8 @@ impl From<FghError> for CmdError {
             return CmdError {
                 code: 5,
                 msg: format!(
-                    "{e}\nhint: width-capable models: graph-1d, hypergraph-1d-colnet, \
-                     hypergraph-1d-rownet, fine-grain-2d"
+                    "{e}\nhint: width-capable models: {}",
+                    Model::wide_spmv_names()
                 ),
             };
         }
@@ -112,5 +112,14 @@ mod tests {
                 e.msg
             );
         }
+        // The hint comes from `Model::wide_spmv_names`, byte for byte.
+        assert!(
+            e.msg.ends_with(
+                "\nhint: width-capable models: graph-1d, hypergraph-1d-colnet, \
+                 hypergraph-1d-rownet, fine-grain-2d"
+            ),
+            "{}",
+            e.msg
+        );
     }
 }

@@ -15,6 +15,8 @@
 //! ```
 //!
 //! A flag the subcommand does not read is a bad-input error (exit 2).
+//! `spy` and `serve` check per mode: `spy` without `--k` reads only
+//! `--width`, and each `serve` mode reads only its own flags.
 //!
 //! `MODEL` is one of `graph-1d`, `hypergraph-1d-colnet`,
 //! `hypergraph-1d-rownet`, `fine-grain-2d` (default), `checkerboard-2d`,

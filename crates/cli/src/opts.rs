@@ -59,6 +59,16 @@ impl Opts {
         Ok(o)
     }
 
+    /// Errors on the first flag given outside `read`, the flags `mode`
+    /// reads: a command whose modes read different flags must not let
+    /// one mode ignore another's.
+    pub fn only(&self, mode: &str, read: &[&str]) -> Result<(), String> {
+        match self.flags.iter().find(|(n, _)| !read.contains(&n.as_str())) {
+            Some((n, _)) => Err(format!("flag --{n} is not read by {mode}")),
+            None => Ok(()),
+        }
+    }
+
     /// The single required positional argument.
     pub fn one_positional(&self, what: &str) -> Result<&str, String> {
         match self.positional.as_slice() {
@@ -246,6 +256,26 @@ mod tests {
             let flag = extra.split_whitespace().next().unwrap();
             assert!(e.msg.contains(flag), "{line}: {}", e.msg);
         }
+    }
+
+    #[test]
+    fn spy_without_k_reads_only_width() {
+        // Without --k nothing is decomposed, so a decomposition flag
+        // would otherwise be silently ignored.
+        let dir = std::env::temp_dir().join("fgh_cli_opts_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let m = dir.join("spy.mtx");
+        std::fs::write(
+            &m,
+            "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 1.0\n",
+        )
+        .unwrap();
+        let m = m.display();
+        let e =
+            crate::commands::spy::run(&sv(&format!("{m} --model graph-1d --seed 9"))).unwrap_err();
+        assert_eq!(e.code, 2, "{}", e.msg);
+        assert!(e.msg.contains("--model"), "{}", e.msg);
+        crate::commands::spy::run(&sv(&format!("{m} --width 8"))).unwrap();
     }
 
     #[test]

@@ -216,6 +216,19 @@ impl Model {
                 | Model::SpgemmFineGrain
         )
     }
+
+    /// The SpMV models that run at either index width, named in
+    /// [`Model::ALL`] order and joined by `", "`: the hint the CLI and
+    /// the serve daemon give when a matrix needs `u64` indices that the
+    /// chosen model cannot run at.
+    pub fn wide_spmv_names() -> String {
+        Model::ALL
+            .iter()
+            .filter(|m| m.workload() == WorkloadKind::Spmv && m.supports_wide_indices())
+            .map(Model::name)
+            .collect::<Vec<_>>()
+            .join(", ")
+    }
 }
 
 impl std::fmt::Display for Model {

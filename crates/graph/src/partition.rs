@@ -14,8 +14,8 @@
 //! Both index widths run on the one engine: `CsrGraph<u32>` for graphs
 //! that fit 32-bit ids, `CsrGraph<u64>` beyond that.
 //!
-//! Hypergraph-only [`PartitionConfig`] fields (`net_splitting`,
-//! `kway_refine`) are ignored for graphs.
+//! The hypergraph-only [`PartitionConfig`] field `net_splitting` is
+//! ignored for graphs.
 
 use std::sync::Arc;
 
@@ -244,8 +244,8 @@ impl<I: ArenaIndex> Substrate for CsrGraph<I> {
 }
 
 /// Partitions `g` into `k` parts by multilevel recursive bisection on the
-/// unified engine. Graph runs ignore the hypergraph-only config fields
-/// (`net_splitting`, `kway_refine`).
+/// unified engine. Graph runs ignore the hypergraph-only config field
+/// `net_splitting`.
 pub fn partition_graph<I: ArenaIndex>(
     g: &CsrGraph<I>,
     k: u32,

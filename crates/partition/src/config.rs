@@ -194,9 +194,6 @@ pub struct PartitionConfig {
     /// treatment for the connectivity−1 objective). Disable only for the
     /// cut-net-metric ablation.
     pub net_splitting: bool,
-    /// Run a direct K-way greedy refinement pass over the assembled
-    /// partition after recursive bisection (extension over the paper).
-    pub kway_refine: bool,
     /// Resource budget (wall clock / FM passes / levels); unlimited by
     /// default. See [`Budget`].
     pub budget: Budget,
@@ -221,7 +218,6 @@ impl Default for PartitionConfig {
             seed: 1,
             coarsening: CoarseningScheme::Hcc,
             net_splitting: true,
-            kway_refine: true,
             budget: Budget::UNLIMITED,
             parallelism: Parallelism::Serial,
             cancel: None,

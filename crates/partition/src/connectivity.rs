@@ -1,147 +1,61 @@
-//! Hybrid per-net part-count tracking for K-way refinement.
+//! Per-net part-count tracking for K-way refinement.
 //!
 //! Every K-way gain computation asks the same two questions per net: "how
 //! many pins does net `n` have in part `p`?" and "which parts does `n`
-//! touch?" (its connectivity set Λ). The naive answer — one heap-allocated
-//! `Vec<(part, count)>` per net, linearly scanned — is what the engine
-//! shipped with ([`NaiveConnectivity`], kept as the test oracle and bench
-//! baseline). It is cache-hostile twice over: every net lookup chases a
-//! separate allocation, and high-λ nets pay O(λ) per query.
+//! touch?" (its connectivity set Λ). [`NetConnectivity`] answers both from
+//! one flat layout: net `n` owns a row of `min(|pins(n)|, K)` (part, count)
+//! entries, the most parts it can touch, in two parallel arrays addressed
+//! by a prefix sum. A row never moves or grows, so a lookup is a scan of
+//! one contiguous row with no pointer chase and no allocation.
 //!
-//! [`NetConnectivity`] replaces it with a hybrid λ-structure:
-//!
-//! * **Inline path** — almost all nets of a fine-grain hypergraph touch at
-//!   most a handful of parts (λ ≤ 2 for anything produced by recursive
-//!   bisection; the K-way sweep only nudges that). Each net owns a fixed
-//!   [`INLINE_LAMBDA`]-entry slot in two flat parallel arrays (`parts`,
-//!   `counts`), so a lookup is a bounded scan of one cache line with no
-//!   pointer chase and no allocation.
-//! * **Spill path** — a net whose λ outgrows the inline slot moves to a
-//!   `SpillRow`: dense per-part counts (O(1) lookup), a presence bitset
-//!   (one-load membership tests for the common `count(n, q) == 0` probe),
-//!   and the explicit `order`/`pos` pair that preserves the naive row
-//!   order exactly.
-//!
-//! The structure is *behavior-identical* to the naive oracle, including
-//! the order in which [`NetConnectivity::for_each_part`] visits parts
-//! (first-seen insertion order with `swap_remove` compaction). K-way
-//! refinement breaks gain ties by candidate order, so preserving that
-//! order is what keeps the rewritten kernel bit-for-bit compatible with
-//! recorded partitions — see `crates/core/tests/golden_cutsize.rs` and
-//! the `proptest_connectivity` equivalence harness.
+//! Rows keep the order contract of the scan-based oracle
+//! [`NaiveConnectivity`]: a new part is appended, and an entry whose count
+//! reaches zero is removed with `swap_remove`. K-way refinement breaks
+//! gain ties in the order [`NetConnectivity::for_each_part`] visits parts,
+//! so that contract is what keeps recorded partitions bit-for-bit
+//! reproducible; see `crates/core/tests/golden_cutsize.rs` and the
+//! `proptest_connectivity` equivalence harness.
+
+use std::ops::Range;
 
 use fgh_hypergraph::{Hypergraph, Partition};
 use fgh_sparse::IndexType;
 
 use crate::error::PartitionError;
 
-/// Inline capacity: (part, count) entries a net can hold before spilling.
-///
-/// Four entries keep the hot arrays at 16 B of part ids and 32 B of counts
-/// per net while covering every net recursive bisection can produce (λ ≤ 2)
-/// plus the first couple of K-way perturbations.
-pub const INLINE_LAMBDA: usize = 4;
-
-/// `len` sentinel marking a spilled net; `parts[net][0]` then holds the
-/// spill-row index instead of a part id.
-const SPILLED: u8 = u8::MAX;
-
-/// Absent marker for [`SpillRow::pos`].
-const NO_POS: u32 = u32::MAX;
-
-/// Dense representation for a high-λ net.
-struct SpillRow {
-    /// Per-part pin counts, indexed by part id.
-    counts: Vec<u64>,
-    /// Presence bitset: bit `p` set ⇔ `counts[p] > 0`. Lets `count` and
-    /// membership probes answer "absent" from a single word load without
-    /// touching the (much larger) counts array.
-    present: Vec<u64>,
-    /// Parts with nonzero count, in the naive oracle's row order
-    /// (first-seen insertion order, `swap_remove` on emptying).
-    order: Vec<u32>,
-    /// part id → index into `order`, [`NO_POS`] when absent.
-    pos: Vec<u32>,
-}
-
-impl SpillRow {
-    fn new(k: u32) -> Self {
-        let k = k as usize;
-        SpillRow {
-            counts: vec![0; k],
-            present: vec![0; k.div_ceil(64)],
-            order: Vec::new(),
-            pos: vec![NO_POS; k],
-        }
-    }
-
-    // lint: checked-index — part < k is the Partition contract; counts/pos have length k and present has k.div_ceil(64) words
-    fn add(&mut self, part: u32, n: u64) {
-        let p = part as usize;
-        if self.counts[p] == 0 {
-            self.present[p / 64] |= 1u64 << (p % 64);
-            // lint: checked-cast — order holds distinct parts, at most k, which is u32
-            self.pos[p] = self.order.len() as u32;
-            self.order.push(part);
-        }
-        self.counts[p] += n;
-    }
-
-    // lint: checked-index — part < k is the Partition contract (see `add`)
-    fn count(&self, part: u32) -> u64 {
-        let p = part as usize;
-        if self.present[p / 64] & (1u64 << (p % 64)) == 0 {
-            return 0;
-        }
-        self.counts[p]
-    }
-
-    /// Removes one pin of `part`, replicating the oracle's `swap_remove`
-    /// compaction of the order list when the count reaches zero.
-    // lint: checked-index — part bounds per `add`; `pos` entries index `order` by construction
-    fn remove_one(&mut self, part: u32) -> bool {
-        let p = part as usize;
-        if self.present[p / 64] & (1u64 << (p % 64)) == 0 {
-            return false;
-        }
-        self.counts[p] -= 1;
-        if self.counts[p] == 0 {
-            self.present[p / 64] &= !(1u64 << (p % 64));
-            let i = self.pos[p] as usize;
-            self.order.swap_remove(i);
-            if let Some(&moved) = self.order.get(i) {
-                // lint: checked-cast — i < order.len() <= k, which is u32
-                self.pos[moved as usize] = i as u32;
-            }
-            self.pos[p] = NO_POS;
-        }
-        true
-    }
-}
-
-/// Hybrid per-net (part, pin-count) table. See the module docs for the
-/// layout; behaviorally identical to [`NaiveConnectivity`].
+/// Per-net (part, pin-count) table with one fixed row per net. See the
+/// module docs for the layout; behaviorally identical to
+/// [`NaiveConnectivity`] for destination parts below K.
 pub struct NetConnectivity {
     k: u32,
-    /// Inline part ids per net; for spilled nets slot 0 is the spill index.
-    parts: Vec<[u32; INLINE_LAMBDA]>,
-    /// Inline pin counts per net (unused for spilled nets).
-    counts: Vec<[u64; INLINE_LAMBDA]>,
-    /// Inline entry count, or [`SPILLED`].
-    len: Vec<u8>,
-    spill: Vec<SpillRow>,
+    /// Net `n`'s row is `start[n]..start[n + 1]` of `parts` and `counts`.
+    start: Vec<usize>,
+    /// Live entries per row; the rest of the row is unused room.
+    len: Vec<u32>,
+    /// Part ids, row by row.
+    parts: Vec<u32>,
+    /// Pin counts, parallel to `parts`.
+    counts: Vec<u64>,
 }
 
 impl NetConnectivity {
     /// Builds the table for `partition` over `hg`'s nets.
     pub fn build<I: IndexType>(hg: &Hypergraph<I>, partition: &Partition) -> Self {
         let nn = hg.num_nets().index();
+        let k = partition.k();
+        let mut start = Vec::with_capacity(nn + 1);
+        let mut room = 0;
+        start.push(room);
+        for n in 0..nn {
+            room += hg.net_size(I::from_index(n)).min(k as usize);
+            start.push(room);
+        }
         let mut t = NetConnectivity {
-            k: partition.k(),
-            parts: vec![[0; INLINE_LAMBDA]; nn],
-            counts: vec![[0; INLINE_LAMBDA]; nn],
+            k,
+            start,
             len: vec![0; nn],
-            spill: Vec::new(),
+            parts: vec![0; room],
+            counts: vec![0; room],
         };
         for n in 0..nn {
             for &p in hg.pins(I::from_index(n)) {
@@ -151,87 +65,61 @@ impl NetConnectivity {
         t
     }
 
-    /// Adds one pin of `part` to net `n`, spilling on inline overflow.
-    // lint: checked-index — n < num_nets for every caller; inline slots are < INLINE_LAMBDA; spill ids index self.spill by construction
+    /// The live entries of net `n`'s row, as indices into `parts`/`counts`.
+    // lint: checked-index — n < num_nets is the caller contract; start and len have an entry per net
+    fn row(&self, n: usize) -> Range<usize> {
+        let s = self.start[n];
+        s..s + self.len[n] as usize
+    }
+
+    /// Index of `part`'s entry in net `n`'s row, if the row has one.
+    // lint: checked-index — row(n) lies inside parts by construction
+    fn find(&self, n: usize, part: u32) -> Option<usize> {
+        let row = self.row(n);
+        let i = self.parts[row.clone()].iter().position(|&q| q == part)?;
+        Some(row.start + i)
+    }
+
+    /// Adds one pin of `part` to net `n`, appending `part` when the row
+    /// lacks it.
+    // lint: checked-index — n < num_nets; a row holds distinct parts < K, one pin each at least, so it never outgrows its min(|pins|, K) room and an append lands below start[n + 1]
     fn add_pin(&mut self, n: usize, part: u32) {
-        let len = self.len[n];
-        if len == SPILLED {
-            let s = self.parts[n][0] as usize;
-            self.spill[s].add(part, 1);
+        if let Some(i) = self.find(n, part) {
+            self.counts[i] += 1;
             return;
         }
-        let row = &mut self.parts[n];
-        for (i, &p) in row.iter().enumerate().take(len as usize) {
-            if p == part {
-                self.counts[n][i] += 1;
-                return;
-            }
-        }
-        if (len as usize) < INLINE_LAMBDA {
-            row[len as usize] = part;
-            self.counts[n][len as usize] = 1;
-            self.len[n] = len + 1;
-            return;
-        }
-        // Inline slot full: migrate to a spill row, preserving order.
-        let mut s = SpillRow::new(self.k);
-        for i in 0..INLINE_LAMBDA {
-            s.add(self.parts[n][i], self.counts[n][i]);
-        }
-        s.add(part, 1);
-        // lint: checked-cast — one spill row per net at most; net count is u32
-        self.parts[n][0] = self.spill.len() as u32;
-        self.len[n] = SPILLED;
-        self.spill.push(s);
+        let end = self.row(n).end;
+        self.parts[end] = part;
+        self.counts[end] = 1;
+        self.len[n] += 1;
     }
 
     /// Pin count of `part` on net `net` (0 when absent).
-    // lint: checked-index — net < num_nets is the caller contract; spill ids index self.spill by construction
+    // lint: checked-index — find returns an index into the row
     pub fn count<I: IndexType>(&self, net: I, part: u32) -> u64 {
-        let n = net.index();
-        let len = self.len[n];
-        if len == SPILLED {
-            return self.spill[self.parts[n][0] as usize].count(part);
-        }
-        for i in 0..len as usize {
-            if self.parts[n][i] == part {
-                return self.counts[n][i];
-            }
-        }
-        0
+        self.find(net.index(), part).map_or(0, |i| self.counts[i])
     }
 
     /// Connectivity λ of `net` (number of parts with ≥ 1 pin).
-    // lint: checked-index — net < num_nets is the caller contract; spill ids index self.spill by construction
+    // lint: checked-index — net < num_nets is the caller contract
     pub fn lambda<I: IndexType>(&self, net: I) -> usize {
-        let n = net.index();
-        let len = self.len[n];
-        if len == SPILLED {
-            return self.spill[self.parts[n][0] as usize].order.len();
-        }
-        len as usize
+        self.len[net.index()] as usize
     }
 
     /// Visits every (part, count) pair of `net` in row order — the same
     /// order the naive oracle's row would be iterated in.
-    // lint: checked-index — net < num_nets is the caller contract; spill order entries are parts with counts maintained by add/remove_one
+    // lint: checked-index — row(net) lies inside parts and counts by construction
     pub fn for_each_part<I: IndexType>(&self, net: I, mut visit: impl FnMut(u32, u64)) {
-        let n = net.index();
-        let len = self.len[n];
-        if len == SPILLED {
-            let s = &self.spill[self.parts[n][0] as usize];
-            for &p in &s.order {
-                visit(p, s.counts[p as usize]);
-            }
-            return;
-        }
-        for i in 0..len as usize {
-            visit(self.parts[n][i], self.counts[n][i]);
+        let row = self.row(net.index());
+        for (&p, &c) in self.parts[row.clone()].iter().zip(&self.counts[row]) {
+            visit(p, c);
         }
     }
 
-    /// Moves one pin of `net` from part `from` to part `to`.
-    // lint: checked-index — net < num_nets is the caller contract; inline compaction indices are < len ≤ INLINE_LAMBDA
+    /// Moves one pin of `net` from part `from` to part `to`. A `to` of K
+    /// or more, or a `from` with no pins on `net`, is the typed internal
+    /// error and leaves the table unchanged.
+    // lint: checked-index — i comes from find and last is the row's final live entry
     pub fn move_pin<I: IndexType>(
         &mut self,
         net: I,
@@ -239,31 +127,26 @@ impl NetConnectivity {
         to: u32,
     ) -> Result<(), PartitionError> {
         let n = net.index();
-        let corrupt = || {
-            // Corrupt bookkeeping: a typed error, so release builds abort
-            // the refinement instead of continuing on a broken table.
-            PartitionError::internal(format!(
-                "net {n} has no pins in part {from} to move to part {to}"
-            ))
-        };
-        if self.len[n] == SPILLED {
-            let s = self.parts[n][0] as usize;
-            if !self.spill[s].remove_one(from) {
-                return Err(corrupt());
-            }
-            self.spill[s].add(to, 1);
-            return Ok(());
+        // Corrupt bookkeeping: a typed error, so release builds abort the
+        // refinement instead of continuing on a broken table.
+        if to >= self.k {
+            return Err(PartitionError::internal(format!(
+                "net {n} cannot move a pin to part {to}: K is {}",
+                self.k
+            )));
         }
-        let len = self.len[n] as usize;
-        let Some(i) = (0..len).find(|&i| self.parts[n][i] == from) else {
-            return Err(corrupt());
+        let Some(i) = self.find(n, from) else {
+            return Err(PartitionError::internal(format!(
+                "net {n} has no pins in part {from} to move to part {to}"
+            )));
         };
-        self.counts[n][i] -= 1;
-        if self.counts[n][i] == 0 {
-            // Mirror the oracle's `swap_remove`: last entry fills the gap.
-            self.parts[n][i] = self.parts[n][len - 1];
-            self.counts[n][i] = self.counts[n][len - 1];
-            self.len[n] = (len - 1) as u8; // lint: checked-cast — len <= INLINE_LAMBDA (4)
+        self.counts[i] -= 1;
+        if self.counts[i] == 0 {
+            // Mirror the oracle's `swap_remove`: the last entry fills the gap.
+            let last = self.row(n).end - 1;
+            self.parts[i] = self.parts[last];
+            self.counts[i] = self.counts[last];
+            self.len[n] -= 1;
         }
         self.add_pin(n, to);
         Ok(())
@@ -373,7 +256,7 @@ mod tests {
 
     #[test]
     fn spill_transition_preserves_row_order_and_counts() {
-        // One 8-pin net across 8 parts forces λ past INLINE_LAMBDA.
+        // One 8-pin net across 8 parts fills its row to its room.
         let pins: Vec<u32> = (0..8).collect();
         let hg = Hypergraph::from_nets(8u32, &[pins]).unwrap();
         let p = Partition::new(8, (0..8).collect()).unwrap();
@@ -409,12 +292,51 @@ mod tests {
     }
 
     #[test]
-    fn inline_never_allocates_spill_rows_for_low_lambda() {
-        let hg = Hypergraph::from_nets(6u32, &[vec![0, 1, 2], vec![3, 4, 5]]).unwrap();
-        let p = Partition::new(4, vec![0, 1, 2, 3, 3, 3]).unwrap();
-        let t = NetConnectivity::build(&hg, &p);
-        assert!(t.spill.is_empty());
-        assert_eq!(t.lambda(0u32), 3);
-        assert_eq!(t.lambda(1u32), 1);
+    fn full_neighbour_rows_track_the_oracle_and_reject_parts_past_k() {
+        // Nets 0 and 1 share vertices 4..8 and sit side by side in the
+        // flat arrays; at K = 8 each starts with all 8 parts, a full row.
+        let k = 8u32;
+        let nets = [(0..8).collect::<Vec<u32>>(), (4..12).collect()];
+        let hg = Hypergraph::from_nets(12u32, &nets).unwrap();
+        let start: Vec<u32> = (0..12).map(|v| v % k).collect();
+        let mut parts = start.clone();
+        let p = Partition::new(k, parts.clone()).unwrap();
+        let mut t = NetConnectivity::build(&hg, &p);
+        let mut o = NaiveConnectivity::build(&hg, &p);
+        let mut move_vertex = |t: &mut NetConnectivity, parts: &mut [u32], v: u32, to: u32| {
+            let from = parts[v as usize];
+            for &n in hg.nets(v) {
+                t.move_pin(n, from, to).unwrap();
+                o.move_pin(n, from, to).unwrap();
+            }
+            parts[v as usize] = to;
+            for n in 0..2u32 {
+                assert_eq!(order_of(t, n), o.table[n as usize], "net {n} diverged");
+            }
+        };
+        let mut x = 0x2545f4914f6cdd1du64;
+        for _ in 0..300 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let v = ((x >> 33) % 12) as u32;
+            let to = ((x >> 17) % 8) as u32;
+            if parts[v as usize] != to {
+                move_vertex(&mut t, &mut parts, v, to);
+            }
+        }
+        // Walk every vertex home so both rows are full again.
+        for v in 0..12u32 {
+            if parts[v as usize] != start[v as usize] {
+                move_vertex(&mut t, &mut parts, v, start[v as usize]);
+            }
+        }
+        assert_eq!((t.lambda(0u32), t.lambda(1u32)), (8, 8));
+        // A part past K would land in the neighbouring row; the move is
+        // rejected before anything changes.
+        let before = (order_of(&t, 0), order_of(&t, 1));
+        for n in 0..2u32 {
+            let from = order_of(&t, n)[0].0;
+            assert!(t.move_pin(n, from, k).is_err());
+            assert_eq!((order_of(&t, 0), order_of(&t, 1)), before);
+        }
     }
 }

@@ -1157,7 +1157,6 @@ mod tests {
         let hg = random_hypergraph(300, 500, 6, 7);
         for k in [2u32, 4, 8] {
             let cfg = PartitionConfig {
-                kway_refine: false,
                 net_splitting: true,
                 ..PartitionConfig::with_seed(k as u64)
             };

@@ -106,7 +106,7 @@ pub fn partition_hypergraph_with<I: ArenaIndex>(
     let cfg = driver.cfg();
 
     let mut partition = Partition::new(k, outcome.parts).map_err(PartitionError::from)?;
-    if cfg.kway_refine && k > 2 && !driver.interrupted() {
+    if k > 2 && !driver.interrupted() {
         let mut rng = SmallRng::seed_from_u64(cfg.seed.wrapping_add(0x9e3779b97f4a7c15));
         kway_refine(hg, &mut partition, cfg.epsilon, 2, &mut rng)?;
     }

@@ -28,7 +28,6 @@ proptest! {
     fn bisection_cuts_compose_to_connectivity(hg in hypergraph(), seed in 0u64..50) {
         for k in [2u32, 4, 8] {
             let cfg = PartitionConfig {
-                kway_refine: false,
                 net_splitting: true,
                 ..PartitionConfig::with_seed(seed)
             };
@@ -52,7 +51,6 @@ proptest! {
     #[test]
     fn no_split_still_yields_valid_partitions(hg in hypergraph(), seed in 0u64..25) {
         let cfg = PartitionConfig {
-            kway_refine: false,
             net_splitting: false,
             ..PartitionConfig::with_seed(seed)
         };

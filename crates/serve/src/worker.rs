@@ -283,9 +283,9 @@ fn fgh_error_response(e: &FghError) -> Value {
         FghError::UnsupportedWidth { model, width } => error_response(
             codes::UNSUPPORTED_WIDTH,
             &format!(
-                "model {model} cannot run at {}-bit indices; width-capable models: \
-                 graph-1d, hypergraph-1d-colnet, hypergraph-1d-rownet, fine-grain-2d",
-                width.bits()
+                "model {model} cannot run at {}-bit indices; width-capable models: {}",
+                width.bits(),
+                Model::wide_spmv_names()
             ),
             None,
         ),
@@ -601,6 +601,27 @@ mod tests {
             workload: WorkloadKind::Spmv,
             source_b: None,
         }
+    }
+
+    #[test]
+    fn unsupported_width_names_the_wide_spmv_models() {
+        let r = fgh_error_response(&FghError::UnsupportedWidth {
+            model: "jagged-2d",
+            width: IndexWidth::U64,
+        });
+        let err = r.get("error").unwrap();
+        assert_eq!(
+            err.get("code").unwrap().as_str(),
+            Some(codes::UNSUPPORTED_WIDTH)
+        );
+        // The list comes from `Model::wide_spmv_names`, byte for byte.
+        assert_eq!(
+            err.get("message").unwrap().as_str(),
+            Some(
+                "model jagged-2d cannot run at 64-bit indices; width-capable models: \
+                 graph-1d, hypergraph-1d-colnet, hypergraph-1d-rownet, fine-grain-2d"
+            )
+        );
     }
 
     /// An unlimited ceiling and the all-cores thread policy.

@@ -110,11 +110,6 @@ pub fn grid5(nx: u32, ny: u32, keep: f64, values: ValueMode, rng: &mut impl Rng)
     grid_stencil(nx, ny, 1, false, keep, values, rng)
 }
 
-/// 2D 9-point stencil (adds diagonal links) — denser FD/FE meshes.
-pub fn grid9(nx: u32, ny: u32, keep: f64, values: ValueMode, rng: &mut impl Rng) -> CsrMatrix {
-    grid_stencil(nx, ny, 1, true, keep, values, rng)
-}
-
 /// Wide-stencil grid: couples every node within Chebyshev radius `radius`
 /// (a `(2r+1)²−1`-point stencil). Mimics higher-order FE discretizations
 /// such as `vibrobox` (average ≈ 25–28 nonzeros per row for `radius = 2`).
@@ -351,115 +346,6 @@ pub fn lattice_with_hubs(
     from_adjacency(adj, values)
 }
 
-/// Rectangular network-LP staircase constraint matrix `A` (rows =
-/// constraints, cols = variables): each column has `nnz_per_col` entries in
-/// a local row window, plus `dense_cols` columns with `dense_col_nnz`
-/// scattered entries. Feed to [`aat_pattern`] to obtain the square
-/// normal-equation matrix interior-point methods iterate with.
-pub fn lp_staircase(
-    nrows: u32,
-    ncols: u32,
-    nnz_per_col: u32,
-    dense_cols: u32,
-    dense_col_nnz: u32,
-    rng: &mut impl Rng,
-) -> CsrMatrix {
-    let mut coo = CooMatrix::with_capacity(
-        nrows,
-        ncols,
-        (ncols * nnz_per_col + dense_cols * dense_col_nnz) as usize,
-    );
-    for j in 0..ncols {
-        // Staircase window: columns sweep down the rows.
-        let center = ((j as u64 * nrows as u64) / ncols.max(1) as u64) as u32; // lint: checked-cast — quotient < nrows, a u32
-        for _ in 0..nnz_per_col {
-            let off = rng.gen_range(0..40u32);
-            let i = (center + off) % nrows.max(1);
-            coo.push(i, j, rng.gen_range(-1.0..1.0)).expect("in bounds");
-        }
-    }
-    for d in 0..dense_cols {
-        let j = (d * ncols / dense_cols.max(1)).min(ncols.saturating_sub(1));
-        for _ in 0..dense_col_nnz {
-            let i = rng.gen_range(0..nrows);
-            coo.push(i, j, rng.gen_range(-1.0..1.0)).expect("in bounds");
-        }
-    }
-    CsrMatrix::from_coo(coo)
-}
-
-/// R-MAT (recursive matrix) generator: `nnz` edges placed by recursive
-/// quadrant descent with probabilities `(a, b, c, d)`, `a+b+c+d = 1`.
-/// The classic (0.57, 0.19, 0.19, 0.05) setting yields power-law
-/// degree distributions with community structure — a second family of
-/// skewed patterns alongside [`scale_free`], useful for robustness
-/// checks of the decomposition models. The pattern is symmetrized and a
-/// full diagonal is added so the result is a valid SpMV test matrix.
-pub fn rmat(
-    scale: u32,
-    nnz: usize,
-    probs: (f64, f64, f64, f64),
-    values: ValueMode,
-    rng: &mut impl Rng,
-) -> CsrMatrix {
-    let (a, b, c, d) = probs;
-    assert!(
-        (a + b + c + d - 1.0).abs() < 1e-9,
-        "probabilities must sum to 1"
-    );
-    assert!((1..=24).contains(&scale), "scale in 1..=24");
-    let n = 1u32 << scale;
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
-    let mut placed = 0usize;
-    let mut attempts = 0usize;
-    while placed < nnz && attempts < nnz * 4 {
-        attempts += 1;
-        let (mut i, mut j) = (0u32, 0u32);
-        for level in (0..scale).rev() {
-            let r: f64 = rng.gen();
-            let (di, dj) = if r < a {
-                (0, 0)
-            } else if r < a + b {
-                (0, 1)
-            } else if r < a + b + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            i |= di << level;
-            j |= dj << level;
-        }
-        if i == j || adj[i as usize].contains(&j) {
-            continue;
-        }
-        adj[i as usize].push(j);
-        adj[j as usize].push(i);
-        placed += 1;
-    }
-    from_adjacency(adj, values)
-}
-
-/// The structural pattern of `A·Aᵀ` (values = number of shared columns,
-/// i.e. the inner-product term count). Always square, symmetric, and with a
-/// full diagonal whenever every row of `A` is non-empty.
-pub fn aat_pattern(a: &CsrMatrix) -> CsrMatrix {
-    let csc = a.to_csc();
-    let n = a.nrows();
-    let mut coo = CooMatrix::with_capacity(n, n, a.nnz() * 4);
-    // For each column, the rows it touches form a clique in A·Aᵀ.
-    for j in 0..a.ncols() {
-        let rows = csc.col_rows(j);
-        for (pi, &r) in rows.iter().enumerate() {
-            coo.push(r, r, 1.0).expect("in bounds");
-            for &s in &rows[pi + 1..] {
-                coo.push(r, s, 1.0).expect("in bounds");
-                coo.push(s, r, 1.0).expect("in bounds");
-            }
-        }
-    }
-    CsrMatrix::from_coo(coo)
-}
-
 /// A structure-only description of a huge symmetric banded pattern: full
 /// diagonal plus mirrored bands at the given offsets. Nothing is stored
 /// per entry — `O(bands)` memory regardless of `n` — so parameterizations
@@ -598,14 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn grid9_has_diagonal_links() {
-        let a = grid9(5, 5, 1.0, ValueMode::Ones, &mut rng());
-        // Center node (2,2) = 12 has 8 neighbors + self.
-        assert_eq!(a.row_nnz(12), 9);
-        assert!(a.pattern_symmetric());
-    }
-
-    #[test]
     fn wide_stencil_degree() {
         let a = wide_stencil(9, 9, 2, 1.0, ValueMode::Ones, &mut rng());
         // Center node has 24 neighbors + self.
@@ -683,61 +561,6 @@ mod tests {
             s.row_max
         );
         assert!(a.pattern_symmetric());
-    }
-
-    #[test]
-    fn aat_pattern_is_square_symmetric() {
-        let a = lp_staircase(300, 450, 2, 3, 40, &mut rng());
-        let m = aat_pattern(&a);
-        assert_eq!(m.nrows(), 300);
-        assert!(m.is_square());
-        assert!(m.pattern_symmetric());
-    }
-
-    #[test]
-    fn aat_pattern_small_exact() {
-        // A = [1 0 1; 0 1 1] -> AAᵀ pattern full 2x2 (rows share col 2).
-        let a = CsrMatrix::from_coo(
-            CooMatrix::from_triplets(
-                2,
-                3,
-                vec![(0, 0, 1.0), (0, 2, 1.0), (1, 1, 1.0), (1, 2, 1.0)],
-            )
-            .unwrap(),
-        );
-        let m = aat_pattern(&a);
-        assert_eq!(m.nnz(), 4);
-        assert!(m.contains(0, 1) && m.contains(1, 0));
-        // Diagonal counts = row nnz of A; shared-column count on off-diagonal.
-        assert_eq!(m.get(0, 0), Some(2.0));
-        assert_eq!(m.get(0, 1), Some(1.0));
-    }
-
-    #[test]
-    fn rmat_skewed_and_symmetric() {
-        let a = rmat(
-            10,
-            4000,
-            (0.57, 0.19, 0.19, 0.05),
-            ValueMode::Ones,
-            &mut rng(),
-        );
-        assert_eq!(a.nrows(), 1024);
-        assert!(a.pattern_symmetric());
-        assert!(a.has_full_diagonal());
-        let s = MatrixStats::compute(&a);
-        assert!(
-            s.row_max as f64 > 3.0 * s.row_avg,
-            "R-MAT should be skewed: max {} avg {}",
-            s.row_max,
-            s.row_avg
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "probabilities must sum to 1")]
-    fn rmat_validates_probs() {
-        rmat(4, 10, (0.5, 0.5, 0.5, 0.5), ValueMode::Ones, &mut rng());
     }
 
     #[test]
